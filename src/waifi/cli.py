@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from .field import ExtensionDegreeExceeded
 from .infnear import export_proximity_graph, proximity_graph_dot
 from .integrability import (
     AnalysisFailure,
@@ -270,6 +271,7 @@ def main(argv=None):
         NonIsolatedSingularities,
         DepthExceeded,
         CommonComponent,
+        ExtensionDegreeExceeded,
         PolySyntaxError,
         ValueError,
         OSError,

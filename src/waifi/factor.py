@@ -12,35 +12,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy
-
 from .field import FieldElement, QQ_TOWER, Tower
-from .poly import MultiPoly, poly_gcd
+from .poly import MultiPoly, from_sympy, poly_gcd, to_sympy
 
 _ZVAR = "@z"
 
 
-def _to_sympy(f, var):
-    t = sympy.Symbol(var)
-    expr = 0
-    for e, c in f.terms.items():
-        q = f.tower.as_rational(c)
-        expr += sympy.Rational(q.numerator, q.denominator) * t ** e[0]
-    return sympy.Poly(expr, t, domain="QQ")
-
-
-def _from_sympy(p, var):
-    coeffs = {}
-    for (e,), c in p.terms():
-        coeffs[(e,)] = Fraction(c.p, c.q)
-    return MultiPoly.from_coeff_dict((var,), coeffs)
-
-
 def _qq_factor(f, var):
-    const, factors = _to_sympy(f, var).factor_list()
+    const, factors = to_sympy(f, (var,)).factor_list()
     unit = Fraction(const.p, const.q)
-    out = [(_from_sympy(p, var), m) for p, m in factors]
-    return unit, out
+    return unit, [(from_sympy(p, (var,)), m) for p, m in factors]
 
 
 def univ_factor(f):

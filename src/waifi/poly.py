@@ -8,6 +8,9 @@ variable tuple is always sorted, so equal polynomials have equal dicts.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
+
+import sympy
 
 from . import linalg
 from .field import FieldElement, QQ_TOWER, Tower
@@ -298,43 +301,71 @@ class MultiPoly:
         return MultiPoly(self.vars, terms, tw)
 
     def substitute(self, mapping):
-        """Simultaneous substitution var -> polynomial / field element."""
+        """Simultaneous substitution var -> polynomial / field element.
+
+        The result lives on the sorted union of the kept variables and the
+        variables of every substituted value that actually occurs (exponent
+        at least 1 in some term), over the deepest of the towers involved.
+        """
         tw = self.tower
-        subs = {}
-        for k, val in mapping.items():
-            if isinstance(val, MultiPoly):
-                subs[k] = val
-            elif isinstance(val, FieldElement):
-                subs[k] = MultiPoly.constant(val)
-            else:
-                subs[k] = MultiPoly.constant(Fraction(val), (), tw)
-        if not any(v in self.vars for v in subs):
+        subs = []  # (position in self.vars, value)
+        kept = []  # positions of the variables left alone
+        for i, v in enumerate(self.vars):
+            if v not in mapping:
+                kept.append(i)
+                continue
+            val = mapping[v]
+            if isinstance(val, FieldElement):
+                val = MultiPoly.constant(val)
+            elif not isinstance(val, MultiPoly):
+                val = MultiPoly.constant(Fraction(val), (), tw)
+            subs.append((i, val))
+        if not subs:
             return self
-        kept = [v for v in self.vars if v not in subs]
-        result = MultiPoly.zero(kept, tw)
-        powers = {}
-
-        def power(var, k):
-            key = (var, k)
-            if key not in powers:
-                powers[key] = subs[var] ** k
-            return powers[key]
-
+        used = [(i, val) for i, val in subs if any(e[i] for e in self.terms)]
+        tower = tw
+        names = {self.vars[i] for i in kept}
+        for _, val in used:
+            if tower.is_prefix_of(val.tower):
+                tower = val.tower
+            elif not val.tower.is_prefix_of(tower):
+                raise ValueError("cannot lift to a non-extension tower")
+            names.update(val.vars)
+        vars = tuple(sorted(names))
+        n = len(vars)
+        kept_pos = [(i, vars.index(self.vars[i])) for i in kept]
+        # powers[j][k] = (value j)^k on the result ring, grown on demand
+        powers = [[None, val.lift_to(tower).with_vars(vars)] for _, val in used]
+        products = {}
+        terms = {}
+        lift = tower != tw
         for e, c in self.terms.items():
-            term = MultiPoly(
-                tuple(kept),
-                {
-                    tuple(
-                        k for v, k in zip(self.vars, e) if v in kept
-                    ): c
-                },
-                tw,
-            )
-            for v, k in zip(self.vars, e):
-                if v in subs and k:
-                    term = term * power(v, k)
-            result = result + term
-        return result
+            if lift:
+                c = tower.lift_value(c, tw)
+            key = tuple(e[i] for i, _ in used)
+            prod = products.get(key)
+            if prod is None:
+                for j, k in enumerate(key):
+                    if not k:
+                        continue
+                    pw = powers[j]
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * pw[1])
+                    prod = pw[k] if prod is None else prod * pw[k]
+                if prod is None:
+                    prod = MultiPoly.constant(1, vars, tower)
+                products[key] = prod
+            items = prod.terms.items()
+            if kept_pos:
+                base = [0] * n
+                for i, j in kept_pos:
+                    base[j] = e[i]
+                items = [(tuple(map(add, pe, base)), pc) for pe, pc in items]
+            for ne, pc in items:
+                v = tower.mul(c, pc)
+                terms[ne] = tower.add(terms[ne], v) if ne in terms else v
+        terms = {e: c for e, c in terms.items() if not tower.is_zero(c)}
+        return MultiPoly(vars, terms, tower)
 
     def evaluate(self, point):
         """Evaluate at a dict var -> FieldElement/rational; returns a
@@ -480,7 +511,9 @@ def poly_gcd(f, g):
     if not shared:
         return MultiPoly.constant(1, (), f.tower)
     if f.tower.depth == 0:
-        return _sympy_gcd(f, g)
+        names = tuple(sorted(set(f.vars) | set(g.vars)))
+        h = to_sympy(f, names).gcd(to_sympy(g, names))
+        return from_sympy(h, names).monic()
     if len(f.effective_vars()) == 1 and f.effective_vars() == g.effective_vars():
         return _euclid_univ_gcd(f, g, shared[0])
     # main variable: smallest worst-case degree keeps the recursion shallow
@@ -497,29 +530,24 @@ def poly_gcd(f, g):
     return result.monic()
 
 
-def _sympy_gcd(f, g):
-    """Rational-coefficient gcd through sympy, monic-normalised."""
-    import sympy
+def to_sympy(p, names):
+    """A rational-coefficient polynomial as a sympy Poly over QQ in the
+    generators `names`, a sorted superset of p.vars."""
+    p = p.with_vars(names)
+    rep = {}
+    for e, c in p.terms.items():
+        q = p.tower.as_rational(c)
+        rep[e] = sympy.QQ(q.numerator, q.denominator)
+    return sympy.Poly.from_dict(rep, *map(sympy.Symbol, names), domain=sympy.QQ)
 
-    names = sorted(set(f.vars) | set(g.vars))
-    syms = {v: sympy.Symbol(v) for v in names}
 
-    def conv(p):
-        expr = 0
-        for e, c in p.terms.items():
-            q = p.tower.as_rational(c)
-            term = sympy.Rational(q.numerator, q.denominator)
-            for v, k in zip(p.vars, e):
-                term *= syms[v] ** k
-            expr += term
-        return expr
-
-    h = sympy.Poly(sympy.gcd(conv(f), conv(g)), *(syms[v] for v in names))
-    terms = {}
-    for mon, c in h.terms():
-        q = sympy.Rational(c)
-        terms[tuple(mon)] = Fraction(q.p, q.q)
-    return MultiPoly.from_coeff_dict(tuple(names), terms).monic()
+def from_sympy(h, names):
+    """Inverse of to_sympy: a sympy Poly over QQ in `names` as a MultiPoly."""
+    terms = {
+        e: Fraction(int(c.numerator), int(c.denominator))
+        for e, c in h.as_dict(native=True).items()
+    }
+    return MultiPoly(names, terms, QQ_TOWER)
 
 
 def _euclid_univ_gcd(f, g, var):

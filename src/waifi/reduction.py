@@ -98,10 +98,10 @@ class ReductionResult:
 def _translate(form, shifts):
     u, v = form.vars
     sub = {}
-    if u in shifts and not _is_zero_shift(shifts[u]):
-        sub[u] = MultiPoly.variable(u, _shift_tower(shifts[u])) + _const(shifts[u])
-    if v in shifts and not _is_zero_shift(shifts[v]):
-        sub[v] = MultiPoly.variable(v, _shift_tower(shifts[v])) + _const(shifts[v])
+    for w in (u, v):
+        c = shifts.get(w)
+        if c is not None and not _is_zero_shift(c):
+            sub[w] = MultiPoly.variable(w) + MultiPoly.constant(c)
     if not sub:
         return form
     return LocalOneForm(
@@ -110,18 +110,6 @@ def _translate(form, shifts):
         form.vars,
         form.frame,
     )
-
-
-def _const(c):
-    if isinstance(c, FieldElement):
-        return MultiPoly.constant(c)
-    return MultiPoly.constant(c)
-
-
-def _shift_tower(c):
-    from .field import QQ_TOWER
-
-    return c.tower if isinstance(c, FieldElement) else QQ_TOWER
 
 
 def _is_zero_shift(c):

@@ -139,6 +139,15 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_tower_budget_exit_code(tmp_path, capsys):
+    # the singular points need Q(sqrt 2, sqrt 3), degree 4 over Q
+    spec = write(tmp_path, "p = y^2 - 2\nq = x^2 - 3\n")
+    code, out, err = run(capsys, ["integrate", spec, "--max-tower-degree", "2"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: tower degree 4 exceeds cap 2\n"
+
+
 def test_invalid_one_form_rejected(tmp_path, capsys):
     # XA + YB + ZC != 0
     spec = write(tmp_path, "A = X\nB = Y\nC = Z\n")

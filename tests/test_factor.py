@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from waifi.factor import adjoin_root, roots_in_extension, univ_factor
 from waifi.field import FieldElement, QQ_TOWER, Tower
@@ -72,3 +74,54 @@ def test_nested_factorization():
     f = x ** 4 - 2
     factors = [p for p, _ in univ_factor(f) if not p.is_constant()]
     assert sorted(p.total_degree() for p in factors) == [2, 2]
+
+
+X = sympy.Symbol("x")
+
+
+def as_sympy(p):
+    expr = sympy.Integer(0)
+    for (k,), c in p.drop_unused_vars().with_vars(("x",)).terms.items():
+        expr += sympy.Rational(c.numerator, c.denominator) * X ** k
+    return expr
+
+
+univariates = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=4), min_size=1, max_size=4
+).map(
+    lambda cs: MultiPoly.from_coeff_dict(("x",), {(i,): c for i, c in enumerate(cs)})
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(univariates, min_size=1, max_size=3))
+def test_univ_factor_matches_sympy(parts):
+    f = MultiPoly.constant(1, ("x",))
+    for p in parts:
+        f = f * p
+    if f.is_zero():
+        with pytest.raises(ValueError):
+            univ_factor(f)
+        return
+    ours = univ_factor(f)
+    rebuilt = MultiPoly.constant(1, ("x",))
+    for p, m in ours:
+        rebuilt = rebuilt * p ** m
+    assert rebuilt == f
+    _, theirs = sympy.factor_list(as_sympy(f), X)
+    assert sorted(
+        (str(as_sympy(p.monic())), m) for p, m in ours if not p.is_constant()
+    ) == sorted((str(sympy.Poly(q, X).monic().as_expr()), m) for q, m in theirs)
+
+
+def test_univ_factor_edge_cases():
+    with pytest.raises(ValueError):
+        univ_factor(MultiPoly.zero(("x",)))
+    three = MultiPoly.constant(3, ("x",))
+    assert univ_factor(three) == [(three, 1)]
+    with pytest.raises(ValueError):
+        univ_factor(parse_poly("x*y + 1"))
+    factors = univ_factor(parse_poly("2*x^2 - 2"))
+    assert [(p.to_string(), m) for p, m in factors] == [
+        ("2", 1), ("x + 1", 1), ("x - 1", 1)
+    ]
