@@ -334,35 +334,35 @@ class MultiPoly:
         vars = tuple(sorted(names))
         n = len(vars)
         kept_pos = [(i, vars.index(self.vars[i])) for i in kept]
-        # powers[j][k] = (value j)^k on the result ring, grown on demand
-        powers = [[None, val.lift_to(tower).with_vars(vars)] for _, val in used]
-        products = {}
+        # (position, [None, value, value^2, ...]) on the result ring, grown
+        # on demand
+        powers = [
+            (i, [None, val.lift_to(tower).with_vars(vars)]) for i, val in used
+        ]
         terms = {}
         lift = tower != tw
         for e, c in self.terms.items():
             if lift:
                 c = tower.lift_value(c, tw)
-            key = tuple(e[i] for i, _ in used)
-            prod = products.get(key)
-            if prod is None:
-                for j, k in enumerate(key):
-                    if not k:
-                        continue
-                    pw = powers[j]
-                    while len(pw) <= k:
-                        pw.append(pw[-1] * pw[1])
-                    prod = pw[k] if prod is None else prod * pw[k]
-                if prod is None:
-                    prod = MultiPoly.constant(1, vars, tower)
-                products[key] = prod
-            items = prod.terms.items()
-            if kept_pos:
-                base = [0] * n
-                for i, j in kept_pos:
-                    base[j] = e[i]
-                items = [(tuple(map(add, pe, base)), pc) for pe, pc in items]
-            for ne, pc in items:
-                v = tower.mul(c, pc)
+            base = [0] * n
+            for i, j in kept_pos:
+                base[j] = e[i]
+            prod = None
+            for i, pw in powers:
+                k = e[i]
+                if not k:
+                    continue
+                while len(pw) <= k:
+                    pw.append(pw[-1] * pw[1])
+                prod = pw[k] if prod is None else prod * pw[k]
+            if prod is None:  # no substituted variable occurs in this term
+                items = [(tuple(base), c)]
+            else:
+                items = [
+                    (tuple(map(add, pe, base)), tower.mul(c, pc))
+                    for pe, pc in prod.terms.items()
+                ]
+            for ne, v in items:
                 terms[ne] = tower.add(terms[ne], v) if ne in terms else v
         terms = {e: c for e, c in terms.items() if not tower.is_zero(c)}
         return MultiPoly(vars, terms, tower)

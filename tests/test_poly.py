@@ -86,26 +86,27 @@ def test_gcd_simple():
 
 def test_gcd_against_sympy_oracle():
     rng = random.Random(11)
-    for _ in range(40):
-        def rand_poly():
-            terms = {}
-            for _ in range(rng.randint(1, 4)):
-                terms[(rng.randint(0, 3), rng.randint(0, 3))] = Fraction(
-                    rng.randint(-5, 5)
-                )
-            p = MultiPoly.from_coeff_dict(("x", "y"), terms)
-            return p if not p.is_zero() else parse_poly("1")
 
+    def rand_poly():
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            terms[(rng.randint(0, 3), rng.randint(0, 3))] = Fraction(
+                rng.randint(-5, 5), rng.randint(1, 3)
+            )
+        return MultiPoly.from_coeff_dict(("x", "y"), terms)
+
+    for _ in range(60):
         a, b, c = rand_poly(), rand_poly(), rand_poly()
         f, g = a * c, b * c
         ours = poly_gcd(f, g)
-        theirs = sympy.gcd(to_sympy(f, SYMS), to_sympy(g, SYMS))
-        theirs_poly = sympy.Poly(theirs, X, Y)
-        # compare up to a constant: both must divide each other's counterpart
-        assert sympy.rem(sympy.Poly(to_sympy(ours, SYMS), X, Y), theirs_poly) == 0
+        if f.is_zero() and g.is_zero():
+            assert ours.is_zero()
+            continue
         assert ours.divides(f) and ours.divides(g)
-        lead = theirs_poly.degree() if theirs_poly.total_degree() else 0
-        assert ours.total_degree() == theirs_poly.total_degree()
+        theirs = sympy.Poly(
+            sympy.gcd(to_sympy(f, SYMS), to_sympy(g, SYMS)), X, Y, domain="QQ"
+        ).monic()
+        assert to_sympy(ours, SYMS) == theirs.as_expr()
 
 
 def test_resultant_matches_sympy():
@@ -292,25 +293,6 @@ def test_bridge_roundtrip():
         back = from_sympy(bridge_to_sympy(p, names), names)
         assert back.vars == names and back == p
         assert back.terms == p.with_vars(names).terms
-
-
-bivariates = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)), rationals, min_size=1, max_size=4
-).map(lambda d: MultiPoly.from_coeff_dict(("x", "y"), d))
-
-
-@settings(max_examples=100, deadline=None)
-@given(bivariates, bivariates, bivariates)
-def test_gcd_equals_sympy_monic(a, b, c):
-    f, g = a * c, b * c
-    ours = poly_gcd(f, g)
-    if f.is_zero() and g.is_zero():
-        assert ours.is_zero()
-        return
-    theirs = sympy.Poly(
-        sympy.gcd(to_sympy(f, SYMS), to_sympy(g, SYMS)), X, Y, domain="QQ"
-    ).monic()
-    assert to_sympy(ours, SYMS) == theirs.as_expr()
 
 
 def test_gcd_edge_cases():
