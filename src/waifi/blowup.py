@@ -9,12 +9,12 @@ equation, the V2 chart keeps the second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 from .field import FieldElement
-from .poly import MultiPoly, poly_gcd
+from .poly import MultiPoly
 
 V1 = "V1"
 V2 = "V2"
@@ -48,19 +48,6 @@ class LocalOneForm:
     def __str__(self):
         u, v = self.vars
         return f"({self.a}) d{u} + ({self.b}) d{v}"
-
-
-@dataclass
-class TrackedCurve:
-    """A curve followed through a chain of blow-ups by its local equation."""
-
-    label: str
-    equation: MultiPoly
-
-    def passes_through_origin(self):
-        eq = self.equation
-        o = eq.order()
-        return o is not None and o >= 1
 
 
 def multiplicity(omega):
@@ -110,52 +97,80 @@ def _common_power(polys, var):
     return 0 if e is None else e
 
 
-def blow_up_form(omega, center, branch):
-    """Strict transform of omega under one blow-up.
+@dataclass(frozen=True)
+class Chart:
+    """One chart of the blow-up of the origin of vars = (u, v), recentred at
+    `center` on the divisor.
 
-    branch V1 pulls back along (u, v) = (u, u(t + center)) and keeps (u, t)
-    (the divisor is u = 0); branch V2 along (u, v) = (v(s + center), v) and
-    keeps (s, v).  Both components are divided by the maximal common power e
-    of the divisor variable; e must be m (non-dicritical) or m+1
-    (dicritical).
+    V1 pulls back along (u, v) -> (u, u (v + center)) and keeps u = 0 as
+    the divisor; V2 along (u, v) -> (v (u + center), v) and keeps v = 0.
+    sub is that substitution, divisor the name of the divisor variable,
+    factor its polynomial and slope the other factor of the substituted
+    value.
     """
-    m = multiplicity(omega)
-    u, v = omega.vars
-    tower = omega.a.tower
+
+    vars: tuple
+    divisor: str
+    factor: MultiPoly
+    slope: MultiPoly
+    sub: dict
+
+
+def blow_up_chart(center, branch, vars, tower):
+    """The chart of one blow-up; polynomials live over tower, deepened to
+    the tower of a FieldElement center."""
+    u, v = vars
     if isinstance(center, FieldElement):
         lam = MultiPoly.constant(center)
-        tower = center.tower if center.tower.depth > tower.depth else tower
+        if center.tower.depth > tower.depth:
+            tower = center.tower
     else:
         lam = MultiPoly.constant(Fraction(center), (), tower)
     up = MultiPoly.variable(u, tower)
     vp = MultiPoly.variable(v, tower)
     if branch == V1:
-        sub = {v: up * (vp + lam)}
-        a0 = omega.a.substitute(sub)
-        b0 = omega.b.substitute(sub)
-        na = a0 + (vp + lam) * b0
-        nb = up * b0
-        divisor_var = u
-    elif branch == V2:
-        sub = {u: vp * (up + lam)}
-        a0 = omega.a.substitute(sub)
-        b0 = omega.b.substitute(sub)
-        na = vp * a0
-        nb = (up + lam) * a0 + b0
-        divisor_var = v
+        slope = vp + lam
+        return Chart(vars, u, up, slope, {v: up * slope})
+    if branch == V2:
+        slope = up + lam
+        return Chart(vars, v, vp, slope, {u: vp * slope})
+    raise ValueError("branch must be V1 or V2")
+
+
+def strict_transform(p, chart, e):
+    """The pull-back of p through the chart divided by the e-th power of the
+    divisor variable; None when the pull-back is not divisible by it."""
+    pulled = p.substitute(chart.sub).with_vars(chart.vars)
+    return _div_power(pulled, chart.divisor, e)
+
+
+def blow_up_form(omega, center, branch):
+    """Strict transform of omega under one blow-up (see Chart).
+
+    Both components are divided by the maximal common power e of the divisor
+    variable; e must be m (non-dicritical) or m+1 (dicritical).
+    """
+    m = multiplicity(omega)
+    chart = blow_up_chart(center, branch, omega.vars, omega.a.tower)
+    a0 = omega.a.substitute(chart.sub)
+    b0 = omega.b.substitute(chart.sub)
+    if branch == V1:
+        na = a0 + chart.slope * b0
+        nb = chart.factor * b0
     else:
-        raise ValueError("branch must be V1 or V2")
+        na = chart.factor * a0
+        nb = chart.slope * a0 + b0
     na = na.with_vars(omega.vars)
     nb = nb.with_vars(omega.vars)
-    e = _common_power([na, nb], divisor_var)
+    e = _common_power([na, nb], chart.divisor)
     dicritical = char_poly(omega).is_zero()
     expected = m + 1 if dicritical else m
     if e != expected:
         raise DivisibilityViolation(
             f"removed exceptional power {e}, expected {expected}"
         )
-    na = _div_power(na, divisor_var, e)
-    nb = _div_power(nb, divisor_var, e)
+    na = _div_power(na, chart.divisor, e)
+    nb = _div_power(nb, chart.divisor, e)
     key = center.sort_key() if isinstance(center, FieldElement) else (Fraction(center),)
     return LocalOneForm(na, nb, omega.vars, omega.frame + ((branch, key),))
 
@@ -166,30 +181,28 @@ def blow_up_curve(equation, center, branch, vars):
     Divides the pull-back by the divisor variable to the multiplicity of the
     curve at the blown-up origin.  Returns the new local equation.
     """
-    u, v = vars
     mult = equation.order()
     if mult is None:
         raise ValueError("zero curve cannot be tracked")
-    tower = equation.tower
-    if isinstance(center, FieldElement):
-        lam = MultiPoly.constant(center)
-        if center.tower.depth > tower.depth:
-            tower = center.tower
-    else:
-        lam = MultiPoly.constant(Fraction(center), (), tower)
-    up = MultiPoly.variable(u, tower)
-    vp = MultiPoly.variable(v, tower)
-    if branch == V1:
-        pulled = equation.substitute({v: up * (vp + lam)}).with_vars(vars)
-        divisor_var = u
-    elif branch == V2:
-        pulled = equation.substitute({u: vp * (up + lam)}).with_vars(vars)
-        divisor_var = v
-    else:
-        raise ValueError("branch must be V1 or V2")
-    out = _div_power(pulled, divisor_var, mult)
+    out = strict_transform(
+        equation, blow_up_chart(center, branch, vars, equation.tower), mult
+    )
     if out is None:
         raise DivisibilityViolation("curve pull-back not divisible to multiplicity")
+    return out
+
+
+def track_curves(tracked, label, center, branch, vars, tower):
+    """Curves through the origin of a new chart: the exceptional divisor of
+    the blow-up, under label, then the strict transforms of the tracked
+    curves that still pass through it."""
+    divisor = vars[0] if branch == V1 else vars[1]
+    out = {label: MultiPoly.variable(divisor, tower)}
+    for name, eq in tracked.items():
+        new_eq = blow_up_curve(eq, center, branch, vars)
+        o = new_eq.order()
+        if o is not None and o >= 1:
+            out[name] = new_eq
     return out
 
 

@@ -22,7 +22,7 @@ from .integrability import (
     poincare_degree,
 )
 from .linsys import CommonComponent, pencil_base_points
-from .poly import MultiPoly, PolySyntaxError, parse_poly
+from .poly import PolySyntaxError, parse_poly
 from .reduction import (
     DepthExceeded,
     NonIsolatedSingularities,
@@ -116,9 +116,6 @@ def _cmd_reduce(args):
     human = _human_points(
         res.singular_configuration,
         classification=res.classification,
-        dicritical={
-            pid for pid, c in res.classification.items() if c == "dicritical"
-        },
         infinity=res.infinity_points,
     )
     _emit(res.report_json(), args, human)
@@ -132,9 +129,8 @@ def _cmd_dicritical(args):
     )
     conf = res.dicritical_configuration
     dic = {pid for pid in conf.order if res.classification[pid] == "dicritical"}
-    doc = export_proximity_graph(
-        conf, dicritical=dic, infinity=res.infinity_points
-    )
+    doc = export_proximity_graph(conf, dicritical=dic)
+    doc["infinity_points"] = sorted(res.infinity_points & set(conf.order))
     _emit(doc, args, _human_points(conf, dicritical=dic, infinity=res.infinity_points))
     return 0
 
@@ -204,7 +200,13 @@ def _cmd_pencil(args):
     entries = _read_spec(args.input)
     if "F1" not in entries or "F2" not in entries:
         raise InputError("pencil input needs keys F1 and F2")
-    bp = pencil_base_points(entries["F1"], entries["F2"], seed=args.seed)
+    bp = pencil_base_points(
+        entries["F1"],
+        entries["F2"],
+        seed=args.seed,
+        max_depth=args.max_depth,
+        max_tower_degree=args.max_tower_degree,
+    )
     conf = bp.configuration
     doc = export_proximity_graph(conf, dicritical=bp.dicritical)
     doc["multiplicities"] = {

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import FieldElement, QQ_TOWER, Tower
-from .poly import MultiPoly, from_sympy, poly_gcd, to_sympy
+from .field import FieldElement, Tower
+from .poly import MultiPoly, from_sympy, poly_gcd, resultant, to_sympy
 
 _ZVAR = "@z"
 
@@ -97,8 +97,6 @@ def _factor_squarefree(f, var, tower):
     s = 0
     while True:
         shifted = two.substitute({var: t_poly - s * z_poly})
-        from .poly import resultant
-
         norm = resultant(m_poly, shifted, _ZVAR)
         norm = norm.with_vars((var,)).drop_unused_vars().with_vars((var,))
         if norm.degree_in(var) == f.degree_in(var) * (len(mp) - 1):
@@ -191,3 +189,62 @@ def adjoin_root(tower, f):
     )
     new = tower.adjoin(tower.fresh_name(), coeffs)
     return new, FieldElement.generator(new)
+
+
+def _affine_common_zeros(f, g, tower):
+    """Common zeros (x0, y0) of two coprime polynomials in x, y."""
+    fdx = f.degree_in("x") if "x" in f.vars else 0
+    gdx = g.degree_in("x") if "x" in g.vars else 0
+    if f.is_constant() or g.is_constant() or fdx == gdx == 0:
+        return [], tower
+    points = []
+    if fdx == 0 or gdx == 0:
+        pure, other = (f, g) if fdx == 0 else (g, f)
+        yroots, tower = roots_in_extension(pure.with_vars(("y",)), tower)
+        for y0 in yroots:
+            h = other.substitute({"y": y0})
+            if not h.is_constant():
+                xroots, tower = roots_in_extension(h, tower)
+                points.extend((x0, y0) for x0 in xroots)
+        return points, tower
+    ry = resultant(f, g, "x")
+    if ry.is_constant():
+        return [], tower
+    yroots, tower = roots_in_extension(ry.with_vars(("y",)), tower)
+    for y0 in yroots:
+        h = poly_gcd(f.substitute({"y": y0}), g.substitute({"y": y0}))
+        if not h.is_constant():
+            xroots, tower = roots_in_extension(h, tower)
+            points.extend((x0, y0) for x0 in xroots)
+    return points, tower
+
+
+def plane_common_zeros(at_infinity, f, g, tower):
+    """Common zeros in the projective plane, as coordinate triples.
+
+    at_infinity holds the restrictions to Z = 0 of the forms, not all zero;
+    their common zeros are the points at infinity, (1:0:0) first, then the
+    points (xi:1:0) in root order.  f and g are coprime polynomials in x, y
+    (the restrictions to Z = 1); their common zeros (x0:y0:1) follow, sorted
+    by coordinates.  The coordinates 0 and 1 live on the returned tower, the
+    roots on the tower they were found in.  Returns (triples, tower).
+    """
+    forms = [h for h in at_infinity if not h.is_zero()]
+    h = forms[0].monic()
+    for other in forms[1:]:
+        h = poly_gcd(h, other)
+    at_inf = []
+    if not h.is_constant():
+        # the point (1:0:0) corresponds to the factor Y of the binary form
+        if h.evaluate({"X": 1, "Y": 0}).is_zero():
+            at_inf.append(None)
+        univ = h.substitute({"X": MultiPoly.variable("x"), "Y": 1})
+        roots, tower = roots_in_extension(univ, tower)
+        at_inf.extend(roots)
+    affine, tower = _affine_common_zeros(f, g, tower)
+    affine.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+    one = FieldElement.rational(1, tower)
+    zero = FieldElement.rational(0, tower)
+    triples = [(one, zero, zero) if xi is None else (xi, one, zero) for xi in at_inf]
+    triples.extend((x0, y0, one) for x0, y0 in affine)
+    return triples, tower

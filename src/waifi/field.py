@@ -14,7 +14,7 @@ style of dynamic evaluation.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 
 class SplitRequired(Exception):
@@ -220,9 +220,6 @@ class Tower:
         if depth == 0:
             return a == 0
         return all(self.is_zero(x, depth - 1) for x in a)
-
-    def eq(self, a, b, depth=None):
-        return a == b  # representations are canonical
 
     def inv(self, a, depth=None):
         if depth is None:

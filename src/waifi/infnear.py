@@ -3,7 +3,7 @@ multiplicity systems and the bilinear pairing on weight vectors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -219,15 +219,13 @@ def e_vector(conf, pid):
     return PairingVector.make(conf, 0, comps)
 
 
-def export_proximity_graph(conf, dicritical=(), infinity=(), labels=None):
+def export_proximity_graph(conf, dicritical=()):
     """Lossless JSON description plus DOT rendering helpers.
 
     Solid edges join parents to children (first infinitesimal neighborhood);
     dashed edges record the remaining proximities.
     """
     dicritical = set(dicritical)
-    infinity = set(infinity)
-    labels = labels or {}
     points = []
     for p in conf:
         points.append(
@@ -252,13 +250,11 @@ def export_proximity_graph(conf, dicritical=(), infinity=(), labels=None):
     return {"points": points, "solid_edges": solid, "dashed_edges": dashed}
 
 
-def proximity_graph_dot(conf, dicritical=(), labels=None):
-    labels = labels or {}
+def proximity_graph_dot(conf, dicritical=()):
     doc = export_proximity_graph(conf, dicritical=dicritical)
     lines = ["graph proximity {"]
     for p in doc["points"]:
-        name = labels.get(p["id"], f"P{p['id']}")
-        attrs = [f'label="{name}"']
+        attrs = [f'label="P{p["id"]}"']
         if p["dicritical"]:
             attrs.append("shape=doublecircle")
         lines.append(f"  n{p['id']} [{', '.join(attrs)}];")

@@ -11,23 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .field import FieldElement, QQ_TOWER
-from .infnear import Cluster, PairingVector, e_vector, multiplicity_system, pairing
+from .infnear import Cluster, PairingVector, e_vector, multiplicity_system
 from .linsys import EmptySystem, linear_system
 from .poly import MultiPoly
-from .reduction import (
-    StructureMismatch,
-    dicritical_points,
-    max_free_points,
-    reduce as reduce_form,
-)
+from .reduction import StructureMismatch, maximal_free_pairs, reduce as reduce_form
 from .vfield import (
     AffineVectorField,
     NotInvariant,
     cofactor,
+    dehomogenize,
     projectivize,
     verify_first_integral,
 )
@@ -92,38 +88,9 @@ class IntegralCertificate:
         }
 
 
-def _maximal_free_structure(conf):
-    """R_i, M_i for a dicritical configuration; StructureMismatch when the
-    free/maximal shape rules out a WAI integral."""
-    R = conf.maximal_points()
-    free = set(conf.free_points())
-    maximal_free = [
-        pid
-        for pid in conf.order
-        if pid in free
-        and not any(q != pid and pid in conf.ancestors(q) for q in free)
-    ]
-    if len(maximal_free) != len(R):
-        raise StructureMismatch(
-            f"{len(maximal_free)} maximal free points, {len(R)} maximal"
-        )
-    M = []
-    for rid in R:
-        best = None
-        for pid in conf.ancestors(rid):
-            if pid in free:
-                best = pid
-        if best is None or best not in maximal_free:
-            raise StructureMismatch(f"no maximal free point under {rid}")
-        M.append(best)
-    if len(set(M)) != len(M):
-        raise StructureMismatch("maximal points share a free point")
-    return R, M
-
-
 def assemble_S_from(conf, infinity):
     """The family S = {c_i} ∪ {e_Q} from combinatorial data alone."""
-    R, M = _maximal_free_structure(conf)
+    R, M = maximal_free_pairs(conf)
     c_vectors = []
     h_systems = []
     d_values = []
@@ -161,6 +128,22 @@ def _q(x):
     return FieldElement.rational(Fraction(x), QQ_TOWER)
 
 
+def _primitive_positive(vec, reason, what):
+    """The primitive integer multiple of a rational vector whose entries all
+    have one strict sign, made positive; AnalysisFailure(reason) otherwise."""
+    raw = [x.tower.as_rational(x.v) for x in vec]
+    if None in raw:
+        raise AnalysisFailure(reason, f"non-rational {what}")
+    denom = lcm(*[q.denominator for q in raw])
+    ints = [int(q * denom) for q in raw]
+    if ints[0] < 0:
+        ints = [-n for n in ints]
+    if any(n <= 0 for n in ints):
+        raise AnalysisFailure(reason, f"{what} has nonpositive components")
+    g = gcd(*ints)
+    return [n // g for n in ints]
+
+
 def compute_R(family):
     """The positive integer generator of the orthogonal complement of S."""
     conf = family.configuration
@@ -174,25 +157,7 @@ def compute_R(family):
     vecs = linalg.nullspace(rows)
     if len(vecs) != 1:
         raise AnalysisFailure(R_NOT_RANK_ONE, f"solution space has dim {len(vecs)}")
-    raw = []
-    for x in vecs[0]:
-        q = x.tower.as_rational(x.v)
-        if q is None:
-            raise AnalysisFailure(R_NON_INTEGRAL, "non-rational solution")
-        raw.append(q)
-    denom = 1
-    for q in raw:
-        denom = denom * q.denominator // gcd(denom, q.denominator)
-    ints = [int(q * denom) for q in raw]
-    g = 0
-    for n in ints:
-        g = gcd(g, n)
-    if g:
-        ints = [n // g for n in ints]
-    if ints[0] < 0:
-        ints = [-n for n in ints]
-    if any(n <= 0 for n in ints):
-        raise AnalysisFailure(R_NON_INTEGRAL, "R has nonpositive components")
+    ints = _primitive_positive(vecs[0], R_NON_INTEGRAL, "R")
     R = PairingVector.make(conf, ints[0], dict(zip(conf.order, ints[1:])))
     n = R.v0
     inf_sum = sum(R.components[p] for p in conf.order if p in family.infinity)
@@ -328,30 +293,7 @@ def exponents_darboux(V, factors):
         raise AnalysisFailure(
             EXPONENTS_INVALID, f"cofactor relation space has dim {len(vecs)}"
         )
-    raw = []
-    for x in vecs[0]:
-        q = x.tower.as_rational(x.v)
-        if q is None:
-            raise AnalysisFailure(EXPONENTS_INVALID, "non-rational cofactor relation")
-        raw.append(q)
-    denom = 1
-    for q in raw:
-        denom = denom * q.denominator // gcd(denom, q.denominator)
-    ints = [int(q * denom) for q in raw]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-    if all(v < 0 for v in ints):
-        ints = [-v for v in ints]
-    if any(v <= 0 for v in ints):
-        raise AnalysisFailure(EXPONENTS_INVALID, "no positive cofactor relation")
-    return ints
-
-
-def _affine(F):
-    return F.substitute({"Z": 1}).rename_vars({"X": "x", "Y": "y"})
+    return _primitive_positive(vecs[0], EXPONENTS_INVALID, "cofactor relation")
 
 
 def _recombine_conjugates(factors, exponents):
@@ -413,7 +355,7 @@ def _run(V, route, max_depth=64, max_tower_degree=16):
     R = compute_R(family)
     curves = extract_curves(res, family, R)
     n = int(R.v0)
-    factors = [_affine(F) for F in curves]
+    factors = [dehomogenize(F) for F in curves]
     if route == "pairing":
         n_i, _ = exponents_pairing(family, R)
     else:

@@ -9,9 +9,9 @@ results, never floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _igcd
+from math import gcd, lcm
 
-from .field import FieldElement, QQ_TOWER, Tower
+from .field import FieldElement, QQ_TOWER
 
 
 def _unwrap(rows):
@@ -34,29 +34,29 @@ def _unwrap(rows):
 
 
 def _int_rows(raw):
-    """Scale each row of a Fraction matrix to coprime integers."""
-    out = []
-    for row in raw:
-        den = 1
-        for x in row:
-            den = den * x.denominator // _igcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
-        g = 0
-        for v in ints:
-            g = _igcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+    """Scale each row of a Fraction matrix to coprime integers.
 
-
-def _bareiss_echelon(mat):
-    """Fraction-free echelon form of an integer matrix.
-
-    Returns (echelon rows as Fractions with unit pivots, pivot column list,
-    sign, pivot product) so determinants can be recovered.
+    Returns the rows and the product of the scale factors, so that the
+    determinant of the integer rows is that of raw times the product.
     """
-    m = [list(r) for r in mat]
+    out = []
+    scale = Fraction(1)
+    for row in raw:
+        den = lcm(*[x.denominator for x in row])
+        ints = [int(x * den) for x in row]
+        g = gcd(*ints) or 1
+        out.append([v // g for v in ints])
+        scale *= Fraction(den, g)
+    return out, scale
+
+
+def _bareiss(m):
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+
+    Returns (pivot columns, sign, last pivot): the first len(pivots) rows of
+    m become an integer echelon form, and for a nonsingular square matrix
+    the last pivot is sign times the determinant.
+    """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     prev = 1
@@ -84,11 +84,7 @@ def _bareiss_echelon(mat):
         prev = piv
         pivots.append(c)
         r += 1
-    ech = []
-    for i, c in enumerate(pivots):
-        piv = Fraction(m[i][c])
-        ech.append([Fraction(x) / piv for x in m[i]])
-    return ech, pivots, sign, prev
+    return pivots, sign, prev
 
 
 def _tower_echelon(raw, tower):
@@ -133,7 +129,9 @@ def _rref(rows):
     if not raw or not raw[0]:
         return [], [], tower
     if tower.depth == 0:
-        ech, pivots, _, _ = _bareiss_echelon(_int_rows(raw))
+        m, _ = _int_rows(raw)
+        pivots, _, _ = _bareiss(m)
+        ech = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
     else:
         ech, pivots, _, _ = _tower_echelon(raw, tower)
     # eliminate above the pivots
@@ -214,37 +212,11 @@ def det(rows):
     if any(len(r) != n for r in raw):
         raise ValueError("matrix is not square")
     if tower.depth == 0:
-        # Bareiss needs the actual matrix, not row-rescaled: clear a global
-        # denominator per row and divide back out at the end.
-        scale = Fraction(1)
-        m = []
-        for row in raw:
-            den = 1
-            for x in row:
-                den = den * x.denominator // _igcd(den, x.denominator)
-            scale /= den
-            m.append([int(x * den) for x in row])
-        prev = 1
-        sign = 1
-        for c in range(n):
-            p = None
-            for i in range(c, n):
-                if m[i][c] != 0:
-                    p = i
-                    break
-            if p is None:
-                return FieldElement(tower, tower.zero())
-            if p != c:
-                m[c], m[p] = m[p], m[c]
-                sign = -sign
-            piv = m[c][c]
-            for i in range(c + 1, n):
-                for j in range(c + 1, n):
-                    m[i][j] = (piv * m[i][j] - m[i][c] * m[c][j]) // prev
-                m[i][c] = 0
-            prev = piv
-        value = sign * scale * Fraction(m[n - 1][n - 1])
-        return FieldElement(tower, tower.lift_rational(value))
+        ints, scale = _int_rows(raw)
+        pivots, sign, last = _bareiss(ints)
+        if len(pivots) < n:
+            return FieldElement(tower, tower.zero())
+        return FieldElement(tower, tower.lift_rational(sign * last / scale))
     ech, pivots, sign, prod = _tower_echelon(raw, tower)
     if len(pivots) < n:
         return FieldElement(tower, tower.zero())

@@ -13,12 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .blowup import V1, V2, _div_power, blow_up_curve
-from .factor import roots_in_extension
+from .blowup import V1, V2, blow_up_chart, strict_transform, track_curves
+from .factor import plane_common_zeros, roots_in_extension
 from .field import FieldElement, QQ_TOWER, Tower
 from .infnear import Cluster, Configuration, InfNearPoint
 from .linalg import nullspace
-from .poly import MultiPoly, poly_gcd, resultant
+from .poly import MultiPoly, poly_gcd
+from .reduction import DepthExceeded
+from .vfield import ProjectiveOneForm, dehomogenize
 
 
 class EmptySystem(ValueError):
@@ -127,31 +129,17 @@ def _split_jet(eq, mu, cindex):
     return rows, MultiPoly(eq.vars, keep, tower)
 
 
-def _virtual_children(eq, mu, conf, pid):
-    """Virtual transforms of eq (already pruned below mu) at the children of
-    pid, recentred at each child."""
-    out = []
-    tower = eq.tower
-    u = MultiPoly.variable("u", tower)
-    v = MultiPoly.variable("v", tower)
+def _child_transforms(eq, mu, conf, pid):
+    """(child id, strict transform of eq divided by the divisor to the power
+    mu, or None when not divisible) for each child of pid, recentred at the
+    child; eq is a local equation at pid in u, v."""
     for cid in conf.children(pid):
         child = conf.point(cid)
-        lam = child.coordinate
-        if lam is None:
-            lam = FieldElement.rational(0, tower)
-        lam_c = MultiPoly.constant(_as_field(lam, tower))
-        if child.branch == V1:
-            pulled = eq.substitute({"v": u * (v + lam_c)})
-            divisor = "u"
-        else:
-            pulled = eq.substitute({"u": v * (u + lam_c)})
-            divisor = "v"
-        pulled = pulled.with_vars(eq.vars)
-        divided = _div_power(pulled, divisor, mu)
-        if divided is None:
-            raise AssertionError("virtual transform not divisible after pruning")
-        out.append((cid, divided))
-    return out
+        lam = 0 if child.coordinate is None else child.coordinate
+        chart = blow_up_chart(
+            _as_field(lam, eq.tower), child.branch, ("u", "v"), eq.tower
+        )
+        yield cid, strict_transform(eq, chart, mu)
 
 
 def linear_system(m, K, plane_points=None):
@@ -184,7 +172,9 @@ def linear_system(m, K, plane_points=None):
         mu = K.multiplicities[pid]
         rows, pruned = _split_jet(eq, mu, cindex)
         constraints.extend(rows)
-        for cid, child_eq in _virtual_children(pruned, mu, conf, pid):
+        for cid, child_eq in _child_transforms(pruned, mu, conf, pid):
+            if child_eq is None:
+                raise AssertionError("virtual transform not divisible after pruning")
             walk(cid, child_eq)
 
     for rid in conf.roots():
@@ -249,89 +239,22 @@ def _check_pencil(F1, F2):
         raise CommonComponent("the generators share a factor")
 
 
-def _common_affine_zeros(f, g, tower):
-    """Common zeros of two coprime affine polynomials in x, y."""
-    if f.is_constant() or g.is_constant():
-        return [], tower
-    fdx = f.degree_in("x") if "x" in f.vars else 0
-    gdx = g.degree_in("x") if "x" in g.vars else 0
-    points = []
-    if fdx == 0 and gdx == 0:
-        return [], tower
-    if fdx == 0 or gdx == 0:
-        pure, other = (f, g) if fdx == 0 else (g, f)
-        yroots, tower = roots_in_extension(pure.with_vars(("y",)), tower)
-        for y0 in yroots:
-            gx = other.substitute({"y": y0})
-            if gx.is_constant():
-                continue
-            xroots, tower = roots_in_extension(gx, tower)
-            for x0 in xroots:
-                points.append((x0, y0))
-        return points, tower
-    ry = resultant(f, g, "x")
-    if ry.is_zero():
-        raise CommonComponent("resultant vanishes identically")
-    if ry.is_constant():
-        return [], tower
-    yroots, tower = roots_in_extension(ry.with_vars(("y",)), tower)
-    for y0 in yroots:
-        h = poly_gcd(f.substitute({"y": y0}), g.substitute({"y": y0}))
-        if h.is_constant():
-            continue
-        xroots, tower = roots_in_extension(h, tower)
-        for x0 in xroots:
-            points.append((x0, y0))
-    return points, tower
-
-
-def _common_plane_zeros(F1, F2, tower):
-    """Common projective zeros, infinity points first, with chart data.
-
-    Returns a list of (triple, local_f1, local_f2) and the grown tower."""
-    h1 = F1.substitute({"Z": 0})
-    h2 = F2.substitute({"Z": 0})
-    if h1.is_zero() and h2.is_zero():
-        raise CommonComponent("Z divides both generators")
-    forms = [h for h in (h1, h2) if not h.is_zero()]
-    h = forms[0].monic()
-    for other in forms[1:]:
-        h = poly_gcd(h, other)
-    triples = []
-    if not h.is_constant():
-        if h.evaluate({"X": 1, "Y": 0}).is_zero():
-            triples.append((1, 0, 0))
-        univ = h.substitute({"X": MultiPoly.variable("x"), "Y": 1})
-        roots, tower = roots_in_extension(univ, tower)
-        one = FieldElement.rational(1, tower)
-        zero = FieldElement.rational(0, tower)
-        for xi in roots:
-            triples.append((xi.lift_to(tower), one, zero))
-    f1 = F1.substitute({"Z": 1}).rename_vars({"X": "x", "Y": "y"})
-    f2 = F2.substitute({"Z": 1}).rename_vars({"X": "x", "Y": "y"})
-    aff, tower = _common_affine_zeros(f1, f2, tower)
-    aff.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-    one = FieldElement.rational(1, tower)
-    for x0, y0 in aff:
-        triples.append((x0.lift_to(tower), y0.lift_to(tower), one))
-    return triples, tower
-
-
 def _localize_member(F, triple, tower):
     """Local equation of a member at a plane point (u, v chart)."""
     return _localize(F.lift_to(tower) if F.tower.is_prefix_of(tower) else F,
                      triple, tower).with_vars(("u", "v"))
 
 
-_MAX_PENCIL_DEPTH = 64
-
-
-def pencil_base_points(F1, F2, seed=0):
+def pencil_base_points(F1, F2, seed=0, max_depth=64, max_tower_degree=16):
     """Cluster of base points of the pencil <F1, F2>, with generic
     multiplicities and dicritical flags, verified on a generic member."""
     _check_pencil(F1, F2)
-    tower = QQ_TOWER
-    triples, tower = _common_plane_zeros(F1, F2, tower)
+    triples, tower = plane_common_zeros(
+        [F.substitute({"Z": 0}) for F in (F1, F2)],
+        dehomogenize(F1),
+        dehomogenize(F2),
+        Tower((), max_degree=max_tower_degree),
+    )
 
     nodes = []
     stack = []
@@ -359,8 +282,8 @@ def pencil_base_points(F1, F2, seed=0):
         mP = min(o for o in (of, og) if o is not None)
         if mP == 0:
             continue  # generic members no longer pass through this point
-        if item["level"] > _MAX_PENCIL_DEPTH:
-            raise CommonComponent("base-point recursion too deep")
+        if item["level"] > max_depth:
+            raise DepthExceeded(f"base points deeper than {max_depth} levels")
         pid = len(nodes)
         prox = frozenset(int(lbl[1:]) for lbl in item["tracked"])
         phi1 = f.initial_form(mP) if of == mP else MultiPoly.zero(f.vars, f.tower)
@@ -394,37 +317,21 @@ def pencil_base_points(F1, F2, seed=0):
             children.sort(
                 key=lambda c: (0,) if c[0] == V2 else (1, c[1].sort_key())
             )
-        u = MultiPoly.variable("u", tower)
-        v = MultiPoly.variable("v", tower)
         descs = []
         for branch, lam in children:
-            lam_f = (
-                FieldElement.rational(0, tower) if lam is None else lam
-            )
-            lam_c = MultiPoly.constant(lam_f)
-            if branch == V1:
-                sub = {"v": u * (v + lam_c)}
-                divisor = "u"
-            else:
-                sub = {"u": v * (u + lam_c)}
-                divisor = "v"
-            nf = _div_power(f.substitute(sub).with_vars(("u", "v")), divisor, mP)
-            ng = _div_power(g.substitute(sub).with_vars(("u", "v")), divisor, mP)
-            tracked = {f"E{pid}": MultiPoly.variable(divisor, tower)}
-            for lbl, eq in item["tracked"].items():
-                new_eq = blow_up_curve(eq, lam_f, branch, ("u", "v"))
-                o = new_eq.order()
-                if o is not None and o >= 1:
-                    tracked[lbl] = new_eq
+            center = FieldElement.rational(0, tower) if lam is None else lam
+            chart = blow_up_chart(center, branch, ("u", "v"), tower)
             descs.append(
                 {
                     "parent": pid,
                     "branch": branch,
-                    "coordinate": None if branch == V2 else lam,
+                    "coordinate": lam,
                     "level": item["level"] + 1,
-                    "f": nf,
-                    "g": ng,
-                    "tracked": tracked,
+                    "f": strict_transform(f, chart, mP),
+                    "g": strict_transform(g, chart, mP),
+                    "tracked": track_curves(
+                        item["tracked"], f"E{pid}", center, branch, ("u", "v"), tower
+                    ),
                     "plane": None,
                 }
             )
@@ -471,27 +378,12 @@ def _verify_generic_member(F1, F2, bp, seed):
 
 def _check_member(eq, conf, pid, mults):
     mu = mults[pid]
-    o = eq.order()
-    if o != mu:
+    if eq.order() != mu:
         return False
-    tower = eq.tower
-    u = MultiPoly.variable("u", tower)
-    v = MultiPoly.variable("v", tower)
-    for cid in conf.children(pid):
-        child = conf.point(cid)
-        lam = child.coordinate
-        lam_f = FieldElement.rational(0, tower) if lam is None else lam
-        lam_c = MultiPoly.constant(lam_f)
-        if child.branch == V1:
-            pulled = eq.substitute({"v": u * (v + lam_c)})
-            divisor = "u"
-        else:
-            pulled = eq.substitute({"u": v * (u + lam_c)})
-            divisor = "v"
-        divided = _div_power(pulled.with_vars(("u", "v")), divisor, mu)
-        if divided is None or not _check_member(divided, conf, cid, mults):
-            return False
-    return True
+    return all(
+        divided is not None and _check_member(divided, conf, cid, mults)
+        for cid, divided in _child_transforms(eq, mu, conf, pid)
+    )
 
 
 def pencil_vector_field(F1, F2):
@@ -500,6 +392,4 @@ def pencil_vector_field(F1, F2):
     A = F2 * F1.diff("X") - F1 * F2.diff("X")
     B = F2 * F1.diff("Y") - F1 * F2.diff("Y")
     C = F2 * F1.diff("Z") - F1 * F2.diff("Z")
-    from .vfield import ProjectiveOneForm
-
     return ProjectiveOneForm(A, B, C).reduced()

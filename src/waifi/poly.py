@@ -13,7 +13,7 @@ from operator import add
 import sympy
 
 from . import linalg
-from .field import FieldElement, QQ_TOWER, Tower
+from .field import FieldElement, QQ_TOWER
 
 ALLOWED_VARS = ("x", "y", "z", "X", "Y", "Z")
 
@@ -424,7 +424,6 @@ class MultiPoly:
         return quot
 
     def divides(self, other):
-        f, _ = MultiPoly._pair(self, other)
         return MultiPoly._pair(other, self)[0].divide_exact(self) is not None
 
     def as_univariate(self, var):

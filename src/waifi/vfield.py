@@ -59,9 +59,6 @@ class ProjectiveOneForm:
             self.A.divide_exact(g), self.B.divide_exact(g), self.C.divide_exact(g)
         )
 
-    def components_gcd(self):
-        return poly_gcd(poly_gcd(self.A, self.B), self.C)
-
 
 def homogenize(p, d, vars=("X", "Y", "Z")):
     """Z^d p(X/Z, Y/Z) as a degree-d homogeneous polynomial."""
@@ -76,6 +73,11 @@ def homogenize(p, d, vars=("X", "Y", "Z")):
         terms[(a, b, d - a - b)] = c
     out = MultiPoly((VX, VY, VZ), terms, p.tower)
     return out._reorder(tuple(sorted((VX, VY, VZ))))
+
+
+def dehomogenize(F):
+    """The affine part F(x, y, 1) of a form in X, Y, Z."""
+    return F.substitute({"Z": 1}).rename_vars({"X": "x", "Y": "y"})
 
 
 def projectivize(V):

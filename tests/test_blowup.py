@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waifi.blowup import (
     DICRITICAL,
@@ -9,13 +12,16 @@ from waifi.blowup import (
     SIMPLE,
     V1,
     V2,
+    blow_up_chart,
     blow_up_curve,
     blow_up_form,
     char_poly,
     classify,
     multiplicity,
+    strict_transform,
 )
-from waifi.poly import parse_poly
+from waifi.field import FieldElement, QQ_TOWER, Tower
+from waifi.poly import MultiPoly, parse_poly
 
 
 def lof(a, b):
@@ -171,3 +177,66 @@ def test_blow_up_curve_cusp_resolves():
     assert out == parse_poly("z^2 - y").with_vars(vars)
     out2 = blow_up_curve(out, 0, V2, vars)
     assert out2 == parse_poly("z - y").with_vars(vars)
+
+
+QS = Tower().adjoin("s", (Fraction(-2), Fraction(0), Fraction(1)))  # s^2 = 2
+small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@st.composite
+def transform_cases(draw):
+    tower = draw(st.sampled_from([QQ_TOWER, QS]))
+    if tower.depth == 0:
+        coeffs = small.filter(bool).map(lambda q: FieldElement.rational(q, tower))
+    else:
+        coeffs = st.tuples(small, small).filter(any).map(
+            lambda v: FieldElement(tower, v)
+        )
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=5))
+    p = MultiPoly.from_coeff_dict(("u", "v"), terms, tower)
+    center = draw(
+        st.one_of(
+            st.integers(-2, 2),
+            small,
+            st.tuples(small, small).map(lambda v: FieldElement(QS, v)),
+        )
+    )
+    branch = draw(st.sampled_from([V1, V2]))
+    e = draw(st.integers(0, p.order() + 2))
+    return p, center, branch, e
+
+
+def pull_back(p, center, branch):
+    """p(u, u (v + center)) for V1, p(v (u + center), v) for V2, expanded
+    term by term."""
+    tower = p.tower
+    if isinstance(center, FieldElement):
+        tower = QS
+        lam = MultiPoly.constant(center)
+    else:
+        lam = MultiPoly.constant(center, (), tower)
+    u = MultiPoly.variable("u", tower)
+    v = MultiPoly.variable("v", tower)
+    x, y = (u, u * (v + lam)) if branch == V1 else (v * (u + lam), v)
+    out = MultiPoly.zero(("u", "v"), tower)
+    for (a, b), c in p.terms.items():
+        out = out + MultiPoly.constant(FieldElement(p.tower, c)) * x ** a * y ** b
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(transform_cases())
+def test_strict_transform_divides_pull_back(case):
+    p, center, branch, e = case
+    vars = ("u", "v")
+    chart = blow_up_chart(center, branch, vars, p.tower)
+    out = strict_transform(p, chart, e)
+    # the pull-back is divisible by exactly the order of p
+    assert (out is None) == (e > p.order())
+    if out is not None:
+        divisor = MultiPoly.variable(chart.divisor, out.tower)
+        assert (divisor ** e * out - pull_back(p, center, branch)).is_zero()
+    assert blow_up_curve(p, center, branch, vars) == strict_transform(
+        p, chart, p.order()
+    )

@@ -104,6 +104,20 @@ def test_dicritical_command(tmp_path, capsys):
     doc = json.loads(out)
     assert [p["id"] for p in doc["points"]] == [0, 1, 2, 3]
     assert [p["id"] for p in doc["points"] if p["dicritical"]] == [1, 3]
+    assert doc["infinity_points"] == [0, 2]
+    # the quintic: the human output tags P0 and P1 on-infinity-line
+    spec = write(tmp_path, "p = 5*y^4\nq = -2*x\n", name="quintic.txt")
+    code, out, _ = run(capsys, ["dicritical", spec, "--json"])
+    assert code == 0
+    assert json.loads(out)["infinity_points"] == [0, 1]
+
+
+def test_reduce_human_output_tags_each_class_once(tmp_path, capsys):
+    spec = write(tmp_path, "p = 5*y^4\nq = -2*x\n")
+    code, out, _ = run(capsys, ["reduce", spec])
+    assert code == 0
+    assert "P13: V1 over 12 at 0; proximate to {12}; dicritical\n" in out
+    assert "dicritical dicritical" not in out
 
 
 def test_poincare_command(tmp_path, capsys):
@@ -125,6 +139,32 @@ def test_pencil_command(tmp_path, capsys):
     mults = [doc["multiplicities"][str(i)] for i in range(14)]
     assert mults == [3, 2] + [1] * 12
     assert [p["id"] for p in doc["points"] if p["dicritical"]] == [13]
+
+
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        # the base points need Q(sqrt 2, sqrt 3), degree 4 over Q
+        (
+            "F1 = X^2 - 2*Z^2\nF2 = Y^2 - 3*Z^2\n",
+            ["--max-tower-degree", "2"],
+            "error: tower degree 4 exceeds cap 2\n",
+        ),
+        # the base points of the quintic pencil span 13 levels
+        (
+            "F1 = X^2*Z^3 + Y^5\nF2 = Z^5\n",
+            ["--max-depth", "1"],
+            "error: base points deeper than 1 levels\n",
+        ),
+    ],
+    ids=["tower-degree", "depth"],
+)
+def test_pencil_budget_exit_code(tmp_path, capsys, text, flags, message):
+    spec = write(tmp_path, text)
+    code, out, err = run(capsys, ["pencil-basepoints", spec, "--json"] + flags)
+    assert code == 1
+    assert out == ""
+    assert err == message
 
 
 def test_bad_input_exit_code(tmp_path, capsys):

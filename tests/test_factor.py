@@ -4,9 +4,15 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from waifi.factor import adjoin_root, roots_in_extension, univ_factor
+from waifi.factor import (
+    adjoin_root,
+    plane_common_zeros,
+    roots_in_extension,
+    univ_factor,
+)
 from waifi.field import FieldElement, QQ_TOWER, Tower
 from waifi.poly import MultiPoly, parse_poly
+from waifi.vfield import homogenize
 
 
 def test_univ_factor_rational():
@@ -125,3 +131,49 @@ def test_univ_factor_edge_cases():
     assert [(p.to_string(), m) for p, m in factors] == [
         ("2", 1), ("x + 1", 1), ("x - 1", 1)
     ]
+
+
+@st.composite
+def planted_systems(draw):
+    """Coprime f, g whose common zeros are (x0, r(x0)) for the roots x0 of
+    m = prod (x - a_i) [* (x^2 - 2)]: f and g are an invertible constant
+    combination of m and y - r.  swap exchanges x and y, so that one of them
+    can be free of x."""
+    x = MultiPoly.variable("x")
+    y = MultiPoly.variable("y")
+    roots = draw(st.lists(st.integers(-3, 3), max_size=2, unique=True))
+    m = MultiPoly.constant(1, ("x",))
+    for a in roots:
+        m = m * (x - a)
+    if draw(st.booleans()) or not roots:
+        m = m * (x * x - 2)
+    r = MultiPoly.zero(("x",))
+    for k, c in enumerate(draw(st.lists(st.integers(-2, 2), max_size=3))):
+        r = r + c * x ** k
+    k, c, j = (draw(st.integers(-2, 2)) for _ in range(3))
+    if c == j * k:
+        c += 1
+    f = m + k * (y - r)
+    g = c * (y - r) + j * m
+    if draw(st.booleans()):
+        f, g = (h.rename_vars({"x": "y", "y": "x"}) for h in (f, g))
+    return f.with_vars(("x", "y")), g.with_vars(("x", "y"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_systems())
+def test_plane_common_zeros_matches_sympy(fg):
+    f, g = fg
+    at_infinity = [
+        homogenize(h, h.total_degree()).substitute({"Z": 0}) for h in (f, g)
+    ]
+    triples, tower = plane_common_zeros(at_infinity, f, g, Tower())
+    affine = [(x0, y0) for x0, y0, z0 in triples if not z0.is_zero()]
+    for x0, y0 in affine:
+        assert f.evaluate({"x": x0, "y": y0}).is_zero()
+        assert g.evaluate({"x": x0, "y": y0}).is_zero()
+    keys = [(x0.sort_key(), y0.sort_key()) for x0, y0 in affine]
+    assert keys == sorted(set(keys))
+    x, y = sympy.symbols("x y")
+    expr = [sympy.sympify(h.to_string().replace("^", "**")) for h in (f, g)]
+    assert len(affine) == len(sympy.solve_poly_system(expr, x, y))
