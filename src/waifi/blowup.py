@@ -10,7 +10,6 @@ equation, the V2 chart keeps the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .field import FieldElement
@@ -36,7 +35,6 @@ class LocalOneForm:
     a: MultiPoly
     b: MultiPoly
     vars: tuple
-    frame: tuple = ()
 
     def __post_init__(self):
         if tuple(sorted(self.vars)) != self.vars:
@@ -104,44 +102,60 @@ class Chart:
 
     V1 pulls back along (u, v) -> (u, u (v + center)) and keeps u = 0 as
     the divisor; V2 along (u, v) -> (v (u + center), v) and keeps v = 0.
-    sub is that substitution, divisor the name of the divisor variable,
-    factor its polynomial and slope the other factor of the substituted
-    value.
+    divisor names the divisor variable and other the remaining one; the
+    tower of the FieldElement center is the one pulled-back polynomials are
+    lifted to.  The pull-back is the exponent map of _remap followed by the
+    Taylor shift other -> other + center.
     """
 
     vars: tuple
     divisor: str
-    factor: MultiPoly
-    slope: MultiPoly
-    sub: dict
+    other: str
+    center: FieldElement
 
 
 def blow_up_chart(center, branch, vars, tower):
     """The chart of one blow-up; polynomials live over tower, deepened to
     the tower of a FieldElement center."""
     u, v = vars
+    if branch == V1:
+        divisor, other = u, v
+    elif branch == V2:
+        divisor, other = v, u
+    else:
+        raise ValueError("branch must be V1 or V2")
     if isinstance(center, FieldElement):
-        lam = MultiPoly.constant(center)
         if center.tower.depth > tower.depth:
             tower = center.tower
+        center = center.lift_to(tower)
     else:
-        lam = MultiPoly.constant(Fraction(center), (), tower)
-    up = MultiPoly.variable(u, tower)
-    vp = MultiPoly.variable(v, tower)
-    if branch == V1:
-        slope = vp + lam
-        return Chart(vars, u, up, slope, {v: up * slope})
-    if branch == V2:
-        slope = up + lam
-        return Chart(vars, v, vp, slope, {u: vp * slope})
-    raise ValueError("branch must be V1 or V2")
+        center = FieldElement.rational(center, tower)
+    return Chart(vars, divisor, other, center)
+
+
+def _remap(p, chart, times=None):
+    """p under the monomial part of the chart map, (i, j) -> (i + j, j) on
+    V1 and (i, i + j) on V2 in the exponents of (u, v), multiplied by the
+    chart variable named times (if any); other variables are untouched."""
+    p = p.with_vars(chart.vars)
+    d = p.vars.index(chart.divisor)
+    o = p.vars.index(chart.other)
+    bump_d = int(times == chart.divisor)
+    bump_o = int(times == chart.other)
+    terms = {}
+    for e, c in p.terms.items():
+        ne = list(e)
+        ne[d] += e[o] + bump_d
+        ne[o] += bump_o
+        terms[tuple(ne)] = c
+    return MultiPoly(p.vars, terms, p.tower)
 
 
 def strict_transform(p, chart, e):
     """The pull-back of p through the chart divided by the e-th power of the
     divisor variable; None when the pull-back is not divisible by it."""
-    pulled = p.substitute(chart.sub).with_vars(chart.vars)
-    return _div_power(pulled, chart.divisor, e)
+    out = _div_power(_remap(p, chart), chart.divisor, e)
+    return None if out is None else out.shift(chart.other, chart.center)
 
 
 def blow_up_form(omega, center, branch):
@@ -152,16 +166,18 @@ def blow_up_form(omega, center, branch):
     """
     m = multiplicity(omega)
     chart = blow_up_chart(center, branch, omega.vars, omega.a.tower)
-    a0 = omega.a.substitute(chart.sub)
-    b0 = omega.b.substitute(chart.sub)
+    tower = chart.center.tower
+    # b can be over a deeper tower than a and the centre
+    a = omega.a.lift_to(tower)
+    b = omega.b.lift_to(tower) if omega.b.tower.is_prefix_of(tower) else omega.b
+    # a du + b dv pulls back to (a + (v + center) b) du + u b dv on V1 and
+    # v a du + ((u + center) a + b) dv on V2; the shift comes last
     if branch == V1:
-        na = a0 + chart.slope * b0
-        nb = chart.factor * b0
+        na = _remap(a, chart) + _remap(b, chart, chart.other)
+        nb = _remap(b, chart, chart.divisor)
     else:
-        na = chart.factor * a0
-        nb = chart.slope * a0 + b0
-    na = na.with_vars(omega.vars)
-    nb = nb.with_vars(omega.vars)
+        na = _remap(a, chart, chart.divisor)
+        nb = _remap(a, chart, chart.other) + _remap(b, chart)
     e = _common_power([na, nb], chart.divisor)
     dicritical = char_poly(omega).is_zero()
     expected = m + 1 if dicritical else m
@@ -169,10 +185,9 @@ def blow_up_form(omega, center, branch):
         raise DivisibilityViolation(
             f"removed exceptional power {e}, expected {expected}"
         )
-    na = _div_power(na, chart.divisor, e)
-    nb = _div_power(nb, chart.divisor, e)
-    key = center.sort_key() if isinstance(center, FieldElement) else (Fraction(center),)
-    return LocalOneForm(na, nb, omega.vars, omega.frame + ((branch, key),))
+    na = _div_power(na, chart.divisor, e).shift(chart.other, chart.center)
+    nb = _div_power(nb, chart.divisor, e).shift(chart.other, chart.center)
+    return LocalOneForm(na, nb, omega.vars)
 
 
 def blow_up_curve(equation, center, branch, vars):

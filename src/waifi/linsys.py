@@ -70,26 +70,16 @@ def _as_field(value, tower):
 
 
 def _localize(F, triple, tower):
-    """Local equation of the generic curve at a plane point, in variables
-    (u, v) matching the chart conventions of the reduction driver."""
+    """Local equation of a curve at a plane point, in variables (u, v)
+    matching the chart conventions of reduction.reduce."""
     x0, y0, z0 = (_as_field(c, tower) for c in triple)
-    u = MultiPoly.variable("u", tower)
-    v = MultiPoly.variable("v", tower)
+    F = F.lift_to(tower)
     if not z0.is_zero():
-        sub = {
-            "Z": 1,
-            "X": u + MultiPoly.constant(x0 / z0),
-            "Y": v + MultiPoly.constant(y0 / z0),
-        }
-    elif not y0.is_zero():
-        sub = {
-            "Y": 1,
-            "X": u + MultiPoly.constant(x0 / y0),
-            "Z": v,
-        }
-    else:
-        sub = {"X": 1, "Y": u, "Z": v}
-    return F.substitute(sub)
+        local = dehomogenize(F, "Z", ("u", "v"))
+        return local.shift("u", x0 / z0).shift("v", y0 / z0)
+    if not y0.is_zero():
+        return dehomogenize(F, "Y", ("u", "v")).shift("u", x0 / y0)
+    return dehomogenize(F, "X", ("u", "v"))
 
 
 def _split_jet(eq, mu, cindex):
@@ -241,8 +231,7 @@ def _check_pencil(F1, F2):
 
 def _localize_member(F, triple, tower):
     """Local equation of a member at a plane point (u, v chart)."""
-    return _localize(F.lift_to(tower) if F.tower.is_prefix_of(tower) else F,
-                     triple, tower).with_vars(("u", "v"))
+    return _localize(F, triple, tower).with_vars(("u", "v"))
 
 
 def pencil_base_points(F1, F2, seed=0, max_depth=64, max_tower_degree=16):

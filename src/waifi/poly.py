@@ -367,6 +367,60 @@ class MultiPoly:
         terms = {e: c for e, c in terms.items() if not tower.is_zero(c)}
         return MultiPoly(vars, terms, tower)
 
+    def shift(self, var, value):
+        """Taylor shift var -> var + value (a FieldElement or a rational).
+
+        The result of substitute({var: var + value}) on the ring self.vars:
+        self when var never occurs, otherwise over the deeper of the two
+        towers.
+        """
+        if var not in self.vars:
+            return self
+        i = self.vars.index(var)
+        if not any(e[i] for e in self.terms):
+            return self
+        tw = self.tower
+        if isinstance(value, FieldElement):
+            if tw.is_prefix_of(value.tower):
+                tower = value.tower
+            elif not value.tower.is_prefix_of(tw):
+                raise ValueError("cannot lift to a non-extension tower")
+            else:
+                tower = tw
+            lam = value.lift_to(tower).v
+        else:
+            tower = tw
+            lam = tw.lift_rational(Fraction(value))
+        if tower.is_zero(lam):
+            return self.lift_to(tower)
+        # coefficient lists in var (None for a missing power), one per
+        # exponent tuple of the other variables, with var's exponent zeroed
+        columns = {}
+        lift = tower != tw
+        for e, c in self.terms.items():
+            if lift:
+                c = tower.lift_value(c, tw)
+            col = columns.setdefault(e[:i] + (0,) + e[i + 1 :], [])
+            k = e[i]
+            if len(col) <= k:
+                col.extend([None] * (k + 1 - len(col)))
+            col[k] = c
+        terms = {}
+        for rest, col in columns.items():
+            # synthetic division by var - lam, d times in place
+            d = len(col) - 1
+            for j in range(d):
+                for m in range(d - 1, j - 1, -1):
+                    c = col[m + 1]
+                    if c is None:
+                        continue
+                    c = tower.mul(lam, c)
+                    col[m] = c if col[m] is None else tower.add(col[m], c)
+            for k, c in enumerate(col):
+                if c is not None and not tower.is_zero(c):
+                    terms[rest[:i] + (k,) + rest[i + 1 :]] = c
+        return MultiPoly(self.vars, terms, tower)
+
     def evaluate(self, point):
         """Evaluate at a dict var -> FieldElement/rational; returns a
         FieldElement (all effective variables must be assigned)."""

@@ -92,19 +92,12 @@ class ReductionResult:
 
 
 def _translate(form, shifts):
-    sub = {
-        w: MultiPoly.variable(w) + MultiPoly.constant(c)
-        for w, c in shifts.items()
-        if not c.is_zero()
-    }
-    if not sub:
-        return form
-    return LocalOneForm(
-        form.a.substitute(sub).with_vars(form.vars),
-        form.b.substitute(sub).with_vars(form.vars),
-        form.vars,
-        form.frame,
-    )
+    """Recentre form at a plane point: w -> w + c for each nonzero shift."""
+    a, b = form.a, form.b
+    for w, c in shifts.items():
+        if not c.is_zero():
+            a, b = a.shift(w, c), b.shift(w, c)
+    return LocalOneForm(a, b, form.vars)
 
 
 def reduce(omega, max_depth=64, max_tower_degree=16):
@@ -208,7 +201,7 @@ def reduce(omega, max_depth=64, max_tower_degree=16):
                     "branch": V1,
                     "coordinate": lam,
                     "level": item["level"] + 1,
-                    "form": blow_up_form(form, lam, V1),
+                    "form": strict1 if lam.is_zero() else blow_up_form(form, lam, V1),
                     "tracked": track_curves(
                         node.tracked, f"E{pid}", lam, V1, form.vars, tower
                     ),

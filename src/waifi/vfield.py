@@ -75,9 +75,11 @@ def homogenize(p, d, vars=("X", "Y", "Z")):
     return out._reorder(tuple(sorted((VX, VY, VZ))))
 
 
-def dehomogenize(F):
-    """The affine part F(x, y, 1) of a form in X, Y, Z."""
-    return F.substitute({"Z": 1}).rename_vars({"X": "x", "Y": "y"})
+def dehomogenize(F, one="Z", names=("x", "y")):
+    """The affine part of a form in X, Y, Z on the chart one = 1, the other
+    two variables (in X, Y, Z order) renamed to names."""
+    others = [w for w in ("X", "Y", "Z") if w != one]
+    return F.substitute({one: 1}).rename_vars(dict(zip(others, names)))
 
 
 def projectivize(V):
@@ -119,7 +121,7 @@ def restrict_to_chart(omega, chart):
     if not (g.is_constant() or g.is_zero()):
         a = a.divide_exact(g)
         b = b.divide_exact(g)
-    return LocalOneForm(a.with_vars((u, v)), b.with_vars((u, v)), (u, v), frame=(chart,))
+    return LocalOneForm(a.with_vars((u, v)), b.with_vars((u, v)), (u, v))
 
 
 def cofactor(V, f):

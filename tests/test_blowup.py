@@ -240,3 +240,124 @@ def test_strict_transform_divides_pull_back(case):
     assert blow_up_curve(p, center, branch, vars) == strict_transform(
         p, chart, p.order()
     )
+
+
+# -- blow_up_form: the exponent-map kernel against substitute-and-multiply --
+
+
+def reference_blow_up_form(omega, center, branch):
+    """The pull-back through substitute and MultiPoly products: substitute
+    v -> u (v + center) (V1) or u -> v (u + center) (V2) in both
+    components, combine them with the chart differentials and divide by
+    the common power of the divisor."""
+    m = multiplicity(omega)
+    u, v = omega.vars
+    tower = omega.a.tower
+    if isinstance(center, FieldElement):
+        lam = MultiPoly.constant(center)
+        if center.tower.depth > tower.depth:
+            tower = center.tower
+    else:
+        lam = MultiPoly.constant(Fraction(center), (), tower)
+    up = MultiPoly.variable(u, tower)
+    vp = MultiPoly.variable(v, tower)
+    if branch == V1:
+        divisor, slope = u, vp + lam
+        sub = {v: up * slope}
+    elif branch == V2:
+        divisor, slope = v, up + lam
+        sub = {u: vp * slope}
+    else:
+        raise ValueError("branch must be V1 or V2")
+    a0 = omega.a.substitute(sub)
+    b0 = omega.b.substitute(sub)
+    if branch == V1:
+        na, nb = a0 + slope * b0, up * b0
+    else:
+        na, nb = vp * a0, slope * a0 + b0
+    na = na.with_vars(omega.vars)
+    nb = nb.with_vars(omega.vars)
+    i = omega.vars.index(divisor)
+    e = min(exps[i] for p in (na, nb) for exps in p.terms)
+    expected = m + 1 if char_poly(omega).is_zero() else m
+    if e != expected:
+        raise DivisibilityViolation(
+            f"removed exceptional power {e}, expected {expected}"
+        )
+
+    def divide(p):
+        terms = {ex[:i] + (ex[i] - e,) + ex[i + 1 :]: c for ex, c in p.terms.items()}
+        return MultiPoly(p.vars, terms, p.tower)
+
+    return LocalOneForm(divide(na), divide(nb), omega.vars)
+
+
+def local_polys(tower, degrees, min_size=0):
+    """Polynomials in u, v over tower with terms of total degree in degrees."""
+    if tower.depth == 0:
+        coeffs = small.filter(bool).map(lambda q: FieldElement.rational(q, tower))
+    else:
+        coeffs = st.tuples(small, small).filter(any).map(
+            lambda v: FieldElement(tower, v)
+        )
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda e: sum(e) in degrees
+    )
+    return st.dictionaries(exps, coeffs, min_size=min_size, max_size=4).map(
+        lambda d: MultiPoly.from_coeff_dict(("u", "v"), d, tower)
+    )
+
+
+@st.composite
+def form_cases(draw):
+    towers = st.sampled_from([QQ_TOWER, QS])
+    ta, tb = draw(towers), draw(towers)
+    if draw(st.booleans()):
+        # dicritical: the m-jet is h (-v du + u dv) for a form h of degree m - 1
+        m = draw(st.integers(1, 3))
+        h = draw(local_polys(ta, {m - 1}, min_size=1))
+        u = MultiPoly.variable("u", ta)
+        v = MultiPoly.variable("v", ta)
+        a = -(v * h) + draw(local_polys(ta, range(m + 1, 7)))
+        b = u * h + draw(local_polys(tb, range(m + 1, 7)))
+    else:
+        a = draw(local_polys(ta, range(7), min_size=1))
+        b = draw(local_polys(tb, range(7)))
+        if draw(st.booleans()):
+            a, b = b, a
+    omega = LocalOneForm(a.with_vars(("u", "v")), b.with_vars(("u", "v")), ("u", "v"))
+    center = draw(
+        st.one_of(
+            st.integers(-2, 2),
+            small,
+            st.tuples(small, small).map(lambda v: FieldElement(QS, v)),
+        )
+    )
+    return omega, center, draw(st.sampled_from([V1, V2, V1, V2, "V3"]))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, DivisibilityViolation) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(form_cases())
+def test_blow_up_form_matches_substitution(case):
+    omega, center, branch = case
+    ours = outcome(blow_up_form, omega, center, branch)
+    ref = outcome(reference_blow_up_form, omega, center, branch)
+    if isinstance(ours, tuple) or isinstance(ref, tuple):
+        assert ours == ref
+        return
+    for mine, theirs in ((ours.a, ref.a), (ours.b, ref.b)):
+        assert mine.vars == theirs.vars
+        assert mine.tower == theirs.tower
+        assert mine.terms == theirs.terms
+    if branch == V1:
+        # the chart at lambda is the chart at 0 shifted along the divisor
+        at0 = blow_up_form(omega, 0, V1)
+        assert ours.a == at0.a.shift("v", center)
+        assert ours.b == at0.b.shift("v", center)

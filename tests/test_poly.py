@@ -283,6 +283,41 @@ def test_substitute_edge_cases():
     assert r.tower == QI and r == MultiPoly.constant(i * i + 3 * i)
 
 
+@st.composite
+def shift_cases(draw):
+    tower = draw(st.sampled_from([QQ_TOWER, QS]))
+    p = draw(polys(draw(st.sampled_from([("x",), ("x", "y"), ("x", "y", "z")])), tower))
+    # var absent from the ring, in it with exponent 0 only, or occurring
+    var = draw(st.sampled_from(("x", "y", "z", "w")))
+    if draw(st.booleans()):
+        p = p.with_vars(p.vars + (var,))
+    value = draw(
+        st.one_of(
+            st.integers(-3, 3),
+            rationals,
+            field_elements(QS),
+            st.just(FieldElement.rational(0, QS)),
+        )
+    )
+    return p, var, value
+
+
+@settings(max_examples=200, deadline=None)
+@given(shift_cases())
+def test_shift_matches_substitute(case):
+    p, var, value = case
+    ours = p.shift(var, value)
+    ref = p.substitute({var: MultiPoly.variable(var) + MultiPoly.constant(value)})
+    # substitute drops a substituted variable that never occurs from the
+    # ring; shift keeps the ring
+    ref = ref.with_vars(p.vars)
+    assert ours.vars == ref.vars == p.vars
+    assert ours.tower == ref.tower
+    assert ours.terms == ref.terms
+    if var not in p.effective_vars():
+        assert ours is p
+
+
 # -- the dict-level sympy bridge: differential tests against sympy ---------
 
 
