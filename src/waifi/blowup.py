@@ -158,11 +158,13 @@ def strict_transform(p, chart, e):
     return None if out is None else out.shift(chart.other, chart.center)
 
 
-def blow_up_form(omega, center, branch):
+def blow_up_form(omega, center, branch, dicritical=None):
     """Strict transform of omega under one blow-up (see Chart).
 
     Both components are divided by the maximal common power e of the divisor
-    variable; e must be m (non-dicritical) or m+1 (dicritical).
+    variable; e must be m (non-dicritical) or m+1 (dicritical).  dicritical
+    is classify(omega) == DICRITICAL when the caller holds it; otherwise it
+    is computed from char_poly.
     """
     m = multiplicity(omega)
     chart = blow_up_chart(center, branch, omega.vars, omega.a.tower)
@@ -179,7 +181,8 @@ def blow_up_form(omega, center, branch):
         na = _remap(a, chart, chart.divisor)
         nb = _remap(a, chart, chart.other) + _remap(b, chart)
     e = _common_power([na, nb], chart.divisor)
-    dicritical = char_poly(omega).is_zero()
+    if dicritical is None:
+        dicritical = char_poly(omega).is_zero()
     expected = m + 1 if dicritical else m
     if e != expected:
         raise DivisibilityViolation(

@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+from .blowup import DivisibilityViolation
+from .factor import NoSquarefreeShift
 from .field import ExtensionDegreeExceeded
 from .infnear import export_proximity_graph, proximity_graph_dot
 from .integrability import (
@@ -21,7 +23,7 @@ from .integrability import (
     poincare_bound,
     poincare_degree,
 )
-from .linsys import CommonComponent, pencil_base_points
+from .linsys import CommonComponent, NoGenericMember, pencil_base_points
 from .poly import PolySyntaxError, parse_poly
 from .reduction import (
     DepthExceeded,
@@ -33,6 +35,10 @@ from .vfield import AffineVectorField, ProjectiveOneForm, projectivize
 
 class InputError(ValueError):
     pass
+
+
+class RoutesDisagree(RuntimeError):
+    """integrate --method both: the pairing and Darboux routes differ."""
 
 
 def _read_spec(path):
@@ -146,11 +152,10 @@ def _cmd_integrate(args):
         cert1, reason1 = algorithm1(V, **kw)
         cert2, reason = algorithm2(V, **kw)
         if (cert1 is None) != (cert2 is None):
-            raise RuntimeError("the two routes disagree")
-        if cert1 is not None and (
-            cert1.degree != cert2.degree or cert1.exponents != cert2.exponents
-        ):
-            raise RuntimeError("the two routes disagree")
+            raise RoutesDisagree("the two routes disagree on verdict")
+        for field in ("degree", "exponents"):
+            if cert1 is not None and getattr(cert1, field) != getattr(cert2, field):
+                raise RoutesDisagree(f"the two routes disagree on {field}")
         cert = cert2
     if cert is None:
         doc = {
@@ -274,6 +279,10 @@ def main(argv=None):
         DepthExceeded,
         CommonComponent,
         ExtensionDegreeExceeded,
+        RoutesDisagree,
+        DivisibilityViolation,
+        NoSquarefreeShift,
+        NoGenericMember,
         PolySyntaxError,
         ValueError,
         OSError,

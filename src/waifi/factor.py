@@ -18,6 +18,10 @@ from .poly import MultiPoly, from_sympy, poly_gcd, resultant, to_sympy
 _ZVAR = "@z"
 
 
+class NoSquarefreeShift(RuntimeError):
+    """No shift s <= 40 gave a squarefree norm of the right degree."""
+
+
 def _qq_factor(f, var):
     const, factors = to_sympy(f, (var,)).factor_list()
     unit = Fraction(const.p, const.q)
@@ -105,16 +109,12 @@ def _factor_squarefree(f, var, tower):
                 break
         s += 1
         if s > 40:
-            raise RuntimeError("no squarefree norm shift found")
+            raise NoSquarefreeShift("no squarefree norm shift found")
     sub_factors = _factor_squarefree(norm.monic(), var, sub)
     theta = FieldElement.generator(tower)
     out = []
     for nf in sub_factors:
-        lifted = nf.lift_to(tower)
-        shifted_back = lifted.substitute(
-            {var: MultiPoly.variable(var, tower) + MultiPoly.constant(s * theta)}
-        )
-        g = poly_gcd(f, shifted_back)
+        g = poly_gcd(f, nf.shift(var, s * theta))
         if not g.is_constant():
             out.append(g.monic())
     return out
@@ -202,7 +202,7 @@ def _affine_common_zeros(f, g, tower):
         pure, other = (f, g) if fdx == 0 else (g, f)
         yroots, tower = roots_in_extension(pure.with_vars(("y",)), tower)
         for y0 in yroots:
-            h = other.substitute({"y": y0})
+            h = other.restrict("y", y0)
             if not h.is_constant():
                 xroots, tower = roots_in_extension(h, tower)
                 points.extend((x0, y0) for x0 in xroots)
@@ -212,7 +212,7 @@ def _affine_common_zeros(f, g, tower):
         return [], tower
     yroots, tower = roots_in_extension(ry.with_vars(("y",)), tower)
     for y0 in yroots:
-        h = poly_gcd(f.substitute({"y": y0}), g.substitute({"y": y0}))
+        h = poly_gcd(f.restrict("y", y0), g.restrict("y", y0))
         if not h.is_constant():
             xroots, tower = roots_in_extension(h, tower)
             points.extend((x0, y0) for x0 in xroots)
@@ -238,7 +238,7 @@ def plane_common_zeros(at_infinity, f, g, tower):
         # the point (1:0:0) corresponds to the factor Y of the binary form
         if h.evaluate({"X": 1, "Y": 0}).is_zero():
             at_inf.append(None)
-        univ = h.substitute({"X": MultiPoly.variable("x"), "Y": 1})
+        univ = h.restrict("Y", 1).rename_vars({"X": "x"})
         roots, tower = roots_in_extension(univ, tower)
         at_inf.extend(roots)
     affine, tower = _affine_common_zeros(f, g, tower)

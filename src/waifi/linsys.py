@@ -31,6 +31,10 @@ class CommonComponent(ValueError):
     """The two pencil generators share a polynomial factor."""
 
 
+class NoGenericMember(RuntimeError):
+    """Eight random pencil members all missed the generic multiplicities."""
+
+
 @dataclass
 class LinearSystemBasis:
     degree: int
@@ -239,7 +243,7 @@ def pencil_base_points(F1, F2, seed=0, max_depth=64, max_tower_degree=16):
     multiplicities and dicritical flags, verified on a generic member."""
     _check_pencil(F1, F2)
     triples, tower = plane_common_zeros(
-        [F.substitute({"Z": 0}) for F in (F1, F2)],
+        [F.restrict("Z", 0) for F in (F1, F2)],
         dehomogenize(F1),
         dehomogenize(F2),
         Tower((), max_degree=max_tower_degree),
@@ -299,7 +303,7 @@ def pencil_base_points(F1, F2, seed=0, max_depth=64, max_tower_degree=16):
             # the direction (0:1) of the divisor lies in the V2 chart
             if Dv.coefficient((0, deg)).is_zero():
                 children.append((V2, None))
-            d1 = Dv.substitute({"u": 1}).with_vars(("v",))
+            d1 = Dv.restrict("u", 1).with_vars(("v",))
             lams, tower = roots_in_extension(d1, tower)
             for lam in lams:
                 children.append((V1, lam))
@@ -362,7 +366,7 @@ def _verify_generic_member(F1, F2, bp, seed):
                 break
         if ok:
             return
-    raise RuntimeError("no generic pencil member found after 8 draws")
+    raise NoGenericMember("no generic pencil member found after 8 draws")
 
 
 def _check_member(eq, conf, pid, mults):

@@ -306,6 +306,9 @@ class MultiPoly:
         The result lives on the sorted union of the kept variables and the
         variables of every substituted value that actually occurs (exponent
         at least 1 in some term), over the deepest of the towers involved.
+        Its one caller is the norm loop of factor._factor_squarefree; setting
+        a variable to a constant is restrict, a Taylor shift is shift.  It
+        goes when that loop and resultant move to dense coefficient lists.
         """
         tw = self.tower
         subs = []  # (position in self.vars, value)
@@ -367,6 +370,34 @@ class MultiPoly:
         terms = {e: c for e, c in terms.items() if not tower.is_zero(c)}
         return MultiPoly(vars, terms, tower)
 
+    def _scalar(self, value):
+        """(tower, raw value) of a FieldElement or a rational, over the
+        deeper of its tower and self's."""
+        tw = self.tower
+        if not isinstance(value, FieldElement):
+            return tw, tw.lift_rational(Fraction(value))
+        if tw.is_prefix_of(value.tower):
+            tw = value.tower
+        elif not value.tower.is_prefix_of(tw):
+            raise ValueError("cannot lift to a non-extension tower")
+        return tw, value.lift_to(tw).v
+
+    def _columns(self, i, tower):
+        """Coefficient lists in the variable at position i, keyed by the
+        exponents of the other variables: [c0, c1, ...] with None for a
+        missing power, coefficients lifted to tower."""
+        columns = {}
+        lift = tower != self.tower
+        for e, c in self.terms.items():
+            if lift:
+                c = tower.lift_value(c, self.tower)
+            col = columns.setdefault(e[:i] + e[i + 1 :], [])
+            k = e[i]
+            if len(col) <= k:
+                col.extend([None] * (k + 1 - len(col)))
+            col[k] = c
+        return columns
+
     def shift(self, var, value):
         """Taylor shift var -> var + value (a FieldElement or a rational).
 
@@ -379,34 +410,11 @@ class MultiPoly:
         i = self.vars.index(var)
         if not any(e[i] for e in self.terms):
             return self
-        tw = self.tower
-        if isinstance(value, FieldElement):
-            if tw.is_prefix_of(value.tower):
-                tower = value.tower
-            elif not value.tower.is_prefix_of(tw):
-                raise ValueError("cannot lift to a non-extension tower")
-            else:
-                tower = tw
-            lam = value.lift_to(tower).v
-        else:
-            tower = tw
-            lam = tw.lift_rational(Fraction(value))
+        tower, lam = self._scalar(value)
         if tower.is_zero(lam):
             return self.lift_to(tower)
-        # coefficient lists in var (None for a missing power), one per
-        # exponent tuple of the other variables, with var's exponent zeroed
-        columns = {}
-        lift = tower != tw
-        for e, c in self.terms.items():
-            if lift:
-                c = tower.lift_value(c, tw)
-            col = columns.setdefault(e[:i] + (0,) + e[i + 1 :], [])
-            k = e[i]
-            if len(col) <= k:
-                col.extend([None] * (k + 1 - len(col)))
-            col[k] = c
         terms = {}
-        for rest, col in columns.items():
+        for rest, col in self._columns(i, tower).items():
             # synthetic division by var - lam, d times in place
             d = len(col) - 1
             for j in range(d):
@@ -418,13 +426,47 @@ class MultiPoly:
                     col[m] = c if col[m] is None else tower.add(col[m], c)
             for k, c in enumerate(col):
                 if c is not None and not tower.is_zero(c):
-                    terms[rest[:i] + (k,) + rest[i + 1 :]] = c
+                    terms[rest[:i] + (k,) + rest[i:]] = c
         return MultiPoly(self.vars, terms, tower)
 
+    def restrict(self, var, value):
+        """Set var to a FieldElement or a rational: a polynomial in the
+        remaining variables of the ring.
+
+        The result of substitute({var: value}): self when var is not in the
+        ring, over the deeper of the two towers only when var occurs.  A zero
+        value keeps the terms free of var; any other is Horner's rule on the
+        coefficient list of each monomial in the other variables.
+        """
+        if var not in self.vars:
+            return self
+        i = self.vars.index(var)
+        vars = self.vars[:i] + self.vars[i + 1 :]
+        tower, lam = self.tower, None
+        if any(e[i] for e in self.terms):
+            tower, lam = self._scalar(value)
+        if lam is None or tower.is_zero(lam):
+            # var never occurs or is set to zero: the terms free of var
+            terms = {e[:i] + e[i + 1 :]: c for e, c in self.terms.items() if not e[i]}
+            return MultiPoly(vars, terms, self.tower).lift_to(tower)
+        terms = {}
+        for rest, col in self._columns(i, tower).items():
+            acc = col[-1]
+            for c in reversed(col[:-1]):
+                acc = tower.mul(lam, acc)
+                if c is not None:
+                    acc = tower.add(acc, c)
+            if not tower.is_zero(acc):
+                terms[rest] = acc
+        return MultiPoly(vars, terms, tower)
+
     def evaluate(self, point):
-        """Evaluate at a dict var -> FieldElement/rational; returns a
-        FieldElement (all effective variables must be assigned)."""
-        res = self.substitute(point)
+        """Evaluate at a dict var -> FieldElement/rational, one restrict per
+        variable; returns a FieldElement (all effective variables must be
+        assigned)."""
+        res = self
+        for var, value in point.items():
+            res = res.restrict(var, value)
         if not res.is_constant():
             raise ValueError("not all variables were assigned")
         return res.constant_value()

@@ -106,24 +106,29 @@ def reduce(omega, max_depth=64, max_tower_degree=16):
     if omega.A.is_zero() and omega.B.is_zero() and omega.C.is_zero():
         raise NonIsolatedSingularities("zero 1-form")
     tower = Tower((), max_degree=max_tower_degree)
-    at_infinity = [c.substitute({"Z": 0}) for c in (omega.A, omega.B, omega.C)]
+    at_infinity = [c.restrict("Z", 0) for c in (omega.A, omega.B, omega.C)]
     f, g = dehomogenize(omega.A), dehomogenize(omega.B)
     if not (f.is_zero() or g.is_zero() or poly_gcd(f, g).is_constant()):
         raise NonIsolatedSingularities("A and B share a curve of zeros")
     triples, tower = plane_common_zeros(at_infinity, f, g, tower)
 
+    # each chart once; the Z chart is (f, g), coprime when it has points
+    xy = ("x", "y")
+    charts = {"Z": LocalOneForm(f.with_vars(xy), g.with_vars(xy), xy)}
+    for name in {"X" if y.is_zero() else "Y" for _, y, z in triples if z.is_zero()}:
+        charts[name] = restrict_to_chart(omega, name)
     nodes = []
     # work stack of pending points; popped in canonical (depth-first) order
     stack = []
     for x, y, z in triples:
         if not z.is_zero():
-            loc = _translate(restrict_to_chart(omega, "Z"), {"x": x, "y": y})
+            loc = _translate(charts["Z"], {"x": x, "y": y})
             tracked = {}
         else:
             if y.is_zero():
-                loc = restrict_to_chart(omega, "X")
+                loc = charts["X"]
             else:
-                loc = _translate(restrict_to_chart(omega, "Y"), {"x": x})
+                loc = _translate(charts["Y"], {"x": x})
             tracked = {INFINITY_LINE: MultiPoly.variable("z")}
         stack.append(
             {
@@ -167,9 +172,10 @@ def reduce(omega, max_depth=64, max_tower_degree=16):
         nodes.append(node)
 
         u, v = form.vars
+        dicritical = cls == DICRITICAL
         children = []
         # the single point of the divisor outside the V1 chart
-        strict2 = blow_up_form(form, 0, V2)
+        strict2 = blow_up_form(form, 0, V2, dicritical)
         if strict2.a.coefficient((0, 0)).is_zero() and strict2.b.coefficient(
             (0, 0)
         ).is_zero():
@@ -187,9 +193,9 @@ def reduce(omega, max_depth=64, max_tower_degree=16):
                 }
             )
         # V1 chart: divisor singularities at common roots on u = 0
-        strict1 = blow_up_form(form, 0, V1)
-        na0 = strict1.a.substitute({u: 0}).with_vars((v,))
-        nb0 = strict1.b.substitute({u: 0}).with_vars((v,))
+        strict1 = blow_up_form(form, 0, V1, dicritical)
+        na0 = strict1.a.restrict(u, 0).with_vars((v,))
+        nb0 = strict1.b.restrict(u, 0).with_vars((v,))
         g = poly_gcd(na0, nb0)
         if g.is_zero():
             raise NonIsolatedSingularities("whole exceptional divisor singular")
@@ -201,7 +207,9 @@ def reduce(omega, max_depth=64, max_tower_degree=16):
                     "branch": V1,
                     "coordinate": lam,
                     "level": item["level"] + 1,
-                    "form": strict1 if lam.is_zero() else blow_up_form(form, lam, V1),
+                    "form": strict1
+                    if lam.is_zero()
+                    else blow_up_form(form, lam, V1, dicritical),
                     "tracked": track_curves(
                         node.tracked, f"E{pid}", lam, V1, form.vars, tower
                     ),

@@ -79,7 +79,7 @@ def dehomogenize(F, one="Z", names=("x", "y")):
     """The affine part of a form in X, Y, Z on the chart one = 1, the other
     two variables (in X, Y, Z order) renamed to names."""
     others = [w for w in ("X", "Y", "Z") if w != one]
-    return F.substitute({one: 1}).rename_vars(dict(zip(others, names)))
+    return F.restrict(one, 1).rename_vars(dict(zip(others, names)))
 
 
 def projectivize(V):
@@ -113,10 +113,9 @@ def restrict_to_chart(omega, chart):
         raise ValueError("chart must be one of 'X', 'Y', 'Z'")
     one_var, (u, v) = CHARTS[chart]
     others = [w for w in ("X", "Y", "Z") if w != one_var]
-    sub = {one_var: 1, others[0]: MultiPoly.variable(u), others[1]: MultiPoly.variable(v)}
     comps = {"X": omega.A, "Y": omega.B, "Z": omega.C}
-    a = comps[others[0]].substitute(sub)
-    b = comps[others[1]].substitute(sub)
+    a = dehomogenize(comps[others[0]], one_var, (u, v))
+    b = dehomogenize(comps[others[1]], one_var, (u, v))
     g = poly_gcd(a, b)
     if not (g.is_constant() or g.is_zero()):
         a = a.divide_exact(g)

@@ -194,3 +194,71 @@ def test_invalid_one_form_rejected(tmp_path, capsys):
     code, _, err = run(capsys, ["reduce", spec])
     assert code == 1
     assert "error:" in err
+
+
+# -- internal failures leave as one error line with exit 1 ------------------
+
+
+@pytest.mark.parametrize("field", ["verdict", "degree", "exponents"])
+def test_routes_disagree_exit_code(tmp_path, capsys, monkeypatch, field):
+    import dataclasses
+
+    import waifi.cli as cli
+
+    real = cli.algorithm1
+
+    def pairing(V, **kw):
+        cert, reason = real(V, **kw)
+        if field == "verdict":
+            return None, "planted-disagreement"
+        if field == "degree":
+            return dataclasses.replace(cert, degree=cert.degree + 1), reason
+        return dataclasses.replace(cert, exponents=[n + 1 for n in cert.exponents]), reason
+
+    monkeypatch.setattr(cli, "algorithm1", pairing)
+    spec = write(tmp_path, "p = 2*y\nq = 3*x^2\n")
+    code, out, err = run(capsys, ["integrate", spec, "--method", "both", "--json"])
+    assert (code, out) == (1, "")
+    assert err == f"error: the two routes disagree on {field}\n"
+
+
+def test_divisibility_violation_exit_code(tmp_path, capsys, monkeypatch):
+    import waifi.reduction as reduction
+    from waifi.blowup import DICRITICAL, ORDINARY
+
+    real = reduction.classify
+
+    def mislabel(form):
+        # an ordinary point called dicritical: its blow-up removes m, not m+1
+        cls = real(form)
+        return DICRITICAL if cls == ORDINARY else cls
+
+    monkeypatch.setattr(reduction, "classify", mislabel)
+    spec = write(tmp_path, "p = 5*y^4\nq = -2*x\n")
+    code, out, err = run(capsys, ["reduce", spec])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: removed exceptional power ")
+    assert err.count("\n") == 1
+
+
+def test_no_squarefree_norm_shift_exit_code(tmp_path, capsys, monkeypatch):
+    import waifi.factor as factor
+    from waifi.poly import MultiPoly
+
+    # a norm that is never squarefree of the right degree
+    monkeypatch.setattr(factor, "resultant", lambda f, g, var: MultiPoly.zero())
+    # the singular points (+-sqrt 2, 0) are factored over Q(sqrt 2)
+    spec = write(tmp_path, "p = y\nq = x^2 - 2\n")
+    code, out, err = run(capsys, ["integrate", spec])
+    assert (code, out) == (1, "")
+    assert err == "error: no squarefree norm shift found\n"
+
+
+def test_no_generic_pencil_member_exit_code(tmp_path, capsys, monkeypatch):
+    import waifi.linsys as linsys
+
+    monkeypatch.setattr(linsys, "_check_member", lambda eq, conf, pid, mults: False)
+    spec = write(tmp_path, "F1 = X^2*Z^3 + Y^5\nF2 = Z^5\n")
+    code, out, err = run(capsys, ["pencil-basepoints", spec])
+    assert (code, out) == (1, "")
+    assert err == "error: no generic pencil member found after 8 draws\n"

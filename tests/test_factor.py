@@ -165,7 +165,7 @@ def planted_systems(draw):
 def test_plane_common_zeros_matches_sympy(fg):
     f, g = fg
     at_infinity = [
-        homogenize(h, h.total_degree()).substitute({"Z": 0}) for h in (f, g)
+        homogenize(h, h.total_degree()).restrict("Z", 0) for h in (f, g)
     ]
     triples, tower = plane_common_zeros(at_infinity, f, g, Tower())
     affine = [(x0, y0) for x0, y0, z0 in triples if not z0.is_zero()]

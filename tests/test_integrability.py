@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from test_acceptance import random_wai_product
 
 from waifi.infnear import Configuration, InfNearPoint
 from waifi.integrability import (
@@ -215,3 +217,20 @@ def test_poincare_degree_quintic():
 def test_poincare_bound_no_placement():
     with pytest.raises(NoAdmissiblePlacement):
         poincare_bound(bad_conf())
+
+
+def test_poincare_degree_matches_darboux_certificate():
+    # the degree read off the dicritical configuration and the points on the
+    # line at infinity is the degree of the minimal first integral; the
+    # planted Hamiltonians of acceptance test 6a
+    rng = random.Random(2024)
+    for _ in range(40):
+        H = random_wai_product(rng)
+        V = AffineVectorField(-H.diff("y"), H.diff("x"))
+        cert, reason = algorithm2(V)
+        assert reason is None, H.to_string()
+        res = reduce(projectivize(V))
+        conf = res.dicritical_configuration
+        infinity = frozenset(res.infinity_points) & set(conf.order)
+        n, _ = poincare_degree(conf, infinity)
+        assert n == cert.degree, H.to_string()

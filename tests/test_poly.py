@@ -141,7 +141,7 @@ def test_homogeneous_queries():
     assert not parse_poly("x^2 + x").is_homogeneous()
 
 
-# -- substitute: property test against a reference and against sympy -------
+# -- substitute, shift and restrict: property tests against a reference ----
 
 QI = Tower().adjoin("i", (Fraction(1), Fraction(0), Fraction(1)))  # i^2 = -1
 QS = Tower().adjoin("s", (Fraction(-2), Fraction(0), Fraction(1)))  # s^2 = 2
@@ -151,7 +151,8 @@ ALL_SYMS = {"x": X, "y": Y, "z": Z}
 
 
 def reference_substitute(p, mapping):
-    """Term-by-term substitution through MultiPoly arithmetic."""
+    """Term-by-term substitution through MultiPoly arithmetic: the
+    reference of substitute, shift and restrict."""
     tw = p.tower
     subs = {}
     for k, val in mapping.items():
@@ -307,7 +308,9 @@ def shift_cases(draw):
 def test_shift_matches_substitute(case):
     p, var, value = case
     ours = p.shift(var, value)
-    ref = p.substitute({var: MultiPoly.variable(var) + MultiPoly.constant(value)})
+    ref = reference_substitute(
+        p, {var: MultiPoly.variable(var) + MultiPoly.constant(value)}
+    )
     # substitute drops a substituted variable that never occurs from the
     # ring; shift keeps the ring
     ref = ref.with_vars(p.vars)
@@ -316,6 +319,56 @@ def test_shift_matches_substitute(case):
     assert ours.terms == ref.terms
     if var not in p.effective_vars():
         assert ours is p
+
+
+@st.composite
+def restrict_cases(draw):
+    p, var, value = draw(shift_cases())
+    if draw(st.booleans()):
+        # a factor that vanishes at var = value
+        p = p * (MultiPoly.variable(var, p.tower) - MultiPoly.constant(value))
+    return p, var, value
+
+
+@settings(max_examples=200, deadline=None)
+@given(restrict_cases())
+def test_restrict_matches_reference(case):
+    p, var, value = case
+    ours = p.restrict(var, value)
+    ref = reference_substitute(p, {var: value})
+    assert ours.vars == ref.vars
+    assert ours.tower == ref.tower
+    assert ours.terms == ref.terms
+    if var not in p.vars:
+        assert ours is p
+
+
+@st.composite
+def evaluation_cases(draw):
+    p = draw(polys(draw(st.sampled_from([("x",), ("x", "y"), ("x", "y", "z")])), QQ_TOWER))
+    # every variable of the ring, and perhaps one that is not in it
+    names = draw(st.permutations(p.vars + draw(st.sampled_from([(), ("w",)]))))
+    point = {v: draw(st.one_of(st.integers(-3, 3), rationals)) for v in names}
+    return p, point
+
+
+@settings(max_examples=100, deadline=None)
+@given(evaluation_cases())
+def test_evaluate_matches_sympy(case):
+    p, point = case
+    ours = p.evaluate(point)
+    expect = value_to_sympy(p).subs(
+        {ALL_SYMS[v]: value_to_sympy(c) for v, c in point.items() if v in ALL_SYMS}
+    )
+    assert ours.tower == QQ_TOWER
+    assert value_to_sympy(ours) == expect
+
+
+def test_resultant_sign_convention():
+    # Res_x(x + y, x^3 - y) = g(-y) for the monic linear f; sympy's
+    # resultant returns y^3 + y here, the opposite sign
+    r = resultant(parse_poly("x + y"), parse_poly("x^3 - y"), "x")
+    assert r == parse_poly("-y^3 - y")
 
 
 # -- the dict-level sympy bridge: differential tests against sympy ---------
