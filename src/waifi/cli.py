@@ -18,8 +18,7 @@ from .infnear import export_proximity_graph, proximity_graph_dot
 from .integrability import (
     AnalysisFailure,
     NoAdmissiblePlacement,
-    algorithm1,
-    algorithm2,
+    decide,
     poincare_bound,
     poincare_degree,
 )
@@ -144,19 +143,15 @@ def _cmd_dicritical(args):
 def _cmd_integrate(args):
     V = _vector_field(_read_spec(args.input))
     kw = {"max_depth": args.max_depth, "max_tower_degree": args.max_tower_degree}
-    if args.method == "pairing":
-        cert, reason = algorithm1(V, **kw)
-    elif args.method == "darboux":
-        cert, reason = algorithm2(V, **kw)
+    if args.method != "both":
+        ((cert, reason),) = decide(V, [args.method], **kw)
     else:
-        cert1, reason1 = algorithm1(V, **kw)
-        cert2, reason = algorithm2(V, **kw)
-        if (cert1 is None) != (cert2 is None):
+        (cert1, _), (cert, reason) = decide(V, ["pairing", "darboux"], **kw)
+        if (cert1 is None) != (cert is None):
             raise RoutesDisagree("the two routes disagree on verdict")
         for field in ("degree", "exponents"):
-            if cert1 is not None and getattr(cert1, field) != getattr(cert2, field):
+            if cert1 is not None and getattr(cert1, field) != getattr(cert, field):
                 raise RoutesDisagree(f"the two routes disagree on {field}")
-        cert = cert2
     if cert is None:
         doc = {
             "degree": None,

@@ -342,7 +342,9 @@ def _check_line_invariant(res):
             )
 
 
-def _run(V, route, max_depth=64, max_tower_degree=16):
+def _front_half(V, max_depth, max_tower_degree):
+    """The route-independent steps: the reduction, S, R and the curves with
+    their affine factors."""
     if not isinstance(V, AffineVectorField):
         raise TypeError("expected an AffineVectorField")
     res = reduce_form(projectivize(V), max_depth=max_depth,
@@ -354,8 +356,14 @@ def _run(V, route, max_depth=64, max_tower_degree=16):
         raise AnalysisFailure(WRONG_FREE_MAXIMAL_COUNT, str(exc))
     R = compute_R(family)
     curves = extract_curves(res, family, R)
+    return family, R, curves, [dehomogenize(F) for F in curves]
+
+
+def _certify(V, front, route):
+    """One route's exponents, checked and verified twice: the certificate,
+    or AnalysisFailure."""
+    family, R, curves, factors = front
     n = int(R.v0)
-    factors = [dehomogenize(F) for F in curves]
     if route == "pairing":
         n_i, _ = exponents_pairing(family, R)
     else:
@@ -398,20 +406,31 @@ def _run(V, route, max_depth=64, max_tower_degree=16):
     )
 
 
+def decide(V, routes, max_depth=64, max_tower_degree=16):
+    """(certificate, None) or (None, reason) for each route, all from one
+    reduction, S, R and set of curves; a failure there gives every route
+    its reason."""
+    try:
+        front = _front_half(V, max_depth, max_tower_degree)
+    except AnalysisFailure as exc:
+        return [(None, exc.reason)] * len(routes)
+    out = []
+    for route in routes:
+        try:
+            out.append((_certify(V, front, route), None))
+        except AnalysisFailure as exc:
+            out.append((None, exc.reason))
+    return out
+
+
 def algorithm1(V, **kw):
     """Pairing-route decision: a certificate, or (None, reason)."""
-    try:
-        return _run(V, "pairing", **kw), None
-    except AnalysisFailure as exc:
-        return None, exc.reason
+    return decide(V, ["pairing"], **kw)[0]
 
 
 def algorithm2(V, **kw):
     """Darboux-route decision: a certificate, or (None, reason)."""
-    try:
-        return _run(V, "darboux", **kw), None
-    except AnalysisFailure as exc:
-        return None, exc.reason
+    return decide(V, ["darboux"], **kw)[0]
 
 
 def poincare_degree(conf, infinity):

@@ -13,13 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .blowup import V1, V2, blow_up_chart, strict_transform, track_curves
+from .blowup import V1, V2, blow_up_chart, strict_transform
 from .factor import plane_common_zeros, roots_in_extension
 from .field import FieldElement, QQ_TOWER, Tower
-from .infnear import Cluster, Configuration, InfNearPoint
+from .infnear import Cluster
 from .linalg import nullspace
 from .poly import MultiPoly, poly_gcd
-from .reduction import DepthExceeded
+from .reduction import walk_resolution
 from .vfield import ProjectiveOneForm, dehomogenize
 
 
@@ -145,18 +145,11 @@ def linear_system(m, K, plane_points=None):
     conf = K.configuration
     plane_points = plane_points or {}
     tower = QQ_TOWER
-    for pid in conf.order:
-        c = conf.point(pid).coordinate
-        if isinstance(c, FieldElement) and c.tower.depth > tower.depth:
-            tower = c.tower
-        if isinstance(c, tuple):
-            for comp in c:
-                if isinstance(comp, FieldElement) and comp.tower.depth > tower.depth:
-                    tower = comp.tower
-    for triple in plane_points.values():
-        for comp in triple:
-            if isinstance(comp, FieldElement) and comp.tower.depth > tower.depth:
-                tower = comp.tower
+    values = [conf.point(pid).coordinate for pid in conf.order]
+    for value in values + list(plane_points.values()):
+        for c in value if isinstance(value, tuple) else (value,):
+            if isinstance(c, FieldElement) and c.tower.depth > tower.depth:
+                tower = c.tower
 
     F, names, mons = _generic_curve(m, tower)
     cindex = {name: j for j, name in enumerate(names)}
@@ -248,105 +241,60 @@ def pencil_base_points(F1, F2, seed=0, max_depth=64, max_tower_degree=16):
         dehomogenize(F2),
         Tower((), max_degree=max_tower_degree),
     )
-
-    nodes = []
-    stack = []
-    for triple in reversed(triples):
-        f = _localize_member(F1, triple, tower)
-        g = _localize_member(F2, triple, tower)
-        stack.append(
-            {
-                "parent": None,
-                "branch": None,
-                "coordinate": None,
-                "level": 0,
-                "f": f,
-                "g": g,
-                "tracked": {},
-                "plane": triple,
-            }
-        )
-
-    while stack:
-        item = stack.pop()
-        f, g = item["f"], item["g"]
-        of = f.order()
-        og = g.order()
-        mP = min(o for o in (of, og) if o is not None)
-        if mP == 0:
-            continue  # generic members no longer pass through this point
-        if item["level"] > max_depth:
-            raise DepthExceeded(f"base points deeper than {max_depth} levels")
-        pid = len(nodes)
-        prox = frozenset(int(lbl[1:]) for lbl in item["tracked"])
-        phi1 = f.initial_form(mP) if of == mP else MultiPoly.zero(f.vars, f.tower)
-        phi2 = g.initial_form(mP) if og == mP else MultiPoly.zero(g.vars, g.tower)
-        D = poly_gcd(phi1, phi2)
-        r = mP - max(D.total_degree(), 0)
-        nodes.append(
-            {
-                "pid": pid,
-                "parent": item["parent"],
-                "branch": item["branch"],
-                "coordinate": item["coordinate"],
-                "level": item["level"],
-                "prox": prox,
-                "mult": mP,
-                "dicritical": r > 0,
-                "plane": item["plane"],
-            }
-        )
-        children = []
-        Dv = D.with_vars(("u", "v"))
-        if not D.is_constant():
-            deg = Dv.total_degree()
-            # the direction (0:1) of the divisor lies in the V2 chart
-            if Dv.coefficient((0, deg)).is_zero():
-                children.append((V2, None))
-            d1 = Dv.restrict("u", 1).with_vars(("v",))
-            lams, tower = roots_in_extension(d1, tower)
-            for lam in lams:
-                children.append((V1, lam))
-            children.sort(
-                key=lambda c: (0,) if c[0] == V2 else (1, c[1].sort_key())
-            )
-        descs = []
-        for branch, lam in children:
-            center = FieldElement.rational(0, tower) if lam is None else lam
-            chart = blow_up_chart(center, branch, ("u", "v"), tower)
-            descs.append(
-                {
-                    "parent": pid,
-                    "branch": branch,
-                    "coordinate": lam,
-                    "level": item["level"] + 1,
-                    "f": strict_transform(f, chart, mP),
-                    "g": strict_transform(g, chart, mP),
-                    "tracked": track_curves(
-                        item["tracked"], f"E{pid}", center, branch, ("u", "v"), tower
-                    ),
-                    "plane": None,
-                }
-            )
-        for d in reversed(descs):
-            stack.append(d)
-
-    points = [
-        InfNearPoint(
-            n["pid"], n["parent"], n["branch"], n["coordinate"], n["level"], n["prox"]
-        )
-        for n in nodes
+    roots = [
+        (t, ("u", "v"), {}, tuple(_localize_member(F, t, tower) for F in (F1, F2)))
+        for t in triples
     ]
-    conf = Configuration(points)
-    mults = {n["pid"]: n["mult"] for n in nodes}
+    conf, tower, records, _, _, plane_coords = walk_resolution(
+        roots, _generic_multiplicity, _base_point_children, tower, max_depth, "base points"
+    )
     result = BasePointCluster(
-        cluster=Cluster(conf, mults),
-        dicritical=frozenset(n["pid"] for n in nodes if n["dicritical"]),
+        cluster=Cluster(conf, {pid: m for pid, (m, _) in records.items()}),
+        # deg D < mP: the tangent cones of the members vary
+        dicritical=frozenset(
+            pid for pid, (m, D) in records.items() if m > max(D.total_degree(), 0)
+        ),
         tower=tower,
-        plane_coords={n["pid"]: n["plane"] for n in nodes if n["plane"] is not None},
+        plane_coords=plane_coords,
     )
     _verify_generic_member(F1, F2, result, seed)
     return result
+
+
+def _generic_multiplicity(fg):
+    """(mP, D) at a base point: the multiplicity of a generic member and
+    the gcd D of the initial forms of the generators; None once generic
+    members no longer pass through the point."""
+    f, g = fg
+    of = f.order()
+    og = g.order()
+    mP = min(o for o in (of, og) if o is not None)
+    if mP == 0:
+        return None
+    phi1 = f.initial_form(mP) if of == mP else MultiPoly.zero(f.vars, f.tower)
+    phi2 = g.initial_form(mP) if og == mP else MultiPoly.zero(g.vars, g.tower)
+    return mP, poly_gcd(phi1, phi2)
+
+
+def _base_point_children(fg, record, tower):
+    """The base points on the divisor: the tangent directions of D, with
+    the strict transforms of the generators there."""
+    f, g = fg
+    mP, D = record
+    if D.is_constant():
+        return [], tower
+    Dv = D.with_vars(("u", "v"))
+    lams, tower = roots_in_extension(Dv.restrict("u", 1).with_vars(("v",)), tower)
+    centers = [(V1, lam) for lam in lams]
+    # the direction (0:1) of the divisor lies in the V2 chart
+    if Dv.coefficient((0, Dv.total_degree())).is_zero():
+        centers.insert(0, (V2, FieldElement.rational(0, tower)))
+    children = []
+    for branch, center in centers:
+        chart = blow_up_chart(center, branch, ("u", "v"), tower)
+        child = (strict_transform(f, chart, mP), strict_transform(g, chart, mP))
+        children.append((branch, center, child))
+    return children, tower
 
 
 def _verify_generic_member(F1, F2, bp, seed):

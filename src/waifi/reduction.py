@@ -46,20 +46,6 @@ INFINITY_LINE = "infinity-line"
 
 
 @dataclass
-class _Node:
-    pid: int
-    parent: int | None
-    branch: str | None
-    coordinate: object
-    level: int
-    form: LocalOneForm
-    tracked: dict
-    proximate_to: frozenset
-    cls: str
-    plane_coord: tuple | None
-
-
-@dataclass
 class ReductionResult:
     one_form: ProjectiveOneForm
     tower: Tower
@@ -100,6 +86,90 @@ def _translate(form, shifts):
     return LocalOneForm(a, b, form.vars)
 
 
+def walk_resolution(roots, keep, expand, tower, max_depth, what):
+    """Depth-first walk of the infinitely near points above plane points.
+
+    roots lists (plane point, chart variables, tracked curves, payload) in
+    canonical order.  keep(payload) returns None to drop a point and its
+    subtree, otherwise the point's record; expand(payload, record, tower)
+    returns the children as (branch, centre, payload) in canonical order,
+    with the tower grown by their centres.  A kept point gets the next pid
+    and is proximate to the points whose divisors E<pid> it tracks; it
+    raises DepthExceeded ("<what> deeper than ...") beyond max_depth.  A
+    child keeps the chart variables of its root and tracks the divisor of
+    its parent and the parent's curves that still pass through it.
+
+    Returns the Configuration, the final tower, and dicts by pid of the
+    records, the payloads, the tracked curves and the roots' plane points.
+    """
+    stack = [
+        (None, None, None, 0, chart_vars, tracked, payload, plane)
+        for plane, chart_vars, tracked, payload in reversed(roots)
+    ]
+    points, records, payloads, curves, planes = [], {}, {}, {}, {}
+    while stack:
+        parent, branch, coordinate, level, chart_vars, tracked, payload, plane = (
+            stack.pop()
+        )
+        record = keep(payload)
+        if record is None:
+            continue
+        if level > max_depth:
+            raise DepthExceeded(f"{what} deeper than {max_depth} levels")
+        pid = len(points)
+        prox = frozenset(int(label[1:]) for label in tracked if label.startswith("E"))
+        points.append(InfNearPoint(pid, parent, branch, coordinate, level, prox))
+        records[pid], payloads[pid], curves[pid] = record, payload, tracked
+        if plane is not None:
+            planes[pid] = plane
+        children, tower = expand(payload, record, tower)
+        pending = []
+        for child_branch, center, child in children:
+            through = track_curves(
+                tracked, f"E{pid}", center, child_branch, chart_vars, tower
+            )
+            at = None if child_branch == V2 else center
+            pending.append(
+                (pid, child_branch, at, level + 1, chart_vars, through, child, None)
+            )
+        stack.extend(reversed(pending))
+    return Configuration(points), tower, records, payloads, curves, planes
+
+
+def _keep_singular(form):
+    """The class of a point the reduction blows up; None for nonsingular and
+    simple points."""
+    if form.is_zero():
+        raise NonIsolatedSingularities("a strict transform vanished")
+    cls = classify(form)
+    return None if cls in (NONSINGULAR, SIMPLE) else cls
+
+
+def _divisor_singularities(form, cls, tower):
+    """The singular points on the divisor of one blow-up: the V2 origin,
+    the single point outside the V1 chart, then the common roots on u = 0
+    of the V1 strict transform."""
+    u, v = form.vars
+    dicritical = cls == DICRITICAL
+    children = []
+    strict2 = blow_up_form(form, 0, V2, dicritical)
+    if strict2.a.coefficient((0, 0)).is_zero() and strict2.b.coefficient(
+        (0, 0)
+    ).is_zero():
+        children.append((V2, 0, strict2))
+    strict1 = blow_up_form(form, 0, V1, dicritical)
+    na0 = strict1.a.restrict(u, 0).with_vars((v,))
+    nb0 = strict1.b.restrict(u, 0).with_vars((v,))
+    g = poly_gcd(na0, nb0)
+    if g.is_zero():
+        raise NonIsolatedSingularities("whole exceptional divisor singular")
+    lam_roots, tower = roots_in_extension(g, tower)
+    for lam in lam_roots:
+        strict = strict1 if lam.is_zero() else blow_up_form(form, lam, V1, dicritical)
+        children.append((V1, lam, strict))
+    return children, tower
+
+
 def reduce(omega, max_depth=64, max_tower_degree=16):
     """Run the full reduction of singularities of a projective 1-form."""
     omega = omega.reduced()
@@ -117,133 +187,34 @@ def reduce(omega, max_depth=64, max_tower_degree=16):
     charts = {"Z": LocalOneForm(f.with_vars(xy), g.with_vars(xy), xy)}
     for name in {"X" if y.is_zero() else "Y" for _, y, z in triples if z.is_zero()}:
         charts[name] = restrict_to_chart(omega, name)
-    nodes = []
-    # work stack of pending points; popped in canonical (depth-first) order
-    stack = []
+    roots = []
     for x, y, z in triples:
         if not z.is_zero():
-            loc = _translate(charts["Z"], {"x": x, "y": y})
-            tracked = {}
+            loc, tracked = _translate(charts["Z"], {"x": x, "y": y}), {}
         else:
-            if y.is_zero():
-                loc = charts["X"]
-            else:
-                loc = _translate(charts["Y"], {"x": x})
+            loc = charts["X"] if y.is_zero() else _translate(charts["Y"], {"x": x})
             tracked = {INFINITY_LINE: MultiPoly.variable("z")}
-        stack.append(
-            {
-                "parent": None,
-                "branch": None,
-                "coordinate": None,
-                "level": 0,
-                "form": loc,
-                "tracked": tracked,
-                "plane_coord": (x, y, z),
-            }
-        )
-    stack.reverse()
+        roots.append(((x, y, z), loc.vars, tracked, loc))
+    sconf, tower, classes, forms, curves, planes = walk_resolution(
+        roots, _keep_singular, _divisor_singularities, tower, max_depth, "reduction"
+    )
 
-    while stack:
-        item = stack.pop()
-        form = item["form"]
-        if form.is_zero():
-            raise NonIsolatedSingularities("a strict transform vanished")
-        cls = classify(form)
-        if cls in (NONSINGULAR, SIMPLE):
-            continue
-        if item["level"] > max_depth:
-            raise DepthExceeded(f"reduction deeper than {max_depth} levels")
-        pid = len(nodes)
-        prox = frozenset(
-            int(label[1:]) for label in item["tracked"] if label.startswith("E")
-        )
-        node = _Node(
-            pid=pid,
-            parent=item["parent"],
-            branch=item["branch"],
-            coordinate=item["coordinate"],
-            level=item["level"],
-            form=form,
-            tracked=item["tracked"],
-            proximate_to=prox,
-            cls=cls,
-            plane_coord=item["plane_coord"],
-        )
-        nodes.append(node)
-
-        u, v = form.vars
-        dicritical = cls == DICRITICAL
-        children = []
-        # the single point of the divisor outside the V1 chart
-        strict2 = blow_up_form(form, 0, V2, dicritical)
-        if strict2.a.coefficient((0, 0)).is_zero() and strict2.b.coefficient(
-            (0, 0)
-        ).is_zero():
-            children.append(
-                {
-                    "parent": pid,
-                    "branch": V2,
-                    "coordinate": None,
-                    "level": item["level"] + 1,
-                    "form": strict2,
-                    "tracked": track_curves(
-                        node.tracked, f"E{pid}", 0, V2, form.vars, tower
-                    ),
-                    "plane_coord": None,
-                }
-            )
-        # V1 chart: divisor singularities at common roots on u = 0
-        strict1 = blow_up_form(form, 0, V1, dicritical)
-        na0 = strict1.a.restrict(u, 0).with_vars((v,))
-        nb0 = strict1.b.restrict(u, 0).with_vars((v,))
-        g = poly_gcd(na0, nb0)
-        if g.is_zero():
-            raise NonIsolatedSingularities("whole exceptional divisor singular")
-        lam_roots, tower = roots_in_extension(g, tower)
-        for lam in lam_roots:
-            children.append(
-                {
-                    "parent": pid,
-                    "branch": V1,
-                    "coordinate": lam,
-                    "level": item["level"] + 1,
-                    "form": strict1
-                    if lam.is_zero()
-                    else blow_up_form(form, lam, V1, dicritical),
-                    "tracked": track_curves(
-                        node.tracked, f"E{pid}", lam, V1, form.vars, tower
-                    ),
-                    "plane_coord": None,
-                }
-            )
-        for child in reversed(children):
-            stack.append(child)
-
-    points = [
-        InfNearPoint(
-            n.pid, n.parent, n.branch, n.coordinate, n.level, n.proximate_to
-        )
-        for n in nodes
-    ]
-    sconf = Configuration(points)
-    dic_ids = [n.pid for n in nodes if n.cls == DICRITICAL]
     closure = set()
-    for pid in dic_ids:
-        closure.update(sconf.ancestors(pid))
-    dconf = sconf.subconfiguration(closure)
-    infinity = frozenset(n.pid for n in nodes if INFINITY_LINE in n.tracked)
+    for pid, cls in classes.items():
+        if cls == DICRITICAL:
+            closure.update(sconf.ancestors(pid))
     return ReductionResult(
         one_form=omega,
         tower=tower,
         singular_configuration=sconf,
-        dicritical_configuration=dconf,
-        classification={n.pid: n.cls for n in nodes},
-        infinity_points=infinity,
-        local_forms={n.pid: n.form for n in nodes},
-        tracked_curves={n.pid: dict(n.tracked) for n in nodes},
-        plane_coords={
-            n.pid: n.plane_coord for n in nodes if n.plane_coord is not None
-        },
+        dicritical_configuration=sconf.subconfiguration(closure),
+        classification=classes,
+        infinity_points=frozenset(
+            pid for pid, tracked in curves.items() if INFINITY_LINE in tracked
+        ),
+        local_forms=forms,
+        tracked_curves=curves,
+        plane_coords=planes,
     )
 
 

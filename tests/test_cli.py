@@ -142,26 +142,36 @@ def test_pencil_command(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, flags, message",
+    "command, text, flags, message",
     [
         # the base points need Q(sqrt 2, sqrt 3), degree 4 over Q
         (
+            "pencil-basepoints",
             "F1 = X^2 - 2*Z^2\nF2 = Y^2 - 3*Z^2\n",
             ["--max-tower-degree", "2"],
             "error: tower degree 4 exceeds cap 2\n",
         ),
         # the base points of the quintic pencil span 13 levels
         (
+            "pencil-basepoints",
             "F1 = X^2*Z^3 + Y^5\nF2 = Z^5\n",
             ["--max-depth", "1"],
             "error: base points deeper than 1 levels\n",
         ),
+        # so does the reduction of the quintic field
+        (
+            "reduce",
+            "p = 5*y^4\nq = -2*x\n",
+            ["--max-depth", "1"],
+            "error: reduction deeper than 1 levels\n",
+        ),
     ],
-    ids=["tower-degree", "depth"],
+    ids=["tower-degree", "depth", "reduce-depth"],
 )
-def test_pencil_budget_exit_code(tmp_path, capsys, text, flags, message):
+def test_pencil_budget_exit_code(tmp_path, capsys, command, text, flags, message):
+    # the budgets of the resolution walker, shared by pencils and reduce
     spec = write(tmp_path, text)
-    code, out, err = run(capsys, ["pencil-basepoints", spec, "--json"] + flags)
+    code, out, err = run(capsys, [command, spec, "--json"] + flags)
     assert code == 1
     assert out == ""
     assert err == message
@@ -203,19 +213,21 @@ def test_invalid_one_form_rejected(tmp_path, capsys):
 def test_routes_disagree_exit_code(tmp_path, capsys, monkeypatch, field):
     import dataclasses
 
-    import waifi.cli as cli
+    import waifi.integrability as integrability
 
-    real = cli.algorithm1
+    real = integrability._certify
 
-    def pairing(V, **kw):
-        cert, reason = real(V, **kw)
+    def certify(V, front, route):
+        cert = real(V, front, route)
+        if route != "pairing":
+            return cert
         if field == "verdict":
-            return None, "planted-disagreement"
+            raise integrability.AnalysisFailure("planted-disagreement")
         if field == "degree":
-            return dataclasses.replace(cert, degree=cert.degree + 1), reason
-        return dataclasses.replace(cert, exponents=[n + 1 for n in cert.exponents]), reason
+            return dataclasses.replace(cert, degree=cert.degree + 1)
+        return dataclasses.replace(cert, exponents=[n + 1 for n in cert.exponents])
 
-    monkeypatch.setattr(cli, "algorithm1", pairing)
+    monkeypatch.setattr(integrability, "_certify", certify)
     spec = write(tmp_path, "p = 2*y\nq = 3*x^2\n")
     code, out, err = run(capsys, ["integrate", spec, "--method", "both", "--json"])
     assert (code, out) == (1, "")
