@@ -125,12 +125,8 @@ def blow_up_chart(center, branch, vars, tower):
     else:
         raise ValueError("branch must be V1 or V2")
     if isinstance(center, FieldElement):
-        if center.tower.depth > tower.depth:
-            tower = center.tower
-        center = center.lift_to(tower)
-    else:
-        center = FieldElement.rational(center, tower)
-    return Chart(vars, divisor, other, center)
+        tower = tower.join(center.tower)
+    return Chart(vars, divisor, other, tower.element(center))
 
 
 def _remap(p, chart, times=None):
@@ -170,8 +166,7 @@ def blow_up_form(omega, center, branch, dicritical=None):
     chart = blow_up_chart(center, branch, omega.vars, omega.a.tower)
     tower = chart.center.tower
     # b can be over a deeper tower than a and the centre
-    a = omega.a.lift_to(tower)
-    b = omega.b.lift_to(tower) if omega.b.tower.is_prefix_of(tower) else omega.b
+    a, b = omega.a.lift_to(tower), omega.b.lift_to(tower.join(omega.b.tower))
     # a du + b dv pulls back to (a + (v + center) b) du + u b dv on V1 and
     # v a du + ((u + center) a + b) dv on V2; the shift comes last
     if branch == V1:

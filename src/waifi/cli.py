@@ -36,6 +36,14 @@ class InputError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an InputError: one error line and exit 1, like any
+    other bad input (argparse itself would exit 2, the "no integral" code)."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 class RoutesDisagree(RuntimeError):
     """integrate --method both: the pairing and Darboux routes differ."""
 
@@ -222,7 +230,7 @@ def _cmd_pencil(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="waifi",
         description="WAI polynomial first integrals of planar polynomial "
         "vector fields",
@@ -234,7 +242,6 @@ def build_parser():
         p.add_argument("--json", action="store_true", help="machine output")
         p.add_argument("--max-depth", type=int, default=64)
         p.add_argument("--max-tower-degree", type=int, default=16)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("reduce", help="reduction of singularities")
     common(p)
@@ -259,14 +266,17 @@ def build_parser():
 
     p = sub.add_parser("pencil-basepoints", help="base points of a pencil")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_pencil)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except (
         InputError,

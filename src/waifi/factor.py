@@ -135,7 +135,7 @@ def roots_in_extension(f, tower=None, adjoin=True):
     if not eff:
         return [], tower
     (var,) = eff
-    f = f.drop_unused_vars().lift_to(tower) if f.tower.is_prefix_of(tower) else f
+    f = f.drop_unused_vars().lift_to(tower)
     g = squarefree_part(f, var)
     while True:
         factors = _factor_squarefree(g, var, tower)
@@ -177,7 +177,7 @@ def adjoin_root(tower, f):
         _, factors = _qq_factor(f, var)
         if len(factors) != 1 or factors[0][1] != 1:
             raise ValueError("polynomial is not irreducible over the rationals")
-    base = f.monic().lift_to(tower) if f.tower.is_prefix_of(tower) else f.monic()
+    base = f.monic().lift_to(tower)
     if tower.depth > 0:
         parts = _factor_squarefree(base, var, tower)
         if any(p.degree_in(var) == 1 for p in parts):

@@ -83,6 +83,22 @@ class Tower:
             return False
         return other.levels[: self.depth] == self.levels
 
+    def join(self, other):
+        """The deeper of two towers of one chain (self when they are equal):
+        the tower every mixed computation of their elements belongs in."""
+        if other.is_prefix_of(self):
+            return self
+        if self.is_prefix_of(other):
+            return other
+        raise ValueError("cannot lift to a non-extension tower")
+
+    def element(self, x):
+        """An int, a Fraction or a FieldElement of a prefix tower as a
+        FieldElement of this tower."""
+        if isinstance(x, FieldElement):
+            return x.lift_to(self)
+        return FieldElement(self, self.lift_rational(x))
+
     def __eq__(self, other):
         return isinstance(other, Tower) and self.levels == other.levels
 
@@ -103,12 +119,12 @@ class Tower:
         return self.lift_rational(_ONE)
 
     def lift_rational(self, q, depth=None):
-        if depth is None:
-            depth = self.depth
-        v = Fraction(q)
-        for j in range(1, depth + 1):
-            pad = (self._zero_at(j - 1),) * (self.level_degree(j) - 1)
-            v = (v,) + pad
+        return self._pad(Fraction(q), 0, self.depth if depth is None else depth)
+
+    def _pad(self, v, lo, hi):
+        """A raw value of depth lo as a raw value of depth hi."""
+        for j in range(lo + 1, hi + 1):
+            v = (v,) + (self._zero_at(j - 1),) * (self.level_degree(j) - 1)
         return v
 
     def _zero_at(self, depth):
@@ -123,24 +139,15 @@ class Tower:
             j = self.depth
         if not 1 <= j <= self.depth:
             raise ValueError("no such level")
-        v = self._zero_at(j - 1)
-        one = self.lift_rational(_ONE, j - 1)
         coeffs = [self._zero_at(j - 1)] * self.level_degree(j)
-        coeffs[1] = one
-        v = tuple(coeffs)
-        for i in range(j + 1, self.depth + 1):
-            pad = (self._zero_at(i - 1),) * (self.level_degree(i) - 1)
-            v = (v,) + pad
-        return v
+        coeffs[1] = self.lift_rational(_ONE, j - 1)
+        return self._pad(tuple(coeffs), j, self.depth)
 
     def lift_value(self, v, from_tower):
         """Lift a raw value of a prefix tower into this tower."""
         if not from_tower.is_prefix_of(self):
-            raise ValueError("not a prefix tower")
-        for j in range(from_tower.depth + 1, self.depth + 1):
-            pad = (self._zero_at(j - 1),) * (self.level_degree(j) - 1)
-            v = (v,) + pad
-        return v
+            raise ValueError("cannot lift to a non-extension tower")
+        return self._pad(v, from_tower.depth, self.depth)
 
     # -- raw arithmetic ----------------------------------------------------
 
@@ -440,15 +447,10 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.tower == self.tower:
-                return self, other
-            if self.tower.is_prefix_of(other.tower):
-                return self.lift_to(other.tower), other
-            if other.tower.is_prefix_of(self.tower):
-                return self, other.lift_to(self.tower)
-            raise ValueError("elements of incompatible towers")
+            tower = self.tower.join(other.tower)
+            return self.lift_to(tower), other.lift_to(tower)
         if isinstance(other, (int, Fraction)):
-            return self, FieldElement(self.tower, self.tower.lift_rational(other))
+            return self, self.tower.element(other)
         return self, NotImplemented
 
     # -- arithmetic --------------------------------------------------------

@@ -223,24 +223,17 @@ def _in_span(target, basis, n):
 
     mons = degree_monomials(n)
     tower = basis[0].tower
-    for b in basis:
-        if b.tower.depth > tower.depth:
-            tower = b.tower
-    rows = []
-    rhs = []
-    for exps in mons:
-        rows.append([b.lift_to(tower).coefficient(exps) if b.tower.is_prefix_of(tower) else b.coefficient(exps) for b in basis])
-        t = target.lift_to(tower) if target.tower.is_prefix_of(tower) else target
-        rhs.append(t.coefficient(exps))
-    return linalg.solve(rows, rhs)
+    for p in basis + [target]:
+        tower = tower.join(p.tower)
+    basis = [b.lift_to(tower) for b in basis]
+    target = target.lift_to(tower)
+    rows = [[b.coefficient(exps) for b in basis] for exps in mons]
+    return linalg.solve(rows, [target.coefficient(exps) for exps in mons])
 
 
 def _drop_zn_multiple(F, n):
     """Remove the Z^n component of a degree-n form."""
-    c = F.coefficient((0, 0, n)) if F.vars == ("X", "Y", "Z") else None
-    if c is None:
-        F = F.with_vars(("X", "Y", "Z"))
-        c = F.coefficient((0, 0, n))
+    c = F.coefficient((0, 0, n))
     if c.is_zero():
         return F
     return F - MultiPoly.constant(c) * MultiPoly.variable("Z") ** n
@@ -277,12 +270,8 @@ def exponents_darboux(V, factors):
     cofactors = [cofactor(V, f) for f in factors]
     tower = QQ_TOWER
     for k in cofactors:
-        if k.tower.depth > tower.depth:
-            tower = k.tower
-    cofactors = [
-        k.lift_to(tower).with_vars(("x", "y")) if k.tower.is_prefix_of(tower) else k.with_vars(("x", "y"))
-        for k in cofactors
-    ]
+        tower = tower.join(k.tower)
+    cofactors = [k.lift_to(tower).with_vars(("x", "y")) for k in cofactors]
     exps = sorted({e for k in cofactors for e in k.terms})
     if not exps:
         # all cofactors vanish: any positive vector works, take all ones
@@ -333,9 +322,7 @@ def _check_line_invariant(res):
         raise AnalysisFailure(LINE_NOT_INVARIANT, "Z=0 is not invariant")
     for rid in res.dicritical_configuration.roots():
         triple = res.plane_coords[rid]
-        z0 = triple[2]
-        z_zero = z0.is_zero() if isinstance(z0, FieldElement) else z0 == 0
-        if not z_zero:
+        if triple[2] != 0:
             raise AnalysisFailure(
                 LINE_NOT_INVARIANT,
                 "a dicritical plane point lies outside the line at infinity",

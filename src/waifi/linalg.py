@@ -15,22 +15,13 @@ from .field import FieldElement, QQ_TOWER
 
 
 def _unwrap(rows):
-    """Split a FieldElement matrix into (raw rows, tower)."""
+    """Split a matrix of FieldElements and rationals into (raw rows, tower)."""
     tower = QQ_TOWER
     for row in rows:
         for x in row:
-            if isinstance(x, FieldElement) and x.tower.depth > tower.depth:
-                tower = x.tower
-    raw = []
-    for row in rows:
-        r = []
-        for x in row:
             if isinstance(x, FieldElement):
-                r.append(x.lift_to(tower).v)
-            else:
-                r.append(tower.lift_rational(Fraction(x)))
-        raw.append(r)
-    return raw, tower
+                tower = tower.join(x.tower)
+    return [[tower.element(x).v for x in row] for row in rows], tower
 
 
 def _int_rows(raw):

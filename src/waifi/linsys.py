@@ -67,16 +67,10 @@ def _generic_curve(m, tower):
     return F, names, mons
 
 
-def _as_field(value, tower):
-    if isinstance(value, FieldElement):
-        return value.lift_to(tower)
-    return FieldElement.rational(value, tower)
-
-
 def _localize(F, triple, tower):
     """Local equation of a curve at a plane point, in variables (u, v)
     matching the chart conventions of reduction.reduce."""
-    x0, y0, z0 = (_as_field(c, tower) for c in triple)
+    x0, y0, z0 = (tower.element(c) for c in triple)
     F = F.lift_to(tower)
     if not z0.is_zero():
         local = dehomogenize(F, "Z", ("u", "v"))
@@ -130,9 +124,7 @@ def _child_transforms(eq, mu, conf, pid):
     for cid in conf.children(pid):
         child = conf.point(cid)
         lam = 0 if child.coordinate is None else child.coordinate
-        chart = blow_up_chart(
-            _as_field(lam, eq.tower), child.branch, ("u", "v"), eq.tower
-        )
+        chart = blow_up_chart(lam, child.branch, ("u", "v"), eq.tower)
         yield cid, strict_transform(eq, chart, mu)
 
 
@@ -148,8 +140,8 @@ def linear_system(m, K, plane_points=None):
     values = [conf.point(pid).coordinate for pid in conf.order]
     for value in values + list(plane_points.values()):
         for c in value if isinstance(value, tuple) else (value,):
-            if isinstance(c, FieldElement) and c.tower.depth > tower.depth:
-                tower = c.tower
+            if isinstance(c, FieldElement):
+                tower = tower.join(c.tower)
 
     F, names, mons = _generic_curve(m, tower)
     cindex = {name: j for j, name in enumerate(names)}

@@ -47,12 +47,9 @@ class MultiPoly:
 
     @staticmethod
     def constant(c, vars=(), tower=None):
-        if isinstance(c, FieldElement):
-            tower = c.tower if tower is None else tower
-            v = c.lift_to(tower).v
-        else:
-            tower = QQ_TOWER if tower is None else tower
-            v = tower.lift_rational(Fraction(c))
+        if tower is None:
+            tower = c.tower if isinstance(c, FieldElement) else QQ_TOWER
+        v = tower.element(c).v
         vars = tuple(sorted(vars))
         if tower.is_zero(v):
             return MultiPoly(vars, {}, tower)
@@ -69,10 +66,7 @@ class MultiPoly:
         vars = tuple(vars)
         terms = {}
         for exps, c in coeffs.items():
-            if isinstance(c, FieldElement):
-                v = c.lift_to(tower).v
-            else:
-                v = tower.lift_rational(Fraction(c))
+            v = tower.element(c).v
             if not tower.is_zero(v):
                 terms[tuple(exps)] = v
         p = MultiPoly(vars, terms, tower)
@@ -105,24 +99,18 @@ class MultiPoly:
     def lift_to(self, tower):
         if tower == self.tower:
             return self
-        if not self.tower.is_prefix_of(tower):
-            raise ValueError("cannot lift to a non-extension tower")
         terms = {e: tower.lift_value(c, self.tower) for e, c in self.terms.items()}
         return MultiPoly(self.vars, terms, tower)
 
     @staticmethod
     def _pair(f, g):
-        if isinstance(g, (int, Fraction)):
-            g = MultiPoly.constant(g, f.vars, f.tower)
-        elif isinstance(g, FieldElement):
-            g = MultiPoly.constant(g)
+        if isinstance(g, (int, Fraction, FieldElement)):
+            g = MultiPoly.constant(g, f.vars)
         if not isinstance(g, MultiPoly):
             return None, None
         if f.tower != g.tower:
-            if f.tower.is_prefix_of(g.tower):
-                f = f.lift_to(g.tower)
-            else:
-                g = g.lift_to(f.tower)
+            tower = f.tower.join(g.tower)
+            f, g = f.lift_to(tower), g.lift_to(tower)
         if f.vars != g.vars:
             allv = tuple(sorted(set(f.vars) | set(g.vars)))
             f = f.with_vars(allv)
@@ -199,7 +187,7 @@ class MultiPoly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = FieldElement.rational(Fraction(other), self.tower)
+            other = self.tower.element(other)
         if isinstance(other, FieldElement):
             return self * other.inverse()
         return NotImplemented
@@ -318,10 +306,8 @@ class MultiPoly:
                 kept.append(i)
                 continue
             val = mapping[v]
-            if isinstance(val, FieldElement):
+            if not isinstance(val, MultiPoly):
                 val = MultiPoly.constant(val)
-            elif not isinstance(val, MultiPoly):
-                val = MultiPoly.constant(Fraction(val), (), tw)
             subs.append((i, val))
         if not subs:
             return self
@@ -329,10 +315,7 @@ class MultiPoly:
         tower = tw
         names = {self.vars[i] for i in kept}
         for _, val in used:
-            if tower.is_prefix_of(val.tower):
-                tower = val.tower
-            elif not val.tower.is_prefix_of(tower):
-                raise ValueError("cannot lift to a non-extension tower")
+            tower = tower.join(val.tower)
             names.update(val.vars)
         vars = tuple(sorted(names))
         n = len(vars)
@@ -374,13 +357,9 @@ class MultiPoly:
         """(tower, raw value) of a FieldElement or a rational, over the
         deeper of its tower and self's."""
         tw = self.tower
-        if not isinstance(value, FieldElement):
-            return tw, tw.lift_rational(Fraction(value))
-        if tw.is_prefix_of(value.tower):
-            tw = value.tower
-        elif not value.tower.is_prefix_of(tw):
-            raise ValueError("cannot lift to a non-extension tower")
-        return tw, value.lift_to(tw).v
+        if isinstance(value, FieldElement):
+            tw = tw.join(value.tower)
+        return tw, tw.element(value).v
 
     def _columns(self, i, tower):
         """Coefficient lists in the variable at position i, keyed by the
@@ -814,8 +793,7 @@ def resultant(f, g, var):
 def _lagrange(points, values, var):
     tower = QQ_TOWER
     for v in values:
-        if v.tower.depth > tower.depth:
-            tower = v.tower
+        tower = tower.join(v.tower)
     x = MultiPoly.variable(var, tower)
     total = MultiPoly.zero((var,), tower)
     for i, (xi, yi) in enumerate(zip(points, values)):
@@ -828,7 +806,7 @@ def _lagrange(points, values, var):
                 continue
             num = num * (x - MultiPoly.constant(xj, (var,), tower))
             den *= xi - xj
-        total = total + num * (yi.lift_to(tower) / FieldElement.rational(den, tower))
+        total = total + num * (yi.lift_to(tower) / den)
     return total
 
 

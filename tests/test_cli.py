@@ -187,6 +187,12 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert code == 1
     code, _, err = run(capsys, ["integrate", str(tmp_path / "nope.txt")])
     assert code == 1
+    # usage errors: no input file, an unknown flag, no subcommand
+    for argv in (["integrate"], ["integrate", spec, "--bogus"], []):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_tower_budget_exit_code(tmp_path, capsys):

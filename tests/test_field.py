@@ -56,6 +56,17 @@ def test_lift_and_coerce():
     a = FieldElement.rational(Fraction(1, 2), QQ_TOWER)
     i = FieldElement.generator(t)
     assert (a + i) == i + Fraction(1, 2)
+    assert QQ_TOWER.join(t) is t and t.join(QQ_TOWER) is t
+    assert t.element(a) == a and t.element(a).tower == t
+    assert t.element(3) == FieldElement.rational(3, t)
+    # towers that are not one chain: no join, and elements compare unequal
+    ts = Tower().adjoin("s", (Fraction(-2), Fraction(0), Fraction(1)))
+    s = FieldElement.generator(ts)
+    with pytest.raises(ValueError, match="non-extension"):
+        t.join(ts)
+    with pytest.raises(ValueError, match="non-extension"):
+        i + s
+    assert not (i == s)
 
 
 def test_split_required_on_zero_divisor():

@@ -253,6 +253,40 @@ def substitution_cases(draw):
     return p, mapping
 
 
+U, V = sympy.symbols("u v")
+
+
+def uv_to_sympy(p):
+    """A polynomial in u, v over QS as a sympy expression in sqrt(2)."""
+    syms = {"u": U, "v": V}
+    expr = sympy.Integer(0)
+    for e, c in p.terms.items():
+        term = coeff_to_sympy(p.tower, c)
+        for var, k in zip(p.vars, e):
+            term *= syms[var] ** k
+        expr += term
+    return sympy.expand(expr)
+
+
+def uv_polys():
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return st.dictionaries(exps, field_elements(QS), min_size=1, max_size=3).map(
+        lambda d: MultiPoly.from_coeff_dict(("u", "v"), d, QS)
+    ).filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=40, deadline=None)
+@given(uv_polys(), uv_polys(), uv_polys())
+def test_gcd_over_extension_matches_sympy(h, p, q):
+    # over a tower poly_gcd recurses on the content and a primitive PRS in a
+    # main variable; sympy's gcd over QQ(sqrt 2) is the oracle of its degree
+    f, g = h * p, h * q
+    ours = poly_gcd(f, g)
+    assert ours.divides(f) and ours.divides(g)
+    theirs = sympy.gcd(uv_to_sympy(f), uv_to_sympy(g), extension=sympy.sqrt(2))
+    assert ours.total_degree() == sympy.Poly(theirs, U, V).total_degree()
+
+
 @settings(max_examples=200, deadline=None)
 @given(substitution_cases())
 def test_substitute_matches_reference_and_sympy(case):
