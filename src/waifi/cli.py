@@ -13,7 +13,7 @@ import sys
 
 from .blowup import DivisibilityViolation
 from .factor import NoSquarefreeShift
-from .field import ExtensionDegreeExceeded
+from .field import ExtensionDegreeExceeded, SplitRequired
 from .infnear import export_proximity_graph, proximity_graph_dot
 from .integrability import (
     AnalysisFailure,
@@ -284,6 +284,7 @@ def main(argv=None):
         DepthExceeded,
         CommonComponent,
         ExtensionDegreeExceeded,
+        SplitRequired,
         RoutesDisagree,
         DivisibilityViolation,
         NoSquarefreeShift,

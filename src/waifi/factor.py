@@ -1,11 +1,16 @@
 """Univariate factorisation and root finding over the rationals and over
 extension towers.
 
-Rational factorisation is delegated to sympy.  Over a proper tower, a
-squarefree polynomial is factored through its norm: resultants against the
-top minimal polynomial push the problem one level down, the shifted norm is
-factored recursively, and gcds pull the factors back up.  Roots that do not
-exist yet can be adjoined, growing the tower up to its degree cap.
+Over the rationals, factorisation and gcds go through sympy's sparse
+integer ring: a polynomial is cleared to integers plus one denominator
+(poly.to_zz), factored over the integers, and the unit is the integer
+content over that denominator, as sympy's own rational factorisation does.
+Over a proper tower, a squarefree polynomial is factored through its norm:
+resultants against the top minimal polynomial push the problem one level
+down, the shifted norm is factored recursively, and gcds pull the factors
+back up (the Taylor shifts there run on tower values; only shifts over the
+rationals run on integers).  Roots that do not exist yet can be adjoined,
+growing the tower up to its degree cap.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .field import FieldElement, Tower
-from .poly import MultiPoly, from_sympy, poly_gcd, resultant, to_sympy
+from .poly import MultiPoly, from_zz, poly_gcd, resultant, to_zz
 
 _ZVAR = "@z"
 
@@ -23,9 +28,12 @@ class NoSquarefreeShift(RuntimeError):
 
 
 def _qq_factor(f, var):
-    const, factors = to_sympy(f, (var,)).factor_list()
-    unit = Fraction(const.p, const.q)
-    return unit, [(from_sympy(p, (var,)), m) for p, m in factors]
+    # sympy factors over the rationals by clearing denominators and
+    # factoring over the integers; doing that here gives the same factors
+    h, den = to_zz(f, (var,))
+    content, factors = h.factor_list()
+    unit = Fraction(int(content), den)
+    return unit, [(from_zz(p, 1, (var,)), m) for p, m in factors]
 
 
 def univ_factor(f):

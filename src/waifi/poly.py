@@ -8,9 +8,13 @@ variable tuple is always sorted, so equal polynomials have equal dicts.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from math import lcm
 from operator import add
 
-import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyRing
 
 from . import linalg
 from .field import FieldElement, QQ_TOWER
@@ -382,7 +386,9 @@ class MultiPoly:
 
         The result of substitute({var: var + value}) on the ring self.vars:
         self when var never occurs, otherwise over the deeper of the two
-        towers.
+        towers.  Over the rationals each coefficient column is shifted on
+        integers (_shift_rational_column); over a proper tower it is
+        synthetic division on raw tower values.
         """
         if var not in self.vars:
             return self
@@ -394,15 +400,18 @@ class MultiPoly:
             return self.lift_to(tower)
         terms = {}
         for rest, col in self._columns(i, tower).items():
-            # synthetic division by var - lam, d times in place
-            d = len(col) - 1
-            for j in range(d):
-                for m in range(d - 1, j - 1, -1):
-                    c = col[m + 1]
-                    if c is None:
-                        continue
-                    c = tower.mul(lam, c)
-                    col[m] = c if col[m] is None else tower.add(col[m], c)
+            if tower.depth == 0:
+                col = _shift_rational_column(col, lam)
+            else:
+                # synthetic division by var - lam, d times in place
+                d = len(col) - 1
+                for j in range(d):
+                    for m in range(d - 1, j - 1, -1):
+                        c = col[m + 1]
+                        if c is None:
+                            continue
+                        c = tower.mul(lam, c)
+                        col[m] = c if col[m] is None else tower.add(col[m], c)
             for k, c in enumerate(col):
                 if c is not None and not tower.is_zero(c):
                     terms[rest[:i] + (k,) + rest[i:]] = c
@@ -585,9 +594,11 @@ def poly_gcd(f, g):
     if not shared:
         return MultiPoly.constant(1, (), f.tower)
     if f.tower.depth == 0:
+        # heuristic gcd over the integers; dividing by the lex-leading
+        # coefficient gives the monic gcd over the rationals
         names = tuple(sorted(set(f.vars) | set(g.vars)))
-        h = to_sympy(f, names).gcd(to_sympy(g, names))
-        return from_sympy(h, names).monic()
+        h = to_zz(f, names)[0].gcd(to_zz(g, names)[0])
+        return from_zz(h, int(h.LC), names)
     if len(f.effective_vars()) == 1 and f.effective_vars() == g.effective_vars():
         return _euclid_univ_gcd(f, g, shared[0])
     # main variable: smallest worst-case degree keeps the recursion shallow
@@ -604,24 +615,59 @@ def poly_gcd(f, g):
     return result.monic()
 
 
-def to_sympy(p, names):
-    """A rational-coefficient polynomial as a sympy Poly over QQ in the
-    generators `names`, a sorted superset of p.vars."""
+@cache
+def _zz_ring(names):
+    # built once per generator tuple: every rational gcd and factorisation
+    # asks for a ring, and constructing one is a sizeable part of a small gcd
+    return PolyRing(names, ZZ, lex)
+
+
+def to_zz(p, names):
+    """A rational-coefficient polynomial as (h, den): h in sympy's sparse
+    integer ring on the generators `names` (a sorted superset of p.vars,
+    lex order) and den > 0 the least common denominator, so p = h/den."""
     p = p.with_vars(names)
-    rep = {}
-    for e, c in p.terms.items():
-        q = p.tower.as_rational(c)
-        rep[e] = sympy.QQ(q.numerator, q.denominator)
-    return sympy.Poly.from_dict(rep, *map(sympy.Symbol, names), domain=sympy.QQ)
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    rep = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    return _zz_ring(names).from_dict(rep), den
 
 
-def from_sympy(h, names):
-    """Inverse of to_sympy: a sympy Poly over QQ in `names` as a MultiPoly."""
-    terms = {
-        e: Fraction(int(c.numerator), int(c.denominator))
-        for e, c in h.as_dict(native=True).items()
-    }
+def from_zz(h, den, names):
+    """Inverse of to_zz: h/den as a MultiPoly in `names`, for h in the
+    integer ring on `names` and a non-zero integer den."""
+    terms = {e: Fraction(int(c), den) for e, c in h.items()}
     return MultiPoly(names, terms, QQ_TOWER)
+
+
+def _shift_rational_column(col, lam):
+    """Taylor shift of one rational coefficient column [c0, c1, ...] (None
+    for a missing power) by lam = a/b, on integers.
+
+    With den the least common denominator of the column and d its degree,
+    h_k = c_k * den * b^(d-k) are integers, the synthetic division shifts
+    them by a, and each shifted h_k is read back as h_k * b^k / (den * b^d).
+    Returns the shifted column, None where a coefficient is zero.
+    """
+    a, b = lam.numerator, lam.denominator
+    d = len(col) - 1
+    den = lcm(*(c.denominator for c in col if c is not None))
+    h = [0] * (d + 1)
+    bpow = 1  # b^(d-k)
+    for k in range(d, -1, -1):
+        c = col[k]
+        if c is not None:
+            h[k] = c.numerator * (den // c.denominator) * bpow
+        bpow *= b
+    for j in range(d):
+        for m in range(d - 1, j - 1, -1):
+            h[m] += a * h[m + 1]
+    scale = den * b**d
+    out = []
+    bk = 1
+    for hk in h:
+        out.append(Fraction(hk * bk, scale) if hk else None)
+        bk *= b
+    return out
 
 
 def _euclid_univ_gcd(f, g, var):

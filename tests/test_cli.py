@@ -280,3 +280,21 @@ def test_no_generic_pencil_member_exit_code(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["pencil-basepoints", spec])
     assert (code, out) == (1, "")
     assert err == "error: no generic pencil member found after 8 draws\n"
+
+
+def test_split_required_exit_code(tmp_path, capsys, monkeypatch):
+    from fractions import Fraction
+
+    import waifi.reduction as reduction
+    from waifi.field import SplitRequired
+
+    def split(form):
+        # x^2 - 1 = (x - 1)(x + 1) found while inverting at level 1
+        one = Fraction(1)
+        raise SplitRequired(1, ((-one, one), (one, one)))
+
+    monkeypatch.setattr(reduction, "classify", split)
+    spec = write(tmp_path, "p = 5*y^4\nq = -2*x\n")
+    code, out, err = run(capsys, ["reduce", spec])
+    assert (code, out) == (1, "")
+    assert err == "error: modulus at level 1 factors\n"

@@ -133,6 +133,21 @@ def test_univ_factor_edge_cases():
     ]
 
 
+def test_univ_factor_rational_unit_and_order():
+    # non-integer leading coefficients: the unit takes the rational content,
+    # the factors are primitive over the integers, in (degree, text) order
+    cases = {
+        "-5/6*x^2*(2*x + 1)*(3*x - 1)": [
+            ("-5/6", 1), ("2*x + 1", 1), ("3*x - 1", 1), ("x", 2)
+        ],
+        "7/4*x^4 - 7/4": [("7/4", 1), ("x + 1", 1), ("x - 1", 1), ("x^2 + 1", 1)],
+        "2/9*(x^2 - 2)^2*(3*x + 1/2)": [("1/9", 1), ("6*x + 1", 1), ("x^2 - 2", 2)],
+    }
+    for text, expect in cases.items():
+        factors = univ_factor(parse_poly(text))
+        assert [(p.to_string(), m) for p, m in factors] == expect
+
+
 @st.composite
 def planted_systems(draw):
     """Coprime f, g whose common zeros are (x0, r(x0)) for the roots x0 of

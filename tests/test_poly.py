@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -10,11 +11,11 @@ from waifi.poly import (
     MultiPoly,
     PolySyntaxError,
     UnknownVariable,
-    from_sympy,
+    from_zz,
     parse_poly,
     poly_gcd,
     resultant,
-    to_sympy as bridge_to_sympy,
+    to_zz,
 )
 
 
@@ -86,27 +87,36 @@ def test_gcd_simple():
 
 def test_gcd_against_sympy_oracle():
     rng = random.Random(11)
+    syms = {"x": X, "y": Y, "z": sympy.Symbol("z")}
 
-    def rand_poly():
+    def rand_poly(vars):
         terms = {}
         for _ in range(rng.randint(0, 4)):
-            terms[(rng.randint(0, 3), rng.randint(0, 3))] = Fraction(
-                rng.randint(-5, 5), rng.randint(1, 3)
-            )
-        return MultiPoly.from_coeff_dict(("x", "y"), terms)
+            e = tuple(rng.randint(0, 3) for _ in vars)
+            terms[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        return MultiPoly.from_coeff_dict(vars, terms)
 
-    for _ in range(60):
-        a, b, c = rand_poly(), rand_poly(), rand_poly()
-        f, g = a * c, b * c
+    def rand_content():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 12))
+
+    cases = []
+    for vars in (("x", "y"), ("x", "y", "z")):
+        for _ in range(60):
+            a, b, c = rand_poly(vars), rand_poly(vars), rand_poly(vars)
+            cases.append((a * c, b * c))
+            # the same pair with rational content on both sides
+            cases.append((a * c * rand_content(), b * c * rand_content()))
+    for f, g in cases:
         ours = poly_gcd(f, g)
         if f.is_zero() and g.is_zero():
             assert ours.is_zero()
             continue
         assert ours.divides(f) and ours.divides(g)
+        gens = [syms[v] for v in f.vars]
         theirs = sympy.Poly(
-            sympy.gcd(to_sympy(f, SYMS), to_sympy(g, SYMS)), X, Y, domain="QQ"
+            sympy.gcd(to_sympy(f, syms), to_sympy(g, syms)), *gens, domain="QQ"
         ).monic()
-        assert to_sympy(ours, SYMS) == theirs.as_expr()
+        assert to_sympy(ours, syms) == theirs.as_expr()
 
 
 def test_resultant_matches_sympy():
@@ -355,6 +365,54 @@ def test_shift_matches_substitute(case):
         assert ours is p
 
 
+# pencil members carry coefficients of size 10^6; the x-columns of SPARSE
+# miss powers (x^5 next to x^3 and x^2), and its constant has a denominator
+SPARSE = parse_poly(
+    "1000003*x^5*y*z - 999999/7*x^3*y^2 + 123456*x^2*z^3 - 1000000*y^3 + 7/1000000"
+)
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(3, 7), Fraction(-5, 2), -4, 0, Fraction(-1000000, 999999)]
+)
+@pytest.mark.parametrize("var", ["x", "y", "z"])
+def test_rational_shift_matches_reference(var, value):
+    ours = SPARSE.shift(var, value)
+    ref = reference_substitute(
+        SPARSE, {var: MultiPoly.variable(var) + MultiPoly.constant(Fraction(value))}
+    )
+    assert ours.vars == SPARSE.vars and ours.tower == QQ_TOWER
+    assert ours.terms == ref.terms
+
+
+def test_shift_over_tower_takes_the_tower_loop(monkeypatch):
+    import waifi.poly as poly
+
+    shifted = []
+    real = poly._shift_rational_column
+
+    def spy(col, lam):
+        shifted.append(lam)
+        return real(col, lam)
+
+    monkeypatch.setattr(poly, "_shift_rational_column", spy)
+    assert SPARSE.shift("x", Fraction(1, 2)).terms == reference_substitute(
+        SPARSE, {"x": MultiPoly.variable("x") + MultiPoly.constant(Fraction(1, 2))}
+    ).terms
+    # one integer shift per column, that is per monomial in y and z: y*z,
+    # y^2, z^3, y^3 and 1
+    assert shifted == [Fraction(1, 2)] * 5
+    shifted.clear()
+    # a rational polynomial shifted by sqrt 2, over Q(sqrt 2)
+    s = FieldElement.generator(QS)
+    ours = SPARSE.shift("x", s)
+    ref = reference_substitute(
+        SPARSE, {"x": MultiPoly.variable("x", QS) + MultiPoly.constant(s)}
+    )
+    assert ours.tower == QS and ours.terms == ref.terms
+    assert shifted == []
+
+
 @st.composite
 def restrict_cases(draw):
     p, var, value = draw(shift_cases())
@@ -405,14 +463,17 @@ def test_resultant_sign_convention():
     assert r == parse_poly("-y^3 - y")
 
 
-# -- the dict-level sympy bridge: differential tests against sympy ---------
+# -- the sympy bridge: sparse polynomials over the integers -----------------
 
 
 def test_bridge_roundtrip():
     for text in ("0", "7/3", "x^3 - 1/2*x*y + y^2", "x*z - 4"):
         p = parse_poly(text)
         names = tuple(sorted(set(p.vars) | {"x", "y"}))
-        back = from_sympy(bridge_to_sympy(p, names), names)
+        h, den = to_zz(p, names)
+        assert h.ring.symbols == tuple(map(sympy.Symbol, names))
+        assert gcd(den, *h.values()) == 1  # the least common denominator
+        back = from_zz(h, den, names)
         assert back.vars == names and back == p
         assert back.terms == p.with_vars(names).terms
 
