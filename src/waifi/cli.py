@@ -113,11 +113,16 @@ def _human_points(conf, classification=None, dicritical=(), infinity=()):
     return "\n".join(lines)
 
 
-def _cmd_reduce(args):
+def _reduce_input(args):
+    """The reduction of the field or 1-form read from args.input."""
     form = _one_form(_read_spec(args.input))
-    res = reduce_form(
+    return reduce_form(
         form, max_depth=args.max_depth, max_tower_degree=args.max_tower_degree
     )
+
+
+def _cmd_reduce(args):
+    res = _reduce_input(args)
     if args.dot:
         dic = {
             pid
@@ -136,10 +141,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_dicritical(args):
-    form = _one_form(_read_spec(args.input))
-    res = reduce_form(
-        form, max_depth=args.max_depth, max_tower_degree=args.max_tower_degree
-    )
+    res = _reduce_input(args)
     conf = res.dicritical_configuration
     dic = {pid for pid in conf.order if res.classification[pid] == "dicritical"}
     doc = export_proximity_graph(conf, dicritical=dic)
@@ -180,10 +182,7 @@ def _cmd_integrate(args):
 
 
 def _cmd_poincare(args):
-    form = _one_form(_read_spec(args.input))
-    res = reduce_form(
-        form, max_depth=args.max_depth, max_tower_degree=args.max_tower_degree
-    )
+    res = _reduce_input(args)
     conf = res.dicritical_configuration
     try:
         if args.bound:

@@ -10,13 +10,12 @@ and verifies the product is a first integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .field import FieldElement, QQ_TOWER
+from .field import QQ_TOWER
 from .infnear import Cluster, PairingVector, e_vector, multiplicity_system
-from .linsys import EmptySystem, linear_system
+from .linsys import EmptySystem, degree_monomials, linear_system
 from .poly import MultiPoly
 from .reduction import StructureMismatch, maximal_free_pairs, reduce as reduce_form
 from .vfield import (
@@ -57,10 +56,15 @@ class SFamily:
     maximal: list          # R_1..R_r (pids)
     free_maximal: list     # M_1..M_r (pids)
     c_vectors: list        # PairingVector per R_i
-    e_vectors: dict        # pid -> PairingVector, over N(X)
+    e_vectors: dict        # pid -> PairingVector, over N(X), by increasing pid
     h_systems: list        # per i: pid -> multiplicity
     d_values: list         # per i: degree d_i
     infinity: frozenset
+
+    @property
+    def vectors(self):
+        """S in its fixed order: c_1..c_r, then the e_P by increasing pid."""
+        return self.c_vectors + list(self.e_vectors.values())
 
 
 @dataclass
@@ -103,7 +107,7 @@ def assemble_S_from(conf, infinity):
         d_values.append(d)
     maximal = set(R)
     e_vectors = {
-        pid: e_vector(conf, pid) for pid in conf.order if pid not in maximal
+        pid: e_vector(conf, pid) for pid in sorted(conf.order) if pid not in maximal
     }
     return SFamily(
         configuration=conf,
@@ -122,10 +126,6 @@ def assemble_S(res):
         res.dicritical_configuration,
         frozenset(res.infinity_points) & set(res.dicritical_configuration.order),
     )
-
-
-def _q(x):
-    return FieldElement.rational(Fraction(x), QQ_TOWER)
 
 
 def _primitive_positive(vec, reason, what):
@@ -147,14 +147,14 @@ def _primitive_positive(vec, reason, what):
 def compute_R(family):
     """The positive integer generator of the orthogonal complement of S."""
     conf = family.configuration
-    S = family.c_vectors + [family.e_vectors[p] for p in sorted(family.e_vectors)]
     rows = []
-    for s in S:
+    for s in family.vectors:
         lst = s.as_list()
-        rows.append([_q(lst[0])] + [_q(-x) for x in lst[1:]])
-    if linalg.rank(rows) < len(S):
-        raise AnalysisFailure(S_DEPENDENT, "the family S is linearly dependent")
+        rows.append([lst[0]] + [-x for x in lst[1:]])
     vecs = linalg.nullspace(rows)
+    # rank = columns - nullity, both read from the one reduced echelon form
+    if 1 + len(conf.order) - len(vecs) < len(rows):
+        raise AnalysisFailure(S_DEPENDENT, "the family S is linearly dependent")
     if len(vecs) != 1:
         raise AnalysisFailure(R_NOT_RANK_ONE, f"solution space has dim {len(vecs)}")
     ints = _primitive_positive(vecs[0], R_NON_INTEGRAL, "R")
@@ -219,14 +219,7 @@ def extract_curves(res, family, R):
 
 def _in_span(target, basis, n):
     """Coordinates of target in the span of basis (all degree-n forms)."""
-    from .linsys import degree_monomials
-
     mons = degree_monomials(n)
-    tower = basis[0].tower
-    for p in basis + [target]:
-        tower = tower.join(p.tower)
-    basis = [b.lift_to(tower) for b in basis]
-    target = target.lift_to(tower)
     rows = [[b.coefficient(exps) for b in basis] for exps in mons]
     return linalg.solve(rows, [target.coefficient(exps) for exps in mons])
 
@@ -241,11 +234,9 @@ def _drop_zn_multiple(F, n):
 
 def exponents_pairing(family, R):
     """Solve R = sum n_i c_i + sum b_P e_P in the basis S."""
-    e_ids = sorted(family.e_vectors)
-    S = family.c_vectors + [family.e_vectors[p] for p in e_ids]
-    cols = [s.as_list() for s in S]
-    rhs = [_q(x) for x in R.as_list()]
-    rows = [[_q(col[k]) for col in cols] for k in range(len(rhs))]
+    cols = [s.as_list() for s in family.vectors]
+    rhs = R.as_list()
+    rows = [[col[k] for col in cols] for k in range(len(rhs))]
     sol = linalg.solve(rows, rhs)
     if sol is None:
         raise AnalysisFailure(EXPONENTS_INVALID, "R is not in the span of S")
@@ -257,7 +248,7 @@ def exponents_pairing(family, R):
         vals.append(int(q))
     r = len(family.c_vectors)
     n_i = vals[:r]
-    b_P = dict(zip(e_ids, vals[r:]))
+    b_P = dict(zip(family.e_vectors, vals[r:]))
     if any(n <= 0 for n in n_i):
         raise AnalysisFailure(EXPONENTS_INVALID, "exponents must be positive")
     if any(b < 0 for b in b_P.values()):
@@ -285,31 +276,33 @@ def exponents_darboux(V, factors):
     return _primitive_positive(vecs[0], EXPONENTS_INVALID, "cofactor relation")
 
 
+def _over_q(f):
+    """f as the same polynomial over Q, or None if a coefficient is not
+    rational."""
+    coeffs = {e: f.tower.as_rational(c) for e, c in f.terms.items()}
+    if None in coeffs.values():
+        return None
+    return MultiPoly.from_coeff_dict(f.vars, coeffs)
+
+
 def _recombine_conjugates(factors, exponents):
     """Group non-rational factors with equal exponent into rational products
     for display; the raw factorization stays in the certificate."""
     out = []
     by_exp = {}
     for f, n in zip(factors, exponents):
-        rational = all(f.tower.as_rational(c) is not None for c in f.terms.values())
-        if rational and f.tower.depth > 0:
-            f = MultiPoly.from_coeff_dict(
-                f.vars, {e: f.tower.as_rational(c) for e, c in f.terms.items()}
-            )
-        if rational:
-            out.append((f, n))
+        rational = _over_q(f)
+        if rational is not None:
+            out.append((rational, n))
         else:
             by_exp.setdefault(n, []).append(f)
     for n, group in by_exp.items():
         prod = group[0]
         for f in group[1:]:
             prod = prod * f
-        if all(prod.tower.as_rational(c) is not None for c in prod.terms.values()):
-            prod = MultiPoly.from_coeff_dict(
-                prod.vars,
-                {e: prod.tower.as_rational(c) for e, c in prod.terms.items()},
-            )
-            out.append((prod.monic() if prod.tower.depth == 0 else prod, n))
+        rational = _over_q(prod)
+        if rational is not None:
+            out.append((rational.monic(), n))
         else:
             out.extend((f, n) for f in group)
     return [f for f, _ in out], [n for _, n in out]

@@ -148,13 +148,6 @@ def _rref(rows):
     return ech, pivots, tower
 
 
-def rank(rows):
-    if not rows:
-        return 0
-    _, pivots, _ = _rref(rows)
-    return len(pivots)
-
-
 def nullspace(rows):
     """Basis of the right kernel of a matrix of FieldElement entries.
 

@@ -1,11 +1,11 @@
 """Linear systems of curves through clusters, and base-point clusters of
 pencils.
 
-The linear system L_m(K) is assembled by carrying a generic degree-m curve
-with symbolic coefficients through the virtual transforms of the cluster:
-at each point every jet coefficient below the virtual multiplicity is a
-linear functional of the unknowns, and the system's basis is the nullspace
-of the collected constraints.
+The linear system L_m(K) is assembled by carrying the degree-m monomials
+through the virtual transforms of the cluster: at each point every jet
+coefficient below the virtual multiplicity is a linear functional of the
+curve's coefficients, and the system's basis is the nullspace of the
+collected constraints.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class LinearSystemBasis:
     degree: int
     cluster: Cluster
     basis: list
-    monomials: list
 
 
 def degree_monomials(m):
@@ -53,85 +52,47 @@ def degree_monomials(m):
     return out
 
 
-def _generic_curve(m, tower):
-    mons = degree_monomials(m)
-    names = [f"@c{j}" for j in range(len(mons))]
-    F = MultiPoly.zero(tuple(sorted(names + ["X", "Y", "Z"])), tower)
-    for name, (a, b, c) in zip(names, mons):
-        F = F + (
-            MultiPoly.variable(name, tower)
-            * MultiPoly.variable("X", tower) ** a
-            * MultiPoly.variable("Y", tower) ** b
-            * MultiPoly.variable("Z", tower) ** c
-        )
-    return F, names, mons
-
-
-def _localize(F, triple, tower):
-    """Local equation of a curve at a plane point, in variables (u, v)
+def _localize(curves, triple, tower):
+    """Local equations of curves at a plane point, polynomials in (u, v)
     matching the chart conventions of reduction.reduce."""
     x0, y0, z0 = (tower.element(c) for c in triple)
-    F = F.lift_to(tower)
     if not z0.is_zero():
-        local = dehomogenize(F, "Z", ("u", "v"))
-        return local.shift("u", x0 / z0).shift("v", y0 / z0)
-    if not y0.is_zero():
-        return dehomogenize(F, "Y", ("u", "v")).shift("u", x0 / y0)
-    return dehomogenize(F, "X", ("u", "v"))
+        one, shifts = "Z", (("u", x0 / z0), ("v", y0 / z0))
+    elif not y0.is_zero():
+        one, shifts = "Y", (("u", x0 / y0),)
+    else:
+        one, shifts = "X", ()
+    out = []
+    for F in curves:
+        local = dehomogenize(F.lift_to(tower), one, ("u", "v"))
+        for var, c in shifts:
+            local = local.shift(var, c)
+        out.append(local.with_vars(("u", "v")))
+    return out
 
 
-def _split_jet(eq, mu, cindex):
-    """Constraint rows from all terms of (u,v)-degree below mu, and the
-    polynomial with those terms removed."""
-    iu = eq.vars.index("u") if "u" in eq.vars else None
-    iv = eq.vars.index("v") if "v" in eq.vars else None
-    tower = eq.tower
-    U = len(cindex)
-    groups = {}
-    keep = {}
-    for exps, c in eq.terms.items():
-        d = (exps[iu] if iu is not None else 0) + (
-            exps[iv] if iv is not None else 0
-        )
-        if d >= mu:
-            keep[exps] = c
-            continue
-        j = None
-        rest = []
-        for var, e in zip(eq.vars, exps):
-            if var in cindex:
-                if e:
-                    j = cindex[var]
-            elif var not in ("u", "v"):
-                rest.append((var, e))
-        if j is None:
-            raise EmptySystem("constant obstruction in a virtual transform")
-        key = tuple(
-            e if var in ("u", "v") else 0 for var, e in zip(eq.vars, exps)
-        )
-        row = groups.setdefault(key, [tower.zero()] * U)
-        row[j] = tower.add(row[j], c)
-    rows = [
-        [FieldElement(tower, c) for c in row] for row in groups.values()
-    ]
-    return rows, MultiPoly(eq.vars, keep, tower)
-
-
-def _child_transforms(eq, mu, conf, pid):
-    """(child id, strict transform of eq divided by the divisor to the power
-    mu, or None when not divisible) for each child of pid, recentred at the
-    child; eq is a local equation at pid in u, v."""
+def _child_transforms(eqs, mu, conf, pid):
+    """(child id, the strict transforms of eqs divided by the divisor to the
+    power mu, None where not divisible) for each child of pid, recentred at
+    the child; eqs are local equations at pid in u, v over one tower."""
     for cid in conf.children(pid):
         child = conf.point(cid)
         lam = 0 if child.coordinate is None else child.coordinate
-        chart = blow_up_chart(lam, child.branch, ("u", "v"), eq.tower)
-        yield cid, strict_transform(eq, chart, mu)
+        chart = blow_up_chart(lam, child.branch, ("u", "v"), eqs[0].tower)
+        yield cid, [strict_transform(eq, chart, mu) for eq in eqs]
 
 
 def linear_system(m, K, plane_points=None):
     """Basis of the curves of degree m passing virtually through the cluster
     K.  Plane (root) locations are taken from the root points' coordinate
-    triples, or from plane_points[pid]."""
+    triples, or from plane_points[pid].
+
+    Virtual transforms are linear in the curve, so each degree-m monomial is
+    carried through the cluster on its own: at a point of virtual
+    multiplicity mu, the coefficients of one (u, v)-monomial of degree below
+    mu across the monomials' transforms make one constraint row, and those
+    terms are dropped before the transforms move on to the children.
+    """
     if m < 1:
         raise ValueError("degree must be at least 1")
     conf = K.configuration
@@ -143,18 +104,30 @@ def linear_system(m, K, plane_points=None):
             if isinstance(c, FieldElement):
                 tower = tower.join(c.tower)
 
-    F, names, mons = _generic_curve(m, tower)
-    cindex = {name: j for j, name in enumerate(names)}
+    mons = degree_monomials(m)
+    curves = [MultiPoly(("X", "Y", "Z"), {e: tower.one()}, tower) for e in mons]
+    U = len(mons)
     constraints = []
 
-    def walk(pid, eq):
+    def walk(pid, eqs):
         mu = K.multiplicities[pid]
-        rows, pruned = _split_jet(eq, mu, cindex)
-        constraints.extend(rows)
-        for cid, child_eq in _child_transforms(pruned, mu, conf, pid):
-            if child_eq is None:
-                raise AssertionError("virtual transform not divisible after pruning")
-            walk(cid, child_eq)
+        rows = {}
+        pruned = []
+        for j, eq in enumerate(eqs):
+            keep = {}
+            for e, c in eq.terms.items():
+                if e[0] + e[1] < mu:
+                    rows.setdefault(e, {})[j] = c
+                else:
+                    keep[e] = c
+            pruned.append(MultiPoly(eq.vars, keep, eq.tower))
+        zero = tower.zero()
+        constraints.extend(
+            [FieldElement(tower, row.get(j, zero)) for j in range(U)]
+            for row in rows.values()
+        )
+        for cid, child_eqs in _child_transforms(pruned, mu, conf, pid):
+            walk(cid, child_eqs)
 
     for rid in conf.roots():
         p = conf.point(rid)
@@ -163,28 +136,21 @@ def linear_system(m, K, plane_points=None):
             triple = plane_points.get(rid)
         if triple is None:
             raise ValueError(f"no plane location for root point {rid}")
-        walk(rid, _localize(F, triple, tower))
+        walk(rid, _localize(curves, triple, tower))
 
-    U = len(names)
-    if not constraints:
-        vectors = []
-        for j in range(U):
-            vec = [FieldElement.rational(0, tower)] * U
-            vec[j] = FieldElement.rational(1, tower)
-            vectors.append(vec)
-    else:
-        vectors = nullspace(constraints)
+    # with no constraint every monomial is free: the unit vectors over tower
+    vectors = nullspace(constraints or [[FieldElement.rational(0, tower)] * U])
     if not vectors:
         raise EmptySystem(f"no curve of degree {m} passes through the cluster")
-    basis = []
-    for vec in vectors:
-        terms = {}
-        vt = vec[0].tower
-        for coeff, exps in zip(vec, mons):
-            if not coeff.is_zero():
-                terms[exps] = coeff.lift_to(vt).v
-        basis.append(MultiPoly(("X", "Y", "Z"), terms, vt))
-    return LinearSystemBasis(m, K, basis, mons)
+    basis = [
+        MultiPoly(
+            ("X", "Y", "Z"),
+            {e: c.v for c, e in zip(vec, mons) if not c.is_zero()},
+            vec[0].tower,
+        )
+        for vec in vectors
+    ]
+    return LinearSystemBasis(m, K, basis)
 
 
 # -- pencils ---------------------------------------------------------------
@@ -218,11 +184,6 @@ def _check_pencil(F1, F2):
         raise CommonComponent("the generators share a factor")
 
 
-def _localize_member(F, triple, tower):
-    """Local equation of a member at a plane point (u, v chart)."""
-    return _localize(F, triple, tower).with_vars(("u", "v"))
-
-
 def pencil_base_points(F1, F2, seed=0, max_depth=64, max_tower_degree=16):
     """Cluster of base points of the pencil <F1, F2>, with generic
     multiplicities and dicritical flags, verified on a generic member."""
@@ -234,7 +195,7 @@ def pencil_base_points(F1, F2, seed=0, max_depth=64, max_tower_degree=16):
         Tower((), max_degree=max_tower_degree),
     )
     roots = [
-        (t, ("u", "v"), {}, tuple(_localize_member(F, t, tower) for F in (F1, F2)))
+        (t, ("u", "v"), {}, tuple(_localize((F1, F2), t, tower)))
         for t in triples
     ]
     conf, tower, records, _, _, plane_coords = walk_resolution(
@@ -300,7 +261,7 @@ def _verify_generic_member(F1, F2, bp, seed):
         G = alpha * F1 + beta * F2
         ok = True
         for rid in conf.roots():
-            loc = _localize_member(G, bp.plane_coords[rid], bp.tower)
+            (loc,) = _localize([G], bp.plane_coords[rid], bp.tower)
             if not _check_member(loc, conf, rid, bp.multiplicities):
                 ok = False
                 break
@@ -315,7 +276,7 @@ def _check_member(eq, conf, pid, mults):
         return False
     return all(
         divided is not None and _check_member(divided, conf, cid, mults)
-        for cid, divided in _child_transforms(eq, mu, conf, pid)
+        for cid, (divided,) in _child_transforms([eq], mu, conf, pid)
     )
 
 

@@ -247,11 +247,6 @@ class MultiPoly:
         terms = {e: c for e, c in self.terms.items() if sum(e) == m}
         return MultiPoly(self.vars, terms, self.tower)
 
-    def jet(self, k):
-        """Terms of total degree at most k."""
-        terms = {e: c for e, c in self.terms.items() if sum(e) <= k}
-        return MultiPoly(self.vars, terms, self.tower)
-
     def coefficient(self, exps):
         v = self.terms.get(tuple(exps), self.tower.zero())
         return FieldElement(self.tower, v)

@@ -62,15 +62,12 @@ class ReductionResult:
         for pid in self.dicritical_configuration.order:
             if self.classification[pid] == DICRITICAL:
                 dic.add(pid)
+        graph = export_proximity_graph(self.singular_configuration, dicritical=dic)
         return {
-            "singular_points": export_proximity_graph(
-                self.singular_configuration, dicritical=dic
-            )["points"],
+            "singular_points": graph["points"],
             "dicritical": list(self.dicritical_configuration.order),
             "infinity_points": sorted(self.infinity_points),
-            "proximity_graph": export_proximity_graph(
-                self.singular_configuration, dicritical=dic
-            ),
+            "proximity_graph": graph,
             "classifications": {
                 str(pid): cls for pid, cls in self.classification.items()
             },

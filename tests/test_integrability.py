@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 from test_acceptance import random_wai_product
 
-from waifi.infnear import Configuration, InfNearPoint
+from waifi.infnear import Configuration, InfNearPoint, PairingVector
 from waifi.integrability import (
     DEGREE_CHECKS_FAILED,
     LINE_NOT_INVARIANT,
     R_NOT_RANK_ONE,
+    S_DEPENDENT,
     WRONG_FREE_MAXIMAL_COUNT,
     AnalysisFailure,
     NoAdmissiblePlacement,
+    SFamily,
     algorithm1,
     algorithm2,
     assemble_S,
@@ -76,10 +78,7 @@ def test_main_example_S_matrix():
     assert family.maximal == family.free_maximal == [13, 23, 28]
     assert family.infinity == frozenset({0, 1})
     assert family.d_values == [3, 3, 2]
-    vectors = family.c_vectors + [
-        family.e_vectors[p] for p in sorted(family.e_vectors)
-    ]
-    matrix = [[int(x) for x in v.as_list()] for v in vectors]
+    matrix = [[int(x) for x in v.as_list()] for v in family.vectors]
     assert matrix == expected_S_matrix()
 
 
@@ -163,6 +162,30 @@ def test_radial_field_rejected():
 def test_rank_one_failure():
     cert, reason = algorithm2(field("2*y + x^2", "-2*x"))
     assert cert is None and reason == R_NOT_RANK_ONE
+
+
+def test_dependent_S():
+    # two maximal plane points with equal c-vectors: S has rank 1, not 2
+    conf = Configuration(
+        [
+            InfNearPoint(0, None, None, (1, 0, 0), 0, frozenset()),
+            InfNearPoint(1, None, None, (0, 1, 0), 0, frozenset()),
+        ]
+    )
+    c = PairingVector.make(conf, 1, {0: 1})
+    family = SFamily(
+        configuration=conf,
+        maximal=[0, 1],
+        free_maximal=[0, 1],
+        c_vectors=[c, c],
+        e_vectors={},
+        h_systems=[{0: 1, 1: 0}] * 2,
+        d_values=[1, 1],
+        infinity=frozenset({0, 1}),
+    )
+    with pytest.raises(AnalysisFailure) as exc:
+        compute_R(family)
+    assert exc.value.reason == S_DEPENDENT
 
 
 def test_degree_check_failure():

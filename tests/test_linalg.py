@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from waifi.field import FieldElement, QQ_TOWER, Tower
-from waifi.linalg import det, nullspace, rank, solve
+from waifi.linalg import det, nullspace, solve
 
 
 def fe(x, tower=QQ_TOWER):
@@ -16,7 +17,6 @@ def rows_of(mat, tower=QQ_TOWER):
 
 def test_rank_and_nullspace():
     rows = rows_of([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    assert rank(rows) == 2
     ns = nullspace(rows)
     assert len(ns) == 1
     v = ns[0]
@@ -72,8 +72,8 @@ def test_nullspace_over_extension():
     )
 )
 def test_rank_nullity(mat):
-    rows = rows_of(mat)
-    assert rank(rows) + len(nullspace(rows)) == 3
+    # sympy's rank is an oracle independent of the elimination under test
+    assert len(nullspace(rows_of(mat))) == 3 - sympy.Matrix(mat).rank()
 
 
 @settings(max_examples=60)

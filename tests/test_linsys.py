@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from waifi.blowup import blow_up_chart, strict_transform
+from waifi.field import FieldElement, QQ_TOWER
 from waifi.infnear import Cluster, Configuration, InfNearPoint
+from waifi.linalg import nullspace
 from waifi.linsys import (
     CommonComponent,
     EmptySystem,
@@ -11,9 +15,9 @@ from waifi.linsys import (
     pencil_base_points,
     pencil_vector_field,
 )
-from waifi.poly import parse_poly
+from waifi.poly import MultiPoly, parse_poly
 from waifi.reduction import reduce
-from waifi.vfield import AffineVectorField, projectivize
+from waifi.vfield import AffineVectorField, dehomogenize, projectivize
 
 
 def pt(pid, parent, branch, coordinate, prox):
@@ -159,3 +163,218 @@ def test_pencil_noether_brute_force_oracle():
         F1, F2 = parse_poly(s1), parse_poly(s2)
         bp = pencil_base_points(F1, F2)
         assert noether_sum(bp) == F1.total_degree() ** 2
+
+
+# -- linear_system against a generic curve with symbolic coefficients -------
+
+
+def reference_generic_curve(m, tower):
+    mons = degree_monomials(m)
+    names = [f"@c{j}" for j in range(len(mons))]
+    F = MultiPoly.zero(tuple(sorted(names + ["X", "Y", "Z"])), tower)
+    for name, (a, b, c) in zip(names, mons):
+        F = F + (
+            MultiPoly.variable(name, tower)
+            * MultiPoly.variable("X", tower) ** a
+            * MultiPoly.variable("Y", tower) ** b
+            * MultiPoly.variable("Z", tower) ** c
+        )
+    return F, names, mons
+
+
+def reference_localize(F, triple, tower):
+    x0, y0, z0 = (tower.element(c) for c in triple)
+    F = F.lift_to(tower)
+    if not z0.is_zero():
+        local = dehomogenize(F, "Z", ("u", "v"))
+        return local.shift("u", x0 / z0).shift("v", y0 / z0)
+    if not y0.is_zero():
+        return dehomogenize(F, "Y", ("u", "v")).shift("u", x0 / y0)
+    return dehomogenize(F, "X", ("u", "v"))
+
+
+def reference_split_jet(eq, mu, cindex):
+    """Constraint rows from all terms of (u,v)-degree below mu, and the
+    polynomial with those terms removed."""
+    iu = eq.vars.index("u") if "u" in eq.vars else None
+    iv = eq.vars.index("v") if "v" in eq.vars else None
+    tower = eq.tower
+    U = len(cindex)
+    groups = {}
+    keep = {}
+    for exps, c in eq.terms.items():
+        d = (exps[iu] if iu is not None else 0) + (
+            exps[iv] if iv is not None else 0
+        )
+        if d >= mu:
+            keep[exps] = c
+            continue
+        j = None
+        for var, e in zip(eq.vars, exps):
+            if var in cindex and e:
+                j = cindex[var]
+        if j is None:
+            raise EmptySystem("constant obstruction in a virtual transform")
+        key = tuple(
+            e if var in ("u", "v") else 0 for var, e in zip(eq.vars, exps)
+        )
+        row = groups.setdefault(key, [tower.zero()] * U)
+        row[j] = tower.add(row[j], c)
+    rows = [
+        [FieldElement(tower, c) for c in row] for row in groups.values()
+    ]
+    return rows, MultiPoly(eq.vars, keep, tower)
+
+
+def reference_linear_system(m, K, plane_points=None):
+    """The basis of L_m(K) from one generic curve in the unknowns @c<j>
+    carried through the virtual transforms of the cluster."""
+    if m < 1:
+        raise ValueError("degree must be at least 1")
+    conf = K.configuration
+    plane_points = plane_points or {}
+    tower = QQ_TOWER
+    values = [conf.point(pid).coordinate for pid in conf.order]
+    for value in values + list(plane_points.values()):
+        for c in value if isinstance(value, tuple) else (value,):
+            if isinstance(c, FieldElement):
+                tower = tower.join(c.tower)
+
+    F, names, mons = reference_generic_curve(m, tower)
+    cindex = {name: j for j, name in enumerate(names)}
+    constraints = []
+
+    def walk(pid, eq):
+        mu = K.multiplicities[pid]
+        rows, pruned = reference_split_jet(eq, mu, cindex)
+        constraints.extend(rows)
+        for cid in conf.children(pid):
+            child = conf.point(cid)
+            lam = 0 if child.coordinate is None else child.coordinate
+            chart = blow_up_chart(lam, child.branch, ("u", "v"), pruned.tower)
+            child_eq = strict_transform(pruned, chart, mu)
+            assert child_eq is not None, "not divisible after pruning"
+            walk(cid, child_eq)
+
+    for rid in conf.roots():
+        p = conf.point(rid)
+        triple = p.coordinate if isinstance(p.coordinate, tuple) else None
+        if triple is None:
+            triple = plane_points.get(rid)
+        walk(rid, reference_localize(F, triple, tower))
+
+    U = len(names)
+    if not constraints:
+        vectors = []
+        for j in range(U):
+            vec = [FieldElement.rational(0, tower)] * U
+            vec[j] = FieldElement.rational(1, tower)
+            vectors.append(vec)
+    else:
+        vectors = nullspace(constraints)
+    if not vectors:
+        raise EmptySystem(f"no curve of degree {m} passes through the cluster")
+    basis = []
+    for vec in vectors:
+        terms = {}
+        vt = vec[0].tower
+        for coeff, exps in zip(vec, mons):
+            if not coeff.is_zero():
+                terms[exps] = coeff.lift_to(vt).v
+        basis.append(MultiPoly(("X", "Y", "Z"), terms, vt))
+    return basis
+
+
+def basis_or_empty(system):
+    try:
+        return system()
+    except EmptySystem:
+        return EmptySystem
+
+
+def assert_same_system(m, K, plane_points=None):
+    """linear_system and the reference give the same basis element by
+    element, or both raise EmptySystem."""
+    ours = basis_or_empty(lambda: linear_system(m, K, plane_points=plane_points).basis)
+    ref = basis_or_empty(lambda: reference_linear_system(m, K, plane_points))
+    if ours is EmptySystem or ref is EmptySystem:
+        assert ours is ref
+        return
+    assert len(ours) == len(ref)
+    for mine, theirs in zip(ours, ref):
+        assert mine.vars == theirs.vars
+        assert mine.tower == theirs.tower
+        assert mine.terms == theirs.terms
+
+
+def four_point_cluster():
+    conf = Configuration(
+        [
+            pt(0, None, None, (1, 0, 1), ()),
+            pt(1, None, None, (0, 0, 1), ()),
+            pt(2, 1, "V1", Fraction(3), (1,)),
+            pt(3, 2, "V2", None, (2,)),
+        ]
+    )
+    return Cluster(conf, {0: 2, 1: 2, 2: 1, 3: 1})
+
+
+def one_point_cluster(mu):
+    return Cluster(Configuration([pt(0, None, None, (0, 0, 1), ())]), {0: mu})
+
+
+@pytest.mark.parametrize(
+    "K, m",
+    [(four_point_cluster(), m) for m in (1, 2, 3, 4)]
+    + [(one_point_cluster(mu), m) for mu in (0, 1, 2) for m in (1, 2)],
+)
+def test_linear_system_matches_reference_hand_made(K, m):
+    assert_same_system(m, K)
+
+
+def test_linear_system_matches_reference_quintic_pencil():
+    bp = pencil_base_points(parse_poly("X^2*Z^3 + Y^5"), parse_poly("Z^5"))
+    for m in (4, 5, 6):
+        assert_same_system(m, bp.cluster, bp.plane_coords)
+
+
+@st.composite
+def planted_pencils(draw):
+    """A corpus-style H in x, y, homogenised to degree d: products of powers
+    of x, curves y + c(x) and conics x^2 - a y^2 + b x + c y, whose
+    directions at infinity are irrational for a = 2, 3 and complex for
+    a = -1."""
+    small = st.integers(-2, 2)
+    curve = st.one_of(
+        st.just({(1, 0): 1}),
+        st.lists(small, min_size=2, max_size=3).map(
+            lambda cs: {(0, 1): 1, **{(k, 0): c for k, c in enumerate(cs) if c}}
+        ),
+        st.tuples(st.sampled_from([2, 3, -1]), small, small).map(
+            lambda t: {(2, 0): 1, (0, 2): -t[0], (1, 0): t[1], (0, 1): t[2]}
+        ),
+    )
+    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+    H = MultiPoly.constant(1, ("x", "y"))
+    for f, n in draw(
+        st.lists(st.tuples(curve, st.integers(1, 2)), min_size=1, max_size=2)
+    ):
+        g = MultiPoly.zero(("x", "y"))
+        for (a, b), c in f.items():
+            g = g + c * x ** a * y ** b
+        H = H * g ** n
+    d = H.total_degree()
+    assume(d <= 4)
+    terms = {}
+    for e, c in H.with_vars(("x", "y")).terms.items():
+        terms[(e[0], e[1], d - e[0] - e[1])] = H.tower.as_rational(c)
+    return MultiPoly.from_coeff_dict(("X", "Y", "Z"), terms), d
+
+
+@settings(max_examples=30, deadline=None)
+@given(planted_pencils())
+def test_linear_system_matches_reference_on_planted_pencils(case):
+    F1, d = case
+    bp = pencil_base_points(F1, MultiPoly.variable("Z") ** d)
+    for m in range(max(d - 1, 1), d + 2):
+        assert_same_system(m, bp.cluster, bp.plane_coords)
