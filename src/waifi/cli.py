@@ -210,7 +210,6 @@ def _cmd_pencil(args):
     bp = pencil_base_points(
         entries["F1"],
         entries["F2"],
-        seed=args.seed,
         max_depth=args.max_depth,
         max_tower_degree=args.max_tower_degree,
     )
@@ -265,7 +264,6 @@ def build_parser():
 
     p = sub.add_parser("pencil-basepoints", help="base points of a pencil")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_pencil)
     return parser
 

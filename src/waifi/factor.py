@@ -60,8 +60,7 @@ def univ_factor(f):
     tower = f.tower
     lead = f.coefficient((f.degree_in(var),))
     monic = f * lead.inverse()
-    squarefree = monic.divide_exact(poly_gcd(monic, monic.diff(var)))
-    parts = _factor_squarefree(squarefree, var, tower)
+    parts = _factor_squarefree(squarefree_part(monic, var), var, tower)
     out = []
     rem = monic
     for p in sorted(parts, key=lambda q: (q.total_degree(), q.to_string())):
@@ -133,10 +132,11 @@ def squarefree_part(f, var):
     return f.divide_exact(g).monic()
 
 
-def roots_in_extension(f, tower=None, adjoin=True):
+def roots_in_extension(f, tower=None):
     """All roots of a univariate polynomial, adjoining new generators when
-    needed.  Returns (roots, tower); roots are FieldElements of the returned
-    tower, sorted by their coordinate vectors."""
+    needed: the one place where a tower grows.  Returns (roots, tower);
+    roots are FieldElements of the returned tower, sorted by their
+    coordinate vectors.  A constant has no roots."""
     if tower is None:
         tower = f.tower
     eff = f.effective_vars()
@@ -155,7 +155,7 @@ def roots_in_extension(f, tower=None, adjoin=True):
                 roots.append(-c0)
             else:
                 nonlinear.append(p)
-        if not nonlinear or not adjoin:
+        if not nonlinear:
             roots.sort(key=lambda r: r.sort_key())
             return roots, tower
         nonlinear.sort(key=lambda p: (p.total_degree(), p.to_string()))
@@ -167,63 +167,18 @@ def roots_in_extension(f, tower=None, adjoin=True):
         g = g.lift_to(tower)
 
 
-def adjoin_root(tower, f):
-    """Adjoin one root of an irreducible univariate polynomial.
-
-    Returns (new tower, root).  Raises ValueError when f is reducible over
-    the rationals, is not of degree at least 2, or already has a root in the
-    tower; raises ExtensionDegreeExceeded past the degree cap.
-    """
-    eff = f.effective_vars()
-    if len(eff) != 1:
-        raise ValueError("adjoin_root expects a univariate polynomial")
-    (var,) = eff
-    f = f.drop_unused_vars()
-    if f.degree_in(var) < 2:
-        raise ValueError("polynomial must have degree at least 2")
-    if f.tower.depth == 0:
-        _, factors = _qq_factor(f, var)
-        if len(factors) != 1 or factors[0][1] != 1:
-            raise ValueError("polynomial is not irreducible over the rationals")
-    base = f.monic().lift_to(tower)
-    if tower.depth > 0:
-        parts = _factor_squarefree(base, var, tower)
-        if any(p.degree_in(var) == 1 for p in parts):
-            raise ValueError("polynomial already has a root in the tower")
-        parts.sort(key=lambda p: (p.total_degree(), p.to_string()))
-        base = parts[0]
-    coeffs = tuple(
-        base.coefficient((i,)).v for i in range(base.degree_in(var) + 1)
-    )
-    new = tower.adjoin(tower.fresh_name(), coeffs)
-    return new, FieldElement.generator(new)
-
-
 def _affine_common_zeros(f, g, tower):
-    """Common zeros (x0, y0) of two coprime polynomials in x, y."""
-    fdx = f.degree_in("x") if "x" in f.vars else 0
-    gdx = g.degree_in("x") if "x" in g.vars else 0
-    if f.is_constant() or g.is_constant() or fdx == gdx == 0:
+    """Common zeros (x0, y0) of two coprime polynomials in x, y: y0 runs
+    over the roots of Res_x(f, g), x0 over those of the gcd at y = y0."""
+    if f.is_constant() or g.is_constant():
         return [], tower
     points = []
-    if fdx == 0 or gdx == 0:
-        pure, other = (f, g) if fdx == 0 else (g, f)
-        yroots, tower = roots_in_extension(pure.with_vars(("y",)), tower)
-        for y0 in yroots:
-            h = other.restrict("y", y0)
-            if not h.is_constant():
-                xroots, tower = roots_in_extension(h, tower)
-                points.extend((x0, y0) for x0 in xroots)
-        return points, tower
     ry = resultant(f, g, "x")
-    if ry.is_constant():
-        return [], tower
     yroots, tower = roots_in_extension(ry.with_vars(("y",)), tower)
     for y0 in yroots:
         h = poly_gcd(f.restrict("y", y0), g.restrict("y", y0))
-        if not h.is_constant():
-            xroots, tower = roots_in_extension(h, tower)
-            points.extend((x0, y0) for x0 in xroots)
+        xroots, tower = roots_in_extension(h, tower)
+        points.extend((x0, y0) for x0 in xroots)
     return points, tower
 
 
@@ -241,14 +196,11 @@ def plane_common_zeros(at_infinity, f, g, tower):
     h = forms[0].monic()
     for other in forms[1:]:
         h = poly_gcd(h, other)
-    at_inf = []
-    if not h.is_constant():
-        # the point (1:0:0) corresponds to the factor Y of the binary form
-        if h.evaluate({"X": 1, "Y": 0}).is_zero():
-            at_inf.append(None)
-        univ = h.restrict("Y", 1).rename_vars({"X": "x"})
-        roots, tower = roots_in_extension(univ, tower)
-        at_inf.extend(roots)
+    # the point (1:0:0) corresponds to the factor Y of the binary form
+    at_inf = [None] if h.restrict("Y", 0).is_zero() else []
+    univ = h.restrict("Y", 1).rename_vars({"X": "x"})
+    roots, tower = roots_in_extension(univ, tower)
+    at_inf.extend(roots)
     affine, tower = _affine_common_zeros(f, g, tower)
     affine.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
     one = FieldElement.rational(1, tower)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import linalg
-from .field import QQ_TOWER
 from .infnear import Cluster, PairingVector, e_vector, multiplicity_system
 from .linsys import EmptySystem, degree_monomials, linear_system
 from .poly import MultiPoly
@@ -258,11 +257,7 @@ def exponents_pairing(family, R):
 
 def exponents_darboux(V, factors):
     """Coprime positive integers n_i with sum n_i k_i = 0."""
-    cofactors = [cofactor(V, f) for f in factors]
-    tower = QQ_TOWER
-    for k in cofactors:
-        tower = tower.join(k.tower)
-    cofactors = [k.lift_to(tower).with_vars(("x", "y")) for k in cofactors]
+    cofactors = [cofactor(V, f).with_vars(("x", "y")) for f in factors]
     exps = sorted({e for k in cofactors for e in k.terms})
     if not exps:
         # all cofactors vanish: any positive vector works, take all ones

@@ -126,25 +126,14 @@ def _rref(rows):
     else:
         ech, pivots, _, _ = _tower_echelon(raw, tower)
     # eliminate above the pivots
-    if tower.depth == 0:
-        for i in range(len(pivots) - 1, -1, -1):
-            c = pivots[i]
-            for k in range(i):
-                f = ech[k][c]
-                if f:
-                    ech[k] = [x - f * y for x, y in zip(ech[k], ech[i])]
-    else:
-        for i in range(len(pivots) - 1, -1, -1):
-            c = pivots[i]
-            for k in range(i):
-                f = ech[k][c]
-                if not tower.is_zero(f):
-                    ech[k] = [
-                        tower.sub(x, tower.mul(f, y))
-                        for x, y in zip(ech[k], ech[i])
-                    ]
-    if tower.depth == 0:
-        ech = [[tower.lift_rational(x) for x in row] for row in ech]
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        for k in range(i):
+            f = ech[k][c]
+            if not tower.is_zero(f):
+                ech[k] = [
+                    tower.sub(x, tower.mul(f, y)) for x, y in zip(ech[k], ech[i])
+                ]
     return ech, pivots, tower
 
 

@@ -10,7 +10,6 @@ collected constraints.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .blowup import V1, V2, blow_up_chart, strict_transform
@@ -32,7 +31,8 @@ class CommonComponent(ValueError):
 
 
 class NoGenericMember(RuntimeError):
-    """Eight random pencil members all missed the generic multiplicities."""
+    """No member F1 + t*F2, t = 1, ..., |K| + 1, realized the generic
+    multiplicities of the cluster K."""
 
 
 @dataclass
@@ -184,7 +184,7 @@ def _check_pencil(F1, F2):
         raise CommonComponent("the generators share a factor")
 
 
-def pencil_base_points(F1, F2, seed=0, max_depth=64, max_tower_degree=16):
+def pencil_base_points(F1, F2, max_depth=64, max_tower_degree=16):
     """Cluster of base points of the pencil <F1, F2>, with generic
     multiplicities and dicritical flags, verified on a generic member."""
     _check_pencil(F1, F2)
@@ -210,7 +210,7 @@ def pencil_base_points(F1, F2, seed=0, max_depth=64, max_tower_degree=16):
         tower=tower,
         plane_coords=plane_coords,
     )
-    _verify_generic_member(F1, F2, result, seed)
+    _verify_generic_member(F1, F2, result)
     return result
 
 
@@ -250,24 +250,26 @@ def _base_point_children(fg, record, tower):
     return children, tower
 
 
-def _verify_generic_member(F1, F2, bp, seed):
-    """Check that a generic member realizes the generic multiplicities; a
-    bad draw (non-generic parameters) is redrawn up to 8 times."""
-    rng = random.Random(seed)
+def _verify_generic_member(F1, F2, bp):
+    """Check that a generic member realizes the generic multiplicities.
+
+    The members F1 + t*F2 are tried for t = 1, ..., |K| + 1.  At each point
+    of K only the ratio that cancels the initial forms of the generic
+    multiplicity gives a worse member, and strict transforms are linear in
+    the member, so at most |K| ratios fail: NoGenericMember means that this
+    invariant broke.
+    """
     conf = bp.configuration
-    for _ in range(8):
-        alpha = rng.randint(1, 10 ** 6)
-        beta = rng.randint(1, 10 ** 6)
-        G = alpha * F1 + beta * F2
-        ok = True
-        for rid in conf.roots():
-            (loc,) = _localize([G], bp.plane_coords[rid], bp.tower)
-            if not _check_member(loc, conf, rid, bp.multiplicities):
-                ok = False
-                break
-        if ok:
+    tries = len(conf.order) + 1
+    for t in range(1, tries + 1):
+        G = F1 + t * F2
+        if all(
+            _check_member(loc, conf, rid, bp.multiplicities)
+            for rid in conf.roots()
+            for loc in _localize([G], bp.plane_coords[rid], bp.tower)
+        ):
             return
-    raise NoGenericMember("no generic pencil member found after 8 draws")
+    raise NoGenericMember(f"no member F1 + t*F2 with t = 1..{tries} is generic")
 
 
 def _check_member(eq, conf, pid, mults):

@@ -187,8 +187,14 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert code == 1
     code, _, err = run(capsys, ["integrate", str(tmp_path / "nope.txt")])
     assert code == 1
-    # usage errors: no input file, an unknown flag, no subcommand
-    for argv in (["integrate"], ["integrate", spec, "--bogus"], []):
+    # usage errors: no input file, an unknown flag, no subcommand, the
+    # removed --seed of pencil-basepoints
+    for argv in (
+        ["integrate"],
+        ["integrate", spec, "--bogus"],
+        [],
+        ["pencil-basepoints", spec, "--seed", "3"],
+    ):
         code, out, err = run(capsys, argv)
         assert code == 1
         assert out == ""
@@ -263,8 +269,13 @@ def test_no_squarefree_norm_shift_exit_code(tmp_path, capsys, monkeypatch):
     import waifi.factor as factor
     from waifi.poly import MultiPoly
 
-    # a norm that is never squarefree of the right degree
-    monkeypatch.setattr(factor, "resultant", lambda f, g, var: MultiPoly.zero())
+    real = factor.resultant
+
+    def resultant(f, g, var):
+        # a norm that is never squarefree of the right degree
+        return MultiPoly.zero() if var == factor._ZVAR else real(f, g, var)
+
+    monkeypatch.setattr(factor, "resultant", resultant)
     # the singular points (+-sqrt 2, 0) are factored over Q(sqrt 2)
     spec = write(tmp_path, "p = y\nq = x^2 - 2\n")
     code, out, err = run(capsys, ["integrate", spec])
@@ -279,7 +290,8 @@ def test_no_generic_pencil_member_exit_code(tmp_path, capsys, monkeypatch):
     spec = write(tmp_path, "F1 = X^2*Z^3 + Y^5\nF2 = Z^5\n")
     code, out, err = run(capsys, ["pencil-basepoints", spec])
     assert (code, out) == (1, "")
-    assert err == "error: no generic pencil member found after 8 draws\n"
+    # the quintic pencil's cluster has 14 points
+    assert err == "error: no member F1 + t*F2 with t = 1..15 is generic\n"
 
 
 def test_split_required_exit_code(tmp_path, capsys, monkeypatch):

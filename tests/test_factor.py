@@ -2,16 +2,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from waifi.factor import (
-    adjoin_root,
+    _affine_common_zeros,
     plane_common_zeros,
     roots_in_extension,
     univ_factor,
 )
-from waifi.field import FieldElement, QQ_TOWER, Tower
-from waifi.poly import MultiPoly, parse_poly
+from waifi.field import QQ_TOWER, Tower
+from waifi.poly import MultiPoly, parse_poly, poly_gcd, resultant
 from waifi.vfield import homogenize
 
 
@@ -44,11 +44,6 @@ def test_roots_adjoin():
     assert tower.depth == 1
 
 
-def test_roots_no_adjoin():
-    roots, tower = roots_in_extension(parse_poly("x^2 - 2"), QQ_TOWER, adjoin=False)
-    assert roots == [] and tower.depth == 0
-
-
 def test_factor_over_extension():
     _, tower = roots_in_extension(parse_poly("x^2 + 1"), QQ_TOWER)
     x = MultiPoly.variable("x", tower)
@@ -62,20 +57,10 @@ def test_factor_over_extension():
     assert prod == f
 
 
-def test_adjoin_root_validations():
-    with pytest.raises(ValueError):
-        adjoin_root(QQ_TOWER, parse_poly("x^2 - 1"))  # reducible
-    with pytest.raises(ValueError):
-        adjoin_root(QQ_TOWER, parse_poly("x - 2"))  # degree too small
-    tower, theta = adjoin_root(QQ_TOWER, parse_poly("x^2 - 2"))
-    assert theta * theta == FieldElement.rational(2, tower)
-    with pytest.raises(ValueError):
-        adjoin_root(tower, parse_poly("x^2 - 2"))  # already has a root
-
-
 def test_nested_factorization():
     # sqrt(2) then x^4 - 2 factors into two quadratics over Q(sqrt 2)
-    tower, s = adjoin_root(QQ_TOWER, parse_poly("x^2 - 2"))
+    (s, _), tower = roots_in_extension(parse_poly("x^2 - 2"), QQ_TOWER)
+    assert tower.depth == 1 and s * s == 2
     x = MultiPoly.variable("x", tower)
     f = x ** 4 - 2
     factors = [p for p, _ in univ_factor(f) if not p.is_constant()]
@@ -192,3 +177,56 @@ def test_plane_common_zeros_matches_sympy(fg):
     x, y = sympy.symbols("x y")
     expr = [sympy.sympify(h.to_string().replace("^", "**")) for h in (f, g)]
     assert len(affine) == len(sympy.solve_poly_system(expr, x, y))
+
+
+def reference_affine_common_zeros(f, g, tower):
+    """The two-branch solver _affine_common_zeros replaced: a polynomial
+    free of x gives the y0 directly, the other one the x0 over them."""
+    fdx = f.degree_in("x") if "x" in f.vars else 0
+    gdx = g.degree_in("x") if "x" in g.vars else 0
+    if f.is_constant() or g.is_constant() or fdx == gdx == 0:
+        return [], tower
+    points = []
+    if fdx == 0 or gdx == 0:
+        pure, other = (f, g) if fdx == 0 else (g, f)
+        yroots, tower = roots_in_extension(pure.with_vars(("y",)), tower)
+        for y0 in yroots:
+            h = other.restrict("y", y0)
+            if not h.is_constant():
+                xroots, tower = roots_in_extension(h, tower)
+                points.extend((x0, y0) for x0 in xroots)
+        return points, tower
+    ry = resultant(f, g, "x")
+    if ry.is_constant():
+        return [], tower
+    yroots, tower = roots_in_extension(ry.with_vars(("y",)), tower)
+    for y0 in yroots:
+        h = poly_gcd(f.restrict("y", y0), g.restrict("y", y0))
+        if not h.is_constant():
+            xroots, tower = roots_in_extension(h, tower)
+            points.extend((x0, y0) for x0 in xroots)
+    return points, tower
+
+
+def _xy(text):
+    return parse_poly(text).with_vars(("x", "y"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_systems())
+# f or g free of x, or both, or a constant
+@example((_xy("y^2 - 2"), _xy("x^2 - 3")))
+@example((_xy("x^2 - 3"), _xy("y^2 - 2")))
+@example((_xy("y^2 - 2"), _xy("x*y - 1")))
+@example((_xy("(y - 1)^2*(y^2 + 1)"), _xy("x^3 - y")))
+@example((_xy("y^2 - 2"), _xy("y^2 - 3")))
+@example((_xy("3"), _xy("x^2 - 2")))
+@example((_xy("y - 1"), _xy("x*(y - 2) + 1")))
+def test_affine_common_zeros_matches_two_branch_reference(fg):
+    f, g = fg
+    ours, t1 = _affine_common_zeros(f, g, Tower())
+    ref, t2 = reference_affine_common_zeros(f, g, Tower())
+    assert t1.levels == t2.levels
+    assert [(x0.tower.levels, x0.v, y0.tower.levels, y0.v) for x0, y0 in ours] == [
+        (x0.tower.levels, x0.v, y0.tower.levels, y0.v) for x0, y0 in ref
+    ]

@@ -10,6 +10,7 @@ from waifi.linalg import nullspace
 from waifi.linsys import (
     CommonComponent,
     EmptySystem,
+    _localize,
     degree_monomials,
     linear_system,
     pencil_base_points,
@@ -86,6 +87,24 @@ def test_pencil_xy_z2():
     assert bp.multiplicities == {0: 1, 1: 1, 2: 1, 3: 1}
     assert bp.dicritical == frozenset({1, 3})
     assert set(bp.plane_coords) == {0, 2}
+
+
+def test_pencil_first_member_not_generic():
+    # t = 1 gives the member Y*Z + X^2 - Y*Z = X^2, of multiplicity 2 at
+    # (0:0:1) where the generic member has multiplicity 1; t = 2 is generic
+    F1, F2 = parse_poly("Y*Z"), parse_poly("X^2 - Y*Z")
+    bp = pencil_base_points(F1, F2)
+    conf = bp.configuration
+    assert len(conf) == 4
+    assert set(bp.multiplicities.values()) == {1}
+    assert bp.dicritical == frozenset({1, 3})
+    (origin,) = [
+        rid for rid in conf.roots()
+        if bp.plane_coords[rid][:2] == (0, 0)
+    ]
+    for t, generic in ((1, False), (2, True)):
+        (loc,) = _localize([F1 + t * F2], bp.plane_coords[origin], bp.tower)
+        assert (loc.order() == bp.multiplicities[origin]) == generic
 
 
 def noether_sum(bp):
