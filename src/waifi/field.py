@@ -133,15 +133,14 @@ class Tower:
         pad = (self._zero_at(depth - 1),) * (self.level_degree(depth) - 1)
         return (self._zero_at(depth - 1),) + pad
 
-    def generator(self, j=None):
-        """Raw value of the level-j generator (default: top level)."""
-        if j is None:
-            j = self.depth
-        if not 1 <= j <= self.depth:
-            raise ValueError("no such level")
+    def generator(self):
+        """Raw value of the generator of the top level."""
+        j = self.depth
+        if not j:
+            raise ValueError("the rationals have no generator")
         coeffs = [self._zero_at(j - 1)] * self.level_degree(j)
         coeffs[1] = self.lift_rational(_ONE, j - 1)
-        return self._pad(tuple(coeffs), j, self.depth)
+        return tuple(coeffs)
 
     def lift_value(self, v, from_tower):
         """Lift a raw value of a prefix tower into this tower."""
@@ -335,7 +334,7 @@ class Tower:
                 return None
         return self.as_rational(a[0], depth - 1)
 
-    def flatten(self, a, depth=None):
+    def sort_key(self, a, depth=None):
         """Coordinates of a in the rational basis, as a flat tuple."""
         if depth is None:
             depth = self.depth
@@ -343,11 +342,8 @@ class Tower:
             return (a,)
         out = ()
         for x in a:
-            out += self.flatten(x, depth - 1)
+            out += self.sort_key(x, depth - 1)
         return out
-
-    def sort_key(self, a):
-        return self.flatten(a)
 
     def adjoin(self, name, minpoly):
         """Extend by one generator with the given monic minimal polynomial.
@@ -435,8 +431,8 @@ class FieldElement:
         return FieldElement(tower, tower.lift_rational(q))
 
     @staticmethod
-    def generator(tower, j=None):
-        return FieldElement(tower, tower.generator(j))
+    def generator(tower):
+        return FieldElement(tower, tower.generator())
 
     def lift_to(self, tower):
         if tower == self.tower:

@@ -180,6 +180,8 @@ def _check_pencil(F1, F2):
             raise ValueError("pencil generators must use X, Y, Z")
     if F1.total_degree() != F2.total_degree():
         raise ValueError("pencil generators must have equal degree")
+    if F1.total_degree() < 1:
+        raise ValueError("pencil generators must have positive degree")
     if not poly_gcd(F1, F2).is_constant():
         raise CommonComponent("the generators share a factor")
 

@@ -3,6 +3,11 @@ resultants and a small recursive-descent parser for the input grammar.
 
 Terms are kept in a dict mapping exponent tuples to raw tower values; the
 variable tuple is always sorted, so equal polynomials have equal dicts.
+
+There is one gcd per coefficient domain: rational polynomials go to sympy's
+sparse integer ring, univariate polynomials over a proper tower take
+Euclid's algorithm, and binary forms over a proper tower reduce to Euclid
+through their dehomogenisation.
 """
 
 from __future__ import annotations
@@ -502,9 +507,6 @@ class MultiPoly:
             rem = rem - t * g
         return quot
 
-    def divides(self, other):
-        return MultiPoly._pair(other, self)[0].divide_exact(self) is not None
-
     def as_univariate(self, var):
         """Dense coefficient list (low to high) in var, entries MultiPoly in
         the remaining variables."""
@@ -518,15 +520,6 @@ class MultiPoly:
             re = tuple(k for j, k in enumerate(e) if j != i)
             coeffs[e[i]] = coeffs[e[i]] + MultiPoly(rest, {re: c}, self.tower)
         return coeffs
-
-    @staticmethod
-    def from_univariate(coeffs, var):
-        out = None
-        v = MultiPoly.variable(var, coeffs[0].tower if coeffs else QQ_TOWER)
-        for i, c in enumerate(coeffs):
-            t = c.with_vars(c.vars + (var,)) * v ** i
-            out = t if out is None else out + t
-        return out if out is not None else MultiPoly.zero((var,))
 
     # -- printing ----------------------------------------------------------
 
@@ -574,7 +567,14 @@ class MultiPoly:
 
 def poly_gcd(f, g):
     """Exact gcd over the coefficient field, normalised so the lex-leading
-    coefficient is 1.  poly_gcd(0, 0) = 0."""
+    coefficient is 1.  poly_gcd(0, 0) = 0.
+
+    Rational input runs in sympy's integer ring.  Over a proper tower the
+    input must be a pair of univariate polynomials in one variable, which
+    take Euclid's algorithm, or a pair of binary forms, which go through
+    their dehomogenisation; any other pair that shares a variable raises
+    ValueError.
+    """
     f, g = MultiPoly._pair(f, g)
     if f.is_zero():
         return g.monic()
@@ -583,31 +583,29 @@ def poly_gcd(f, g):
     f = f.drop_unused_vars()
     g = g.drop_unused_vars()
     if f.is_constant() or g.is_constant():
-        one = MultiPoly.constant(1, (), f.tower)
-        return one
+        return MultiPoly.constant(1, (), f.tower)
     shared = tuple(v for v in f.effective_vars() if v in g.effective_vars())
     if not shared:
         return MultiPoly.constant(1, (), f.tower)
+    names = tuple(sorted(set(f.vars) | set(g.vars)))
     if f.tower.depth == 0:
         # heuristic gcd over the integers; dividing by the lex-leading
         # coefficient gives the monic gcd over the rationals
-        names = tuple(sorted(set(f.vars) | set(g.vars)))
         h = to_zz(f, names)[0].gcd(to_zz(g, names)[0])
         return from_zz(h, int(h.LC), names)
     if len(f.effective_vars()) == 1 and f.effective_vars() == g.effective_vars():
         return _euclid_univ_gcd(f, g, shared[0])
-    # main variable: smallest worst-case degree keeps the recursion shallow
-    main = min(shared, key=lambda v: max(f.degree_in(v), g.degree_in(v)))
-    fc = f.as_univariate(main)
-    gc = g.as_univariate(main)
-    cont_f = _gcd_list(fc)
-    cont_g = _gcd_list(gc)
-    cont = poly_gcd(cont_f, cont_g)
-    fp = [c.divide_exact(cont_f) for c in fc]
-    gp = [c.divide_exact(cont_g) for c in gc]
-    h = _prs_gcd(fp, gp)
-    result = cont * MultiPoly.from_univariate(h, main)
-    return result.monic()
+    if len(names) == 2 and f.is_homogeneous() and g.is_homogeneous():
+        # f = u^a*f1 and g = u^b*g1 with u dividing neither f1 nor g1: the
+        # gcd is u^min(a, b) times the homogenised gcd of f(1, v) and g(1, v)
+        u, v = names
+        f, g = f.with_vars(names), g.with_vars(names)
+        a = min(e[0] for p in (f, g) for e in p.terms)
+        h = poly_gcd(f.restrict(u, 1), g.restrict(u, 1)).with_vars((v,))
+        d = h.total_degree()
+        terms = {(a + d - k, k): c for (k,), c in h.terms.items()}
+        return MultiPoly(names, terms, f.tower).monic()
+    raise ValueError("gcd over a tower needs univariate polynomials or binary forms")
 
 
 @cache
@@ -690,66 +688,6 @@ def _euclid_univ_gcd(f, g, var):
         (var,), {(i,): c for i, c in enumerate(a)}, tower
     )
     return out.monic()
-
-
-def _gcd_list(polys):
-    acc = None
-    for p in polys:
-        if p.is_zero():
-            continue
-        acc = p.monic() if acc is None else poly_gcd(acc, p)
-        if acc.is_constant():
-            return MultiPoly.constant(1, (), p.tower)
-    if acc is None:
-        return MultiPoly.zero((), polys[0].tower if polys else QQ_TOWER)
-    return acc
-
-
-def _trim_poly(p):
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _primitive(coeffs):
-    c = _gcd_list(coeffs)
-    if c.is_zero() or c.is_constant():
-        return coeffs
-    return [x.divide_exact(c) for x in coeffs]
-
-
-def _prs_gcd(fp, gp):
-    """Primitive PRS gcd of two primitive univariate polynomials given as
-    coefficient lists of MultiPoly (low to high)."""
-    a = _trim_poly(list(fp))
-    b = _trim_poly(list(gp))
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        b = _trim_poly(b)
-        if not b:
-            return _primitive(_trim_poly(a))
-        if len(b) == 1:
-            return [MultiPoly.constant(1, (), b[0].tower)]
-        r = _prem(a, b)
-        a, b = b, _primitive(_trim_poly(r))
-
-
-def _prem(a, b):
-    """Pseudo-remainder of dense coefficient lists a by b."""
-    a = list(a)
-    lc = b[-1]
-    while len(a) >= len(b):
-        alc = a[-1]
-        k = len(a) - len(b)
-        a = [lc * x for x in a]
-        for i in range(len(b)):
-            a[k + i] = a[k + i] - alc * b[i]
-        a.pop()
-        a = _trim_poly(a)
-        if not a:
-            break
-    return a
 
 
 # -- resultants -----------------------------------------------------------

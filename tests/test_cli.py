@@ -187,6 +187,13 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert code == 1
     code, _, err = run(capsys, ["integrate", str(tmp_path / "nope.txt")])
     assert code == 1
+    # constant pencil generators
+    spec3 = write(tmp_path, "F1 = 1\nF2 = 2\n", name="constant.txt")
+    for argv in (["pencil-basepoints", spec3], ["pencil-basepoints", spec3, "--json"]):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: pencil generators must have positive degree\n"
     # usage errors: no input file, an unknown flag, no subcommand, the
     # removed --seed of pencil-basepoints
     for argv in (

@@ -84,6 +84,11 @@ def test_degree_cap():
         t.adjoin("b", (t.lift_rational(Fraction(3)),) + (t.zero(),) * 2 + (t.one(),))
 
 
+def test_rationals_have_no_generator():
+    with pytest.raises(ValueError):
+        FieldElement.generator(Tower())
+
+
 def test_sort_key_total_order():
     t = tower_qi()
     i = FieldElement.generator(t)

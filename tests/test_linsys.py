@@ -73,6 +73,8 @@ def test_pencil_validation():
     Z = parse_poly("Z")
     with pytest.raises(CommonComponent):
         pencil_base_points(X * Y, X * Z)
+    with pytest.raises(ValueError, match="positive degree"):
+        pencil_base_points(parse_poly("1"), parse_poly("2"))
     with pytest.raises(ValueError):
         pencil_base_points(X, Y * Z)
 

@@ -4,13 +4,14 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from waifi.field import FieldElement, QQ_TOWER, Tower
 from waifi.poly import (
     MultiPoly,
     PolySyntaxError,
     UnknownVariable,
+    _euclid_univ_gcd,
     from_zz,
     parse_poly,
     poly_gcd,
@@ -111,7 +112,7 @@ def test_gcd_against_sympy_oracle():
         if f.is_zero() and g.is_zero():
             assert ours.is_zero()
             continue
-        assert ours.divides(f) and ours.divides(g)
+        assert f.divide_exact(ours) is not None and g.divide_exact(ours) is not None
         gens = [syms[v] for v in f.vars]
         theirs = sympy.Poly(
             sympy.gcd(to_sympy(f, syms), to_sympy(g, syms)), *gens, domain="QQ"
@@ -213,9 +214,11 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 def field_elements(tower):
-    if tower.depth == 0:
-        return rationals.map(lambda q: FieldElement.rational(q, tower))
-    return st.tuples(rationals, rationals).map(lambda v: FieldElement(tower, v))
+    """Elements of a tower whose levels all have degree 2."""
+    raw = rationals
+    for _ in range(tower.depth):
+        raw = st.tuples(raw, raw)
+    return raw.map(lambda v: FieldElement(tower, v))
 
 
 def polys(vars, tower):
@@ -278,23 +281,145 @@ def uv_to_sympy(p):
     return sympy.expand(expr)
 
 
-def uv_polys():
-    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
-    return st.dictionaries(exps, field_elements(QS), min_size=1, max_size=3).map(
-        lambda d: MultiPoly.from_coeff_dict(("u", "v"), d, QS)
-    ).filter(lambda p: not p.is_zero())
+# -- gcd over a tower: binary forms against the content/PRS recursion ------
+
+# t^2 = 3 over Q(sqrt 2): a tower of depth 2
+QST = QS.adjoin("t", (QS.lift_rational(-3), QS.zero(), QS.one()))
+
+
+@st.composite
+def binary_forms(draw, tower, max_degree=2):
+    """A non-zero form in u, v of degree at most max_degree, each
+    coefficient zero about half the time."""
+    d = draw(st.integers(0, max_degree))
+    coeff = st.one_of(st.just(FieldElement.rational(0, tower)), field_elements(tower))
+    cs = draw(st.lists(coeff, min_size=d + 1, max_size=d + 1))
+    p = MultiPoly.from_coeff_dict(
+        ("u", "v"), {(i, d - i): c for i, c in enumerate(cs)}, tower
+    )
+    assume(not p.is_zero())
+    return p
+
+
+def reference_gcd(f, g):
+    """The gcd poly_gcd took over a proper tower before binary forms went
+    through their dehomogenisation: the gcd of the contents in a main
+    variable times a primitive PRS of the primitive parts."""
+    f, g = MultiPoly._pair(f, g)
+    if f.is_zero():
+        return g.monic()
+    if g.is_zero():
+        return f.monic()
+    f, g = f.drop_unused_vars(), g.drop_unused_vars()
+    shared = tuple(v for v in f.vars if v in g.vars)
+    if f.is_constant() or g.is_constant() or not shared:
+        return MultiPoly.constant(1, (), f.tower)
+    if len(f.vars) == 1 and f.vars == g.vars:
+        return _euclid_univ_gcd(f, g, shared[0])
+    # main variable: smallest worst-case degree keeps the recursion shallow
+    main = min(shared, key=lambda v: max(f.degree_in(v), g.degree_in(v)))
+    fc, gc = f.as_univariate(main), g.as_univariate(main)
+    cont_f, cont_g = reference_content(fc), reference_content(gc)
+    h = reference_prs(
+        [c.divide_exact(cont_f) for c in fc], [c.divide_exact(cont_g) for c in gc]
+    )
+    x = MultiPoly.variable(main, f.tower)
+    result = MultiPoly.zero((main,), f.tower)
+    for i, c in enumerate(h):
+        result = result + c.with_vars(c.vars + (main,)) * x**i
+    return (reference_gcd(cont_f, cont_g) * result).monic()
+
+
+def reference_content(polys):
+    acc = None
+    for p in polys:
+        if p.is_zero():
+            continue
+        acc = p.monic() if acc is None else reference_gcd(acc, p)
+        if acc.is_constant():
+            return MultiPoly.constant(1, (), p.tower)
+    if acc is None:
+        return MultiPoly.zero((), polys[0].tower if polys else QQ_TOWER)
+    return acc
+
+
+def trim(coeffs):
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return coeffs
+
+
+def reference_primitive(coeffs):
+    c = reference_content(coeffs)
+    if c.is_zero() or c.is_constant():
+        return coeffs
+    return [x.divide_exact(c) for x in coeffs]
+
+
+def reference_prs(fp, gp):
+    """Primitive PRS gcd of two primitive coefficient lists (low to high)."""
+    a, b = trim(list(fp)), trim(list(gp))
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        b = trim(b)
+        if not b:
+            return reference_primitive(trim(a))
+        if len(b) == 1:
+            return [MultiPoly.constant(1, (), b[0].tower)]
+        # pseudo-remainder of a by b
+        r, lc = list(a), b[-1]
+        while len(r) >= len(b):
+            rlc, k = r[-1], len(r) - len(b)
+            r = [lc * x for x in r]
+            for i in range(len(b)):
+                r[k + i] = r[k + i] - rlc * b[i]
+            r.pop()
+            if not trim(r):
+                break
+        a, b = b, reference_primitive(trim(r))
+
+
+@st.composite
+def binary_form_pairs(draw):
+    tower = draw(st.sampled_from([QS, QST]))
+    h, p, q = (draw(binary_forms(tower)) for _ in range(3))
+    return h * p, h * q
+
+
+@settings(max_examples=60, deadline=None)
+@given(binary_form_pairs())
+# u^2 and u*v: forms whose effective variables differ
+@example(
+    (
+        MultiPoly.from_coeff_dict(("u", "v"), {(2, 0): 1}, QS),
+        MultiPoly.from_coeff_dict(("u", "v"), {(1, 1): 1}, QS),
+    )
+)
+def test_binary_form_gcd_matches_prs_reference(fg):
+    f, g = fg
+    ours = poly_gcd(f, g).with_vars(("u", "v"))
+    ref = reference_gcd(f, g).with_vars(("u", "v"))
+    assert ours.tower == ref.tower == f.tower
+    assert ours.terms == ref.terms
 
 
 @settings(max_examples=40, deadline=None)
-@given(uv_polys(), uv_polys(), uv_polys())
+@given(binary_forms(QS), binary_forms(QS), binary_forms(QS))
 def test_gcd_over_extension_matches_sympy(h, p, q):
-    # over a tower poly_gcd recurses on the content and a primitive PRS in a
-    # main variable; sympy's gcd over QQ(sqrt 2) is the oracle of its degree
+    # sympy's gcd over QQ(sqrt 2) is the oracle of the degree
     f, g = h * p, h * q
     ours = poly_gcd(f, g)
-    assert ours.divides(f) and ours.divides(g)
+    assert f.divide_exact(ours) is not None and g.divide_exact(ours) is not None
     theirs = sympy.gcd(uv_to_sympy(f), uv_to_sympy(g), extension=sympy.sqrt(2))
     assert ours.total_degree() == sympy.Poly(theirs, U, V).total_degree()
+
+
+def test_gcd_over_tower_rejects_other_multivariate_pairs():
+    s = FieldElement.generator(QS)
+    u, v = MultiPoly.variable("u", QS), MultiPoly.variable("v", QS)
+    with pytest.raises(ValueError, match="univariate polynomials or binary forms"):
+        poly_gcd(u * u + v, (u - s) * v)
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,11 +10,15 @@ must keep its output byte-identical is checked with
     diff <(cd old && python3 tools/corpus_digests.py) \\
          <(cd new && python3 tools/corpus_digests.py)
 
-The corpus has 1125 commands, built from the inputs of bench/corpus.py:
+The corpus has 1185 commands.  1125 are built from the inputs of
+bench/corpus.py:
   integrate, integrate --method pairing, integrate --method both, poincare,
   poincare --bound, reduce and dicritical, each with --json, on the first
   40 wai ops of seeds 1-3 and on all 15 non-wai cases;
   pencil-basepoints --json on the first 60 pencils ops of seeds 1-3.
+The other 60 are pencil-basepoints --json on pencils with irrational base
+points (irrational_pencils), whose tangent directions are gcds of binary
+forms over a tower.
 Each command runs in-process through waifi.cli.main on an input file in a
 temporary directory, whose path is masked in the output before hashing.
 Nothing is written under bench/.
@@ -25,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import random
 import sys
 import tempfile
 import traceback
@@ -50,6 +55,35 @@ FIELD_COMMANDS = [
 SEEDS = (1, 2, 3)
 
 
+def irrational_pencils(n=60, seed=12):
+    """(name, text) of n pencils <F1, F2> from a fixed seed.  F1 is a conic
+    X^2 - a*Y^2 + b*X*Z + c*Y*Z with a in {2, 3, 5, 7, -1, -2}, perhaps
+    times a line or a second such conic; F2 is Z^d, Y^d, X^(d-1)*Z or
+    (X + Y)^d for the degree d of F1.  A line X + p*Y + q*Z has q != 0, so
+    that no F1 shares a component with its F2."""
+    rng = random.Random(seed)
+
+    def conic():
+        a = rng.choice((2, 3, 5, 7, -1, -2))
+        b, c = rng.randint(-2, 2), rng.randint(-2, 2)
+        return f"(X^2 {-a:+d}*Y^2 {b:+d}*X*Z {c:+d}*Y*Z)"
+
+    out = []
+    for k in range(n):
+        factors = [conic()]
+        extra = rng.choice(("", "line", "conic"))
+        if extra == "line":
+            p, q = rng.randint(-2, 2), rng.choice((-2, -1, 1, 2))
+            factors.append(f"(X {p:+d}*Y {q:+d}*Z)")
+        elif extra == "conic":
+            factors.append(conic())
+        d = 2 * len(factors) - (extra == "line")
+        partner = rng.choice((f"Z^{d}", f"Y^{d}", f"X^{d - 1}*Z", f"(X + Y)^{d}"))
+        text = f"F1 = {'*'.join(factors)}\nF2 = {partner}\n"
+        out.append((f"irrational-pencils/{k}", text))
+    return out
+
+
 def commands():
     """(name, argv before the input path, input text), in a fixed order."""
     fields = [
@@ -67,6 +101,10 @@ def commands():
         (f"pencils-{seed}/{op.name} pencil-basepoints", ["pencil-basepoints"], op.text)
         for seed in SEEDS
         for op in islice(corpus.pencils_stream(seed), 60)
+    ]
+    out += [
+        (f"{name} pencil-basepoints", ["pencil-basepoints"], text)
+        for name, text in irrational_pencils()
     ]
     return out
 
