@@ -167,7 +167,7 @@ def roots_in_extension(f, tower=None):
         g = g.lift_to(tower)
 
 
-def _affine_common_zeros(f, g, tower):
+def affine_common_zeros(f, g, tower):
     """Common zeros (x0, y0) of two coprime polynomials in x, y: y0 runs
     over the roots of Res_x(f, g), x0 over those of the gcd at y = y0."""
     if f.is_constant() or g.is_constant():
@@ -182,16 +182,10 @@ def _affine_common_zeros(f, g, tower):
     return points, tower
 
 
-def plane_common_zeros(at_infinity, f, g, tower):
-    """Common zeros in the projective plane, as coordinate triples.
-
-    at_infinity holds the restrictions to Z = 0 of the forms, not all zero;
-    their common zeros are the points at infinity, (1:0:0) first, then the
-    points (xi:1:0) in root order.  f and g are coprime polynomials in x, y
-    (the restrictions to Z = 1); their common zeros (x0:y0:1) follow, sorted
-    by coordinates.  The coordinates 0 and 1 live on the returned tower, the
-    roots on the tower they were found in.  Returns (triples, tower).
-    """
+def infinity_common_zeros(at_infinity, tower):
+    """The common zeros on Z = 0 of the restrictions at_infinity of the
+    forms, not all zero: None for the point (1:0:0), which comes first, then
+    xi for each point (xi:1:0) in root order.  Returns (points, tower)."""
     forms = [h for h in at_infinity if not h.is_zero()]
     h = forms[0].monic()
     for other in forms[1:]:
@@ -200,11 +194,28 @@ def plane_common_zeros(at_infinity, f, g, tower):
     at_inf = [None] if h.restrict("Y", 0).is_zero() else []
     univ = h.restrict("Y", 1).rename_vars({"X": "x"})
     roots, tower = roots_in_extension(univ, tower)
-    at_inf.extend(roots)
-    affine, tower = _affine_common_zeros(f, g, tower)
-    affine.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+    return at_inf + roots, tower
+
+
+def plane_triples(at_inf, affine, tower):
+    """Coordinate triples of the points at infinity at_inf (as returned by
+    infinity_common_zeros), then of the affine points (x0, y0) sorted by
+    coordinates.  The coordinates 0 and 1 live on tower, the roots on the
+    tower they were found in."""
+    affine = sorted(affine, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
     one = FieldElement.rational(1, tower)
     zero = FieldElement.rational(0, tower)
     triples = [(one, zero, zero) if xi is None else (xi, one, zero) for xi in at_inf]
     triples.extend((x0, y0, one) for x0, y0 in affine)
-    return triples, tower
+    return triples
+
+
+def plane_common_zeros(at_infinity, f, g, tower):
+    """Common zeros in the projective plane, as coordinate triples: the
+    points at infinity (infinity_common_zeros of at_infinity), then the
+    common zeros (x0:y0:1) of the coprime polynomials f, g in x, y (the
+    restrictions to Z = 1), found over the tower grown by the points at
+    infinity.  Returns (triples, tower)."""
+    at_inf, tower = infinity_common_zeros(at_infinity, tower)
+    affine, tower = affine_common_zeros(f, g, tower)
+    return plane_triples(at_inf, affine, tower), tower

@@ -13,10 +13,20 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import linalg
+from .blowup import DivisibilityViolation
+from .factor import NoSquarefreeShift
+from .field import ExtensionDegreeExceeded, SplitRequired
 from .infnear import Cluster, PairingVector, e_vector, multiplicity_system
 from .linsys import EmptySystem, degree_monomials, linear_system
 from .poly import MultiPoly
-from .reduction import StructureMismatch, maximal_free_pairs, reduce as reduce_form
+from .reduction import (
+    DepthExceeded,
+    NonIsolatedSingularities,
+    StructureMismatch,
+    maximal_free_pairs,
+    points_at_infinity,
+    reduce as reduce_form,
+)
 from .vfield import (
     AffineVectorField,
     NotInvariant,
@@ -303,10 +313,15 @@ def _recombine_conjugates(factors, exponents):
     return [f for f, _ in out], [n for _, n in out]
 
 
-def _check_line_invariant(res):
-    om = res.one_form
+def _z_divides(omega):
+    """Whether Z divides A and B, that is whether the line Z = 0 is
+    invariant."""
     Z = MultiPoly.variable("Z")
-    if om.A.divide_exact(Z) is None or om.B.divide_exact(Z) is None:
+    return omega.A.divide_exact(Z) is not None and omega.B.divide_exact(Z) is not None
+
+
+def _check_line_invariant(res):
+    if not _z_divides(res.one_form):
         raise AnalysisFailure(LINE_NOT_INVARIANT, "Z=0 is not invariant")
     for rid in res.dicritical_configuration.roots():
         triple = res.plane_coords[rid]
@@ -317,13 +332,9 @@ def _check_line_invariant(res):
             )
 
 
-def _front_half(V, max_depth, max_tower_degree):
-    """The route-independent steps: the reduction, S, R and the curves with
-    their affine factors."""
-    if not isinstance(V, AffineVectorField):
-        raise TypeError("expected an AffineVectorField")
-    res = reduce_form(projectivize(V), max_depth=max_depth,
-                      max_tower_degree=max_tower_degree)
+def _front_half(res):
+    """The route-independent steps after the reduction: S, R and the curves
+    with their affine factors."""
     _check_line_invariant(res)
     try:
         family = assemble_S(res)
@@ -381,12 +392,12 @@ def _certify(V, front, route):
     )
 
 
-def decide(V, routes, max_depth=64, max_tower_degree=16):
+def _decide_from(V, res, routes):
     """(certificate, None) or (None, reason) for each route, all from one
     reduction, S, R and set of curves; a failure there gives every route
     its reason."""
     try:
-        front = _front_half(V, max_depth, max_tower_degree)
+        front = _front_half(res)
     except AnalysisFailure as exc:
         return [(None, exc.reason)] * len(routes)
     out = []
@@ -396,6 +407,55 @@ def decide(V, routes, max_depth=64, max_tower_degree=16):
         except AnalysisFailure as exc:
             out.append((None, exc.reason))
     return out
+
+
+# the errors that end a decision from the points at infinity alone; the
+# decision from all points then gives its own reason or error
+_FALL_THROUGH = (
+    DepthExceeded,
+    DivisibilityViolation,
+    ExtensionDegreeExceeded,
+    NonIsolatedSingularities,
+    NoSquarefreeShift,
+    SplitRequired,
+)
+
+
+def decide(V, routes, max_depth=64, max_tower_degree=16):
+    """(certificate, None) or (None, reason) for each route.
+
+    A WAI integral H gives the pencil H - lambda Z^n, whose base points, the
+    dicritical points of the field, all lie on Z = 0.  So the decision runs
+    in this order:
+
+    1. The form is reduced, A and B must share no curve of zeros, and the
+       points at infinity are found.
+    2. When Z divides A and B, the reduction walks the points at infinity
+       alone, from the tower they were found in; S, R, the curves and each
+       route's certificate follow, each certificate verified twice (the
+       residual and the cofactor relation).  If any route certifies, those
+       are the results: no affine point can then be dicritical, so the
+       reduction of every point gives the same configuration, unless it
+       first exceeds the tower cap or the depth on an affine point.
+    3. Otherwise, or when step 2 ends in one of the errors of _FALL_THROUGH,
+       the decision starts again from all points: the affine points are
+       found over the tower of step 1 and the reduction walks every point
+       in canonical order.  Its reasons, errors, point ids and generator
+       names are those of a decision that never tried step 2.
+    """
+    if not isinstance(V, AffineVectorField):
+        raise TypeError("expected an AffineVectorField")
+    omega = projectivize(V)
+    start = points_at_infinity(omega, max_tower_degree)
+    if _z_divides(start.one_form):
+        try:
+            res = reduce_form(omega, max_depth, start=start, affine=False)
+            out = _decide_from(V, res, routes)
+        except _FALL_THROUGH:
+            out = []
+        if any(cert is not None for cert, _ in out):
+            return out
+    return _decide_from(V, reduce_form(omega, max_depth, start=start), routes)
 
 
 def algorithm1(V, **kw):

@@ -109,25 +109,30 @@ def linear_system(m, K, plane_points=None):
     U = len(mons)
     constraints = []
 
-    def walk(pid, eqs):
+    def walk(pid, columns, eqs):
+        # eqs[k] is the nonzero transform of the monomial mons[columns[k]]
         mu = K.multiplicities[pid]
         rows = {}
-        pruned = []
-        for j, eq in enumerate(eqs):
+        kept, pruned = [], []
+        for j, eq in zip(columns, eqs):
             keep = {}
             for e, c in eq.terms.items():
                 if e[0] + e[1] < mu:
                     rows.setdefault(e, {})[j] = c
                 else:
                     keep[e] = c
-            pruned.append(MultiPoly(eq.vars, keep, eq.tower))
+            if keep:
+                kept.append(j)
+                pruned.append(MultiPoly(eq.vars, keep, eq.tower))
         zero = tower.zero()
         constraints.extend(
             [FieldElement(tower, row.get(j, zero)) for j in range(U)]
             for row in rows.values()
         )
-        for cid, child_eqs in _child_transforms(pruned, mu, conf, pid):
-            walk(cid, child_eqs)
+        # a transform pruned to zero stays zero in every later chart
+        if pruned:
+            for cid, child_eqs in _child_transforms(pruned, mu, conf, pid):
+                walk(cid, kept, child_eqs)
 
     for rid in conf.roots():
         p = conf.point(rid)
@@ -136,7 +141,7 @@ def linear_system(m, K, plane_points=None):
             triple = plane_points.get(rid)
         if triple is None:
             raise ValueError(f"no plane location for root point {rid}")
-        walk(rid, _localize(curves, triple, tower))
+        walk(rid, range(U), _localize(curves, triple, tower))
 
     # with no constraint every monomial is free: the unit vectors over tower
     vectors = nullspace(constraints or [[FieldElement.rational(0, tower)] * U])

@@ -22,7 +22,12 @@ from .blowup import (
     classify,
     track_curves,
 )
-from .factor import plane_common_zeros, roots_in_extension
+from .factor import (
+    affine_common_zeros,
+    infinity_common_zeros,
+    plane_triples,
+    roots_in_extension,
+)
 from .field import Tower
 from .infnear import Configuration, InfNearPoint, export_proximity_graph
 from .poly import MultiPoly, poly_gcd
@@ -167,17 +172,49 @@ def _divisor_singularities(form, cls, tower):
     return children, tower
 
 
-def reduce(omega, max_depth=64, max_tower_degree=16):
-    """Run the full reduction of singularities of a projective 1-form."""
+@dataclass
+class PlaneStart:
+    """The first step of a reduction: the reduced form, its affine chart
+    (f, g) and its points at infinity, with the tower they were found in."""
+
+    one_form: ProjectiveOneForm
+    f: MultiPoly
+    g: MultiPoly
+    at_infinity: list  # None for (1:0:0), then xi for each (xi:1:0)
+    tower: Tower
+
+
+def points_at_infinity(omega, max_tower_degree=16):
+    """Reduce omega, check that its singular points are isolated and find
+    its points on Z = 0."""
     omega = omega.reduced()
     if omega.A.is_zero() and omega.B.is_zero() and omega.C.is_zero():
         raise NonIsolatedSingularities("zero 1-form")
-    tower = Tower((), max_degree=max_tower_degree)
-    at_infinity = [c.restrict("Z", 0) for c in (omega.A, omega.B, omega.C)]
     f, g = dehomogenize(omega.A), dehomogenize(omega.B)
     if not (f.is_zero() or g.is_zero() or poly_gcd(f, g).is_constant()):
         raise NonIsolatedSingularities("A and B share a curve of zeros")
-    triples, tower = plane_common_zeros(at_infinity, f, g, tower)
+    at_inf, tower = infinity_common_zeros(
+        [c.restrict("Z", 0) for c in (omega.A, omega.B, omega.C)],
+        Tower((), max_degree=max_tower_degree),
+    )
+    return PlaneStart(omega, f, g, at_inf, tower)
+
+
+def reduce(omega, max_depth=64, max_tower_degree=16, start=None, affine=True):
+    """Run the reduction of singularities of a projective 1-form.
+
+    start, the points_at_infinity of omega found before, is reused instead
+    of found again.  The affine points are found over the tower of the
+    points at infinity; affine=False leaves them out, and the walk covers
+    only the points at infinity.
+    """
+    if start is None:
+        start = points_at_infinity(omega, max_tower_degree)
+    omega, f, g, tower = start.one_form, start.f, start.g, start.tower
+    points = []
+    if affine:
+        points, tower = affine_common_zeros(f, g, tower)
+    triples = plane_triples(start.at_infinity, points, tower)
 
     # each chart once; the Z chart is (f, g), coprime when it has points
     xy = ("x", "y")

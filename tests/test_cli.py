@@ -217,6 +217,20 @@ def test_tower_budget_exit_code(tmp_path, capsys):
     assert err == "error: tower degree 4 exceeds cap 2\n"
 
 
+def test_wai_field_certifies_within_a_small_tower_cap(tmp_path, capsys):
+    # H = x^5 - x - y^2: its four simple affine singular points need a tower
+    # of degree 8, but the certificate comes from the points at infinity
+    spec = write(tmp_path, "p = -2*y\nq = 1 - 5*x^4\n")
+    outputs = [
+        run(capsys, ["integrate", spec, *cap]) for cap in ([], ["--max-tower-degree", "4"])
+    ]
+    assert outputs[0] == outputs[1] == (0, "H = (x^5 - x - y^2)\ndegree = 5\n", "")
+    # the reduction still builds every point, and its cap still holds
+    code, out, err = run(capsys, ["reduce", spec, "--max-tower-degree", "4"])
+    assert (code, out) == (1, "")
+    assert err == "error: tower degree 8 exceeds cap 4\n"
+
+
 def test_invalid_one_form_rejected(tmp_path, capsys):
     # XA + YB + ZC != 0
     spec = write(tmp_path, "A = X\nB = Y\nC = Z\n")
@@ -283,8 +297,10 @@ def test_no_squarefree_norm_shift_exit_code(tmp_path, capsys, monkeypatch):
         return MultiPoly.zero() if var == factor._ZVAR else real(f, g, var)
 
     monkeypatch.setattr(factor, "resultant", resultant)
-    # the singular points (+-sqrt 2, 0) are factored over Q(sqrt 2)
-    spec = write(tmp_path, "p = y\nq = x^2 - 2\n")
+    # no certificate comes from the points at infinity (the field has no
+    # WAI integral), so integrate goes on to the affine singular points
+    # (+-sqrt 2, 0), which are factored over Q(sqrt 2)
+    spec = write(tmp_path, "p = x^2 - 2\nq = y\n")
     code, out, err = run(capsys, ["integrate", spec])
     assert (code, out) == (1, "")
     assert err == "error: no squarefree norm shift found\n"

@@ -5,7 +5,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from waifi.factor import (
-    _affine_common_zeros,
+    affine_common_zeros,
     plane_common_zeros,
     roots_in_extension,
     univ_factor,
@@ -180,7 +180,7 @@ def test_plane_common_zeros_matches_sympy(fg):
 
 
 def reference_affine_common_zeros(f, g, tower):
-    """The two-branch solver _affine_common_zeros replaced: a polynomial
+    """The two-branch solver affine_common_zeros replaced: a polynomial
     free of x gives the y0 directly, the other one the x0 over them."""
     fdx = f.degree_in("x") if "x" in f.vars else 0
     gdx = g.degree_in("x") if "x" in g.vars else 0
@@ -224,7 +224,7 @@ def _xy(text):
 @example((_xy("y - 1"), _xy("x*(y - 2) + 1")))
 def test_affine_common_zeros_matches_two_branch_reference(fg):
     f, g = fg
-    ours, t1 = _affine_common_zeros(f, g, Tower())
+    ours, t1 = affine_common_zeros(f, g, Tower())
     ref, t2 = reference_affine_common_zeros(f, g, Tower())
     assert t1.levels == t2.levels
     assert [(x0.tower.levels, x0.v, y0.tower.levels, y0.v) for x0, y0 in ours] == [

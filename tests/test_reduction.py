@@ -7,6 +7,7 @@ from waifi.reduction import (
     StructureMismatch,
     dicritical_points,
     max_free_points,
+    points_at_infinity,
     reduce,
 )
 from waifi.vfield import AffineVectorField, projectivize
@@ -86,6 +87,30 @@ def test_determinism():
     a = reduce_field("5*y^4", "-2*x").report_json()
     b = reduce_field("5*y^4", "-2*x").report_json()
     assert a == b
+
+
+def test_points_at_infinity_reused_and_walked_alone():
+    # the degree-10 field: one point (0:1:0) at infinity, and affine
+    # singular points, one of them blown up
+    V = AffineVectorField(
+        parse_poly("2*x^6 - x^4 + 6*x^3*y - x^2*y + 4*y^2"),
+        parse_poly("-10*x^7 + 9*x^6 - 6*x^5*y - 9*x^4*y + 6*x^3*y - 6*x^2*y^2 - 2*x*y^2"),
+    )
+    omega = projectivize(V)
+    full = reduce(omega)
+    start = points_at_infinity(omega)
+    assert start.at_infinity == [0]
+    again = reduce(omega, start=start)
+    assert again.report_json() == full.report_json()
+    assert again.tower.levels == full.tower.levels
+    alone = reduce(omega, start=start, affine=False)
+    # the subtrees of the points at infinity come first, with the same ids
+    assert alone.singular_configuration.roots() == [0]
+    assert len(alone.singular_configuration) < len(full.singular_configuration)
+    for pid in alone.singular_configuration.order:
+        assert alone.classification[pid] == full.classification[pid]
+    assert alone.dicritical_configuration.order == full.dicritical_configuration.order
+    assert alone.infinity_points == full.infinity_points
 
 
 def test_report_json_shape():
