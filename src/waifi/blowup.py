@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
+from .errors import WaifiError
 from .field import FieldElement
 from .poly import MultiPoly
 
@@ -24,7 +25,7 @@ ORDINARY = "ordinary-nondicritical"
 DICRITICAL = "dicritical"
 
 
-class DivisibilityViolation(RuntimeError):
+class DivisibilityViolation(WaifiError, RuntimeError):
     """The exceptional power removed by a blow-up was not m or m+1."""
 
 

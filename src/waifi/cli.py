@@ -2,7 +2,9 @@
 
 Inputs are UTF-8 files of `key = value` lines: `p`/`q` for an affine vector
 field, `A`/`B`/`C` for a homogeneous 1-form, `F1`/`F2` for a pencil.  Exit
-codes: 0 success, 2 clean "no WAI integral" (reason in the report), 1 error.
+codes: 0 success, 2 clean "no WAI integral" (reason in the report), 1 a
+WaifiError or an unreadable input file.  Any other exception is a bug and
+propagates.
 """
 
 from __future__ import annotations
@@ -11,29 +13,13 @@ import argparse
 import json
 import sys
 
-from .blowup import DivisibilityViolation
-from .factor import NoSquarefreeShift
-from .field import ExtensionDegreeExceeded, SplitRequired
+from .errors import InputError, WaifiError
 from .infnear import export_proximity_graph, proximity_graph_dot
-from .integrability import (
-    AnalysisFailure,
-    NoAdmissiblePlacement,
-    decide,
-    poincare_bound,
-    poincare_degree,
-)
-from .linsys import CommonComponent, NoGenericMember, pencil_base_points
+from .integrability import AnalysisFailure, decide, poincare_bound, poincare_degree
+from .linsys import pencil_base_points
 from .poly import PolySyntaxError, parse_poly
-from .reduction import (
-    DepthExceeded,
-    NonIsolatedSingularities,
-    reduce as reduce_form,
-)
+from .reduction import reduce as reduce_form
 from .vfield import AffineVectorField, ProjectiveOneForm, projectivize
-
-
-class InputError(ValueError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-class RoutesDisagree(RuntimeError):
+class RoutesDisagree(WaifiError, RuntimeError):
     """integrate --method both: the pairing and Darboux routes differ."""
 
 
@@ -124,13 +110,9 @@ def _reduce_input(args):
 def _cmd_reduce(args):
     res = _reduce_input(args)
     if args.dot:
-        dic = {
-            pid
-            for pid, cls in res.classification.items()
-            if cls == "dicritical"
-        }
+        dot = proximity_graph_dot(res.singular_configuration, dicritical=res.dicritical)
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(proximity_graph_dot(res.singular_configuration, dicritical=dic))
+            fh.write(dot)
     human = _human_points(
         res.singular_configuration,
         classification=res.classification,
@@ -143,10 +125,10 @@ def _cmd_reduce(args):
 def _cmd_dicritical(args):
     res = _reduce_input(args)
     conf = res.dicritical_configuration
-    dic = {pid for pid in conf.order if res.classification[pid] == "dicritical"}
-    doc = export_proximity_graph(conf, dicritical=dic)
+    doc = export_proximity_graph(conf, dicritical=res.dicritical)
     doc["infinity_points"] = sorted(res.infinity_points & set(conf.order))
-    _emit(doc, args, _human_points(conf, dicritical=dic, infinity=res.infinity_points))
+    human = _human_points(conf, dicritical=res.dicritical, infinity=res.infinity_points)
+    _emit(doc, args, human)
     return 0
 
 
@@ -197,9 +179,9 @@ def _cmd_poincare(args):
                 f"degree = {n}, exponents = {exps}",
             )
         return 0
-    except (AnalysisFailure, NoAdmissiblePlacement) as exc:
-        reason = getattr(exc, "reason", "no-admissible-placement")
-        _emit({"degree": None, "reason": reason}, args, f"undetermined ({reason})")
+    except AnalysisFailure as exc:
+        doc = {"degree": None, "reason": exc.reason}
+        _emit(doc, args, f"undetermined ({exc.reason})")
         return 2
 
 
@@ -275,21 +257,7 @@ def main(argv=None):
     try:
         args = _PARSER.parse_args(argv)
         return args.func(args)
-    except (
-        InputError,
-        NonIsolatedSingularities,
-        DepthExceeded,
-        CommonComponent,
-        ExtensionDegreeExceeded,
-        SplitRequired,
-        RoutesDisagree,
-        DivisibilityViolation,
-        NoSquarefreeShift,
-        NoGenericMember,
-        PolySyntaxError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (WaifiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import WaifiError
 from .field import FieldElement, Tower
 from .poly import MultiPoly, from_zz, poly_gcd, resultant, to_zz
 
 _ZVAR = "@z"
 
 
-class NoSquarefreeShift(RuntimeError):
+class NoSquarefreeShift(WaifiError, RuntimeError):
     """No shift s <= 40 gave a squarefree norm of the right degree."""
 
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
+from .errors import WaifiError
 
-class SplitRequired(Exception):
+
+class SplitRequired(WaifiError):
     """A modulus in the tower factored during an inversion.
 
     Attributes
@@ -35,7 +37,7 @@ class SplitRequired(Exception):
         self.factors = factors
 
 
-class ExtensionDegreeExceeded(Exception):
+class ExtensionDegreeExceeded(WaifiError):
     """Adjoining a root would push the tower degree over the configured cap."""
 
 
@@ -518,7 +520,13 @@ class FieldElement:
         return a.v == b.v
 
     def __hash__(self):
-        return hash((self.tower, self.v))
+        # equality lifts both sides to the deeper tower, so hash the value
+        # on the shortest prefix tower that holds it; a rational hashes as
+        # the Fraction, which equals the int
+        tower, v, depth = self.tower, self.v, self.tower.depth
+        while depth and all(tower.is_zero(x, depth - 1) for x in v[1:]):
+            v, depth = v[0], depth - 1
+        return hash(v) if depth == 0 else hash((tower.levels[:depth], v))
 
     def sort_key(self):
         return self.tower.sort_key(self.v)

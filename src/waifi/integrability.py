@@ -13,15 +13,11 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import linalg
-from .blowup import DivisibilityViolation
-from .factor import NoSquarefreeShift
-from .field import ExtensionDegreeExceeded, SplitRequired
+from .errors import WaifiError
 from .infnear import Cluster, PairingVector, e_vector, multiplicity_system
-from .linsys import EmptySystem, degree_monomials, linear_system
+from .linsys import EmptySystem, linear_system
 from .poly import MultiPoly
 from .reduction import (
-    DepthExceeded,
-    NonIsolatedSingularities,
     StructureMismatch,
     maximal_free_pairs,
     points_at_infinity,
@@ -45,18 +41,16 @@ DEGREE_CHECKS_FAILED = "degree-checks-failed"
 CURVE_NOT_UNIQUE = "curve-not-unique"
 EXPONENTS_INVALID = "exponents-invalid"
 VERIFICATION_FAILED = "verification-failed"
+NO_ADMISSIBLE_PLACEMENT = "no-admissible-placement"
 
 
 class AnalysisFailure(Exception):
-    """A Theorem-level check failed: the field has no WAI first integral."""
+    """A Theorem-level check failed: the field has no WAI first integral.
+    A verdict with a reason code, not a WaifiError."""
 
     def __init__(self, reason, detail=""):
         super().__init__(f"{reason}: {detail}" if detail else reason)
         self.reason = reason
-
-
-class NoAdmissiblePlacement(ValueError):
-    pass
 
 
 @dataclass
@@ -198,19 +192,14 @@ def extract_curves(res, family, R):
             raise AnalysisFailure(
                 CURVE_NOT_UNIQUE, f"expected a pencil, got dimension {len(basis)}"
             )
+        # each basis vector is 0 in the other's free column, so Z^n lies
+        # in the span only as a basis vector, and the other one, whose Z^n
+        # coefficient is then 0, is the member
         zn = MultiPoly.variable("Z") ** n
-        coords = _in_span(zn, basis, n)
-        if coords is None:
+        others = [b for b in basis if b != zn]
+        if len(others) != 1:
             raise AnalysisFailure(CURVE_NOT_UNIQUE, "pencil does not contain Z^n")
-        member = None
-        for b in basis:
-            cand = _drop_zn_multiple(b, n)
-            if not cand.is_zero():
-                member = cand
-                break
-        if member is None:
-            raise AnalysisFailure(CURVE_NOT_UNIQUE, "pencil degenerates to Z^n")
-        return [member.monic()]
+        return [others[0].monic()]
     curves = []
     for h, d in zip(family.h_systems, family.d_values):
         K = Cluster(conf, {pid: h[pid] for pid in conf.order})
@@ -224,21 +213,6 @@ def extract_curves(res, family, R):
             )
         curves.append(basis[0].monic())
     return curves
-
-
-def _in_span(target, basis, n):
-    """Coordinates of target in the span of basis (all degree-n forms)."""
-    mons = degree_monomials(n)
-    rows = [[b.coefficient(exps) for b in basis] for exps in mons]
-    return linalg.solve(rows, [target.coefficient(exps) for exps in mons])
-
-
-def _drop_zn_multiple(F, n):
-    """Remove the Z^n component of a degree-n form."""
-    c = F.coefficient((0, 0, n))
-    if c.is_zero():
-        return F
-    return F - MultiPoly.constant(c) * MultiPoly.variable("Z") ** n
 
 
 def exponents_pairing(family, R):
@@ -409,18 +383,6 @@ def _decide_from(V, res, routes):
     return out
 
 
-# the errors that end a decision from the points at infinity alone; the
-# decision from all points then gives its own reason or error
-_FALL_THROUGH = (
-    DepthExceeded,
-    DivisibilityViolation,
-    ExtensionDegreeExceeded,
-    NonIsolatedSingularities,
-    NoSquarefreeShift,
-    SplitRequired,
-)
-
-
 def decide(V, routes, max_depth=64, max_tower_degree=16):
     """(certificate, None) or (None, reason) for each route.
 
@@ -437,11 +399,11 @@ def decide(V, routes, max_depth=64, max_tower_degree=16):
        are the results: no affine point can then be dicritical, so the
        reduction of every point gives the same configuration, unless it
        first exceeds the tower cap or the depth on an affine point.
-    3. Otherwise, or when step 2 ends in one of the errors of _FALL_THROUGH,
-       the decision starts again from all points: the affine points are
-       found over the tower of step 1 and the reduction walks every point
-       in canonical order.  Its reasons, errors, point ids and generator
-       names are those of a decision that never tried step 2.
+    3. Otherwise, or when step 2 ends in a WaifiError, the decision starts
+       again from all points: the affine points are found over the tower
+       of step 1 and the reduction walks every point in canonical order.
+       Its reasons, errors, point ids and generator names are those of a
+       decision that never tried step 2.
     """
     if not isinstance(V, AffineVectorField):
         raise TypeError("expected an AffineVectorField")
@@ -451,7 +413,7 @@ def decide(V, routes, max_depth=64, max_tower_degree=16):
         try:
             res = reduce_form(omega, max_depth, start=start, affine=False)
             out = _decide_from(V, res, routes)
-        except _FALL_THROUGH:
+        except WaifiError:
             out = []
         if any(cert is not None for cert, _ in out):
             return out
@@ -510,5 +472,7 @@ def poincare_bound(conf):
         if best is None or n > best:
             best = n
     if best is None:
-        raise NoAdmissiblePlacement("every infinity-line placement fails")
+        raise AnalysisFailure(
+            NO_ADMISSIBLE_PLACEMENT, "every infinity-line placement fails"
+        )
     return best

@@ -141,7 +141,7 @@ def nullspace(rows):
     """Basis of the right kernel of a matrix of FieldElement entries.
 
     Returns a list of vectors of FieldElement, one per free column, each with
-    a unit entry in its free column.
+    a unit entry in its free column and zeros in the other free columns.
     """
     if not rows:
         return []

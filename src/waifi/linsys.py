@@ -13,24 +13,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blowup import V1, V2, blow_up_chart, strict_transform
+from .errors import InputError, WaifiError
 from .factor import plane_common_zeros, roots_in_extension
 from .field import FieldElement, QQ_TOWER, Tower
 from .infnear import Cluster
 from .linalg import nullspace
 from .poly import MultiPoly, poly_gcd
 from .reduction import walk_resolution
-from .vfield import ProjectiveOneForm, dehomogenize
+from .vfield import ProjectiveOneForm, chart_at, dehomogenize
 
 
 class EmptySystem(ValueError):
     """Only the zero polynomial passes through the cluster."""
 
 
-class CommonComponent(ValueError):
+class CommonComponent(WaifiError, ValueError):
     """The two pencil generators share a polynomial factor."""
 
 
-class NoGenericMember(RuntimeError):
+class NoGenericMember(WaifiError, RuntimeError):
     """No member F1 + t*F2, t = 1, ..., |K| + 1, realized the generic
     multiplicities of the cluster K."""
 
@@ -54,18 +55,12 @@ def degree_monomials(m):
 
 def _localize(curves, triple, tower):
     """Local equations of curves at a plane point, polynomials in (u, v)
-    matching the chart conventions of reduction.reduce."""
-    x0, y0, z0 = (tower.element(c) for c in triple)
-    if not z0.is_zero():
-        one, shifts = "Z", (("u", x0 / z0), ("v", y0 / z0))
-    elif not y0.is_zero():
-        one, shifts = "Y", (("u", x0 / y0),)
-    else:
-        one, shifts = "X", ()
+    on its chart (vfield.chart_at)."""
+    one, centre = chart_at(tuple(tower.element(c) for c in triple))
     out = []
     for F in curves:
         local = dehomogenize(F.lift_to(tower), one, ("u", "v"))
-        for var, c in shifts:
+        for var, c in zip(("u", "v"), centre):
             local = local.shift(var, c)
         out.append(local.with_vars(("u", "v")))
     return out
@@ -180,13 +175,13 @@ class BasePointCluster:
 def _check_pencil(F1, F2):
     for F in (F1, F2):
         if F.is_zero() or not F.is_homogeneous():
-            raise ValueError("pencil generators must be nonzero homogeneous")
+            raise InputError("pencil generators must be nonzero homogeneous")
         if set(F.effective_vars()) - {"X", "Y", "Z"}:
-            raise ValueError("pencil generators must use X, Y, Z")
+            raise InputError("pencil generators must use X, Y, Z")
     if F1.total_degree() != F2.total_degree():
-        raise ValueError("pencil generators must have equal degree")
+        raise InputError("pencil generators must have equal degree")
     if F1.total_degree() < 1:
-        raise ValueError("pencil generators must have positive degree")
+        raise InputError("pencil generators must have positive degree")
     if not poly_gcd(F1, F2).is_constant():
         raise CommonComponent("the generators share a factor")
 

@@ -22,12 +22,13 @@ from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
 from . import linalg
+from .errors import WaifiError
 from .field import FieldElement, QQ_TOWER
 
 ALLOWED_VARS = ("x", "y", "z", "X", "Y", "Z")
 
 
-class PolySyntaxError(ValueError):
+class PolySyntaxError(WaifiError, ValueError):
     """Raised by parse_poly with line/column information."""
 
     def __init__(self, message, line, column):
@@ -208,7 +209,13 @@ class MultiPoly:
         return f.terms == g.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items()), self.tower))
+        # equality aligns variables and towers, so hash only the effective
+        # variables and the terms on them; a constant hashes as its value
+        p = self.drop_unused_vars()
+        if not p.vars:
+            return hash(p.constant_value())
+        terms = frozenset((e, FieldElement(p.tower, c)) for e, c in p.terms.items())
+        return hash((p.vars, terms))
 
     # -- queries -----------------------------------------------------------
 

@@ -22,6 +22,7 @@ from .blowup import (
     classify,
     track_curves,
 )
+from .errors import WaifiError
 from .factor import (
     affine_common_zeros,
     infinity_common_zeros,
@@ -31,14 +32,14 @@ from .factor import (
 from .field import Tower
 from .infnear import Configuration, InfNearPoint, export_proximity_graph
 from .poly import MultiPoly, poly_gcd
-from .vfield import ProjectiveOneForm, dehomogenize, restrict_to_chart
+from .vfield import ProjectiveOneForm, chart_at, dehomogenize, restrict_to_chart
 
 
-class DepthExceeded(RuntimeError):
+class DepthExceeded(WaifiError, RuntimeError):
     pass
 
 
-class NonIsolatedSingularities(ValueError):
+class NonIsolatedSingularities(WaifiError, ValueError):
     pass
 
 
@@ -57,17 +58,16 @@ class ReductionResult:
     singular_configuration: Configuration
     dicritical_configuration: Configuration
     classification: dict
+    dicritical: frozenset  # the dicritical points, by pid
     infinity_points: frozenset
     local_forms: dict
     tracked_curves: dict
     plane_coords: dict
 
     def report_json(self):
-        dic = set()
-        for pid in self.dicritical_configuration.order:
-            if self.classification[pid] == DICRITICAL:
-                dic.add(pid)
-        graph = export_proximity_graph(self.singular_configuration, dicritical=dic)
+        graph = export_proximity_graph(
+            self.singular_configuration, dicritical=self.dicritical
+        )
         return {
             "singular_points": graph["points"],
             "dicritical": list(self.dicritical_configuration.order),
@@ -216,33 +216,32 @@ def reduce(omega, max_depth=64, max_tower_degree=16, start=None, affine=True):
         points, tower = affine_common_zeros(f, g, tower)
     triples = plane_triples(start.at_infinity, points, tower)
 
+    located = [(triple, *chart_at(triple)) for triple in triples]
     # each chart once; the Z chart is (f, g), coprime when it has points
     xy = ("x", "y")
     charts = {"Z": LocalOneForm(f.with_vars(xy), g.with_vars(xy), xy)}
-    for name in {"X" if y.is_zero() else "Y" for _, y, z in triples if z.is_zero()}:
+    for name in {one for _, one, _ in located} - {"Z"}:
         charts[name] = restrict_to_chart(omega, name)
     roots = []
-    for x, y, z in triples:
-        if not z.is_zero():
-            loc, tracked = _translate(charts["Z"], {"x": x, "y": y}), {}
-        else:
-            loc = charts["X"] if y.is_zero() else _translate(charts["Y"], {"x": x})
-            tracked = {INFINITY_LINE: MultiPoly.variable("z")}
-        roots.append(((x, y, z), loc.vars, tracked, loc))
+    for triple, one, centre in located:
+        loc = _translate(charts[one], dict(zip(charts[one].vars, centre)))
+        tracked = {} if one == "Z" else {INFINITY_LINE: MultiPoly.variable("z")}
+        roots.append((triple, loc.vars, tracked, loc))
     sconf, tower, classes, forms, curves, planes = walk_resolution(
         roots, _keep_singular, _divisor_singularities, tower, max_depth, "reduction"
     )
 
+    dicritical = frozenset(pid for pid, cls in classes.items() if cls == DICRITICAL)
     closure = set()
-    for pid, cls in classes.items():
-        if cls == DICRITICAL:
-            closure.update(sconf.ancestors(pid))
+    for pid in dicritical:
+        closure.update(sconf.ancestors(pid))
     return ReductionResult(
         one_form=omega,
         tower=tower,
         singular_configuration=sconf,
         dicritical_configuration=sconf.subconfiguration(closure),
         classification=classes,
+        dicritical=dicritical,
         infinity_points=frozenset(
             pid for pid, tracked in curves.items() if INFINITY_LINE in tracked
         ),

@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blowup import LocalOneForm
+from .errors import InputError
 from .poly import MultiPoly, poly_gcd
 
 
@@ -22,10 +23,10 @@ class AffineVectorField:
 
     def __post_init__(self):
         if self.p.is_zero() and self.q.is_zero():
-            raise ValueError("p and q cannot both vanish")
+            raise InputError("p and q cannot both vanish")
         bad = set(self.p.effective_vars() + self.q.effective_vars()) - {"x", "y"}
         if bad:
-            raise ValueError(f"vector field must use x,y only, found {sorted(bad)}")
+            raise InputError(f"vector field must use x,y only, found {sorted(bad)}")
 
     @property
     def degree(self):
@@ -45,10 +46,10 @@ class ProjectiveOneForm:
         Y = MultiPoly.variable("Y")
         Z = MultiPoly.variable("Z")
         if not (X * self.A + Y * self.B + Z * self.C).is_zero():
-            raise ValueError("XA+YB+ZC != 0")
+            raise InputError("XA+YB+ZC != 0")
         for comp in (self.A, self.B, self.C):
             if not comp.is_homogeneous():
-                raise ValueError("components must be homogeneous")
+                raise InputError("components must be homogeneous")
 
     def reduced(self):
         """Divide out the common polynomial factor of A, B, C."""
@@ -104,6 +105,18 @@ CHARTS = {
     "Y": ("Y", ("x", "z")),
     "Z": ("Z", ("x", "y")),
 }
+
+
+def chart_at(triple):
+    """The chart of the plane point (x : y : z), Z if z != 0, else Y if
+    y != 0, else X, and the point's coordinates in that chart, in the order
+    of the chart's variables (CHARTS): the other two coordinates divided by
+    the chart's one.  A coordinate divided by 1 stays on its own tower."""
+    x, y, z = triple
+    k = 2 if not z.is_zero() else 1 if not y.is_zero() else 0
+    w = triple[k]
+    centre = tuple(c if w == 1 else c / w for i, c in enumerate(triple) if i != k)
+    return "XYZ"[k], centre
 
 
 def restrict_to_chart(omega, chart):

@@ -128,6 +128,13 @@ def test_poincare_command(tmp_path, capsys):
     code, out, _ = run(capsys, ["poincare", spec, "--json", "--bound"])
     assert code == 0
     assert json.loads(out) == {"bound": 5}
+    # every placement of the infinity line fails: a verdict, exit 2
+    spec = write(tmp_path, "p = x^2\nq = y^2\n", name="none.txt")
+    code, out, _ = run(capsys, ["poincare", spec, "--json", "--bound"])
+    assert code == 2
+    assert json.loads(out) == {"degree": None, "reason": "no-admissible-placement"}
+    code, out, _ = run(capsys, ["poincare", spec, "--bound"])
+    assert (code, out) == (2, "undetermined (no-admissible-placement)\n")
 
 
 def test_pencil_command(tmp_path, capsys):

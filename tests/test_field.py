@@ -51,6 +51,19 @@ def test_nested_tower():
     assert x == FieldElement.rational(3, t2)
 
 
+def test_equal_elements_hash_equal():
+    t = tower_qi()
+    t2 = t.adjoin("s", (t.lift_rational(Fraction(-2)), t.zero(), t.one()))
+    one = FieldElement.rational(1)
+    assert one == FieldElement.rational(1, t2) == 1
+    assert len({one, FieldElement.rational(1, t), FieldElement.rational(1, t2), 1}) == 1
+    # i lies on the prefix Q(i) of Q(i, s): i and its lift are one element
+    i = FieldElement.generator(t)
+    assert len({i, i.lift_to(t2)}) == 1
+    s = FieldElement.generator(t2)
+    assert len({i.lift_to(t2), s, one}) == 3
+
+
 def test_lift_and_coerce():
     t = tower_qi()
     a = FieldElement.rational(Fraction(1, 2), QQ_TOWER)

@@ -8,11 +8,11 @@ from waifi.infnear import Configuration, InfNearPoint, PairingVector
 from waifi.integrability import (
     DEGREE_CHECKS_FAILED,
     LINE_NOT_INVARIANT,
+    NO_ADMISSIBLE_PLACEMENT,
     R_NOT_RANK_ONE,
     S_DEPENDENT,
     WRONG_FREE_MAXIMAL_COUNT,
     AnalysisFailure,
-    NoAdmissiblePlacement,
     SFamily,
     algorithm1,
     algorithm2,
@@ -238,8 +238,9 @@ def test_poincare_degree_quintic():
 
 
 def test_poincare_bound_no_placement():
-    with pytest.raises(NoAdmissiblePlacement):
+    with pytest.raises(AnalysisFailure) as exc:
         poincare_bound(bad_conf())
+    assert exc.value.reason == NO_ADMISSIBLE_PLACEMENT
 
 
 def test_poincare_degree_matches_darboux_certificate():

@@ -74,6 +74,19 @@ def test_arithmetic_and_calculus():
     assert p.evaluate({"x": 2, "y": 3}) == FieldElement.rational(18, QQ_TOWER)
 
 
+def test_equal_polynomials_hash_equal():
+    t = Tower().adjoin("s", (Fraction(-2), Fraction(0), Fraction(1)))
+    f = parse_poly("x + 1")
+    copies = [f, f.with_vars(("x", "y")), f.lift_to(t)]
+    assert all(g == f for g in copies)
+    assert len(set(copies)) == 1
+    assert len({f, parse_poly("y + 1"), parse_poly("x + 2")}) == 3
+    # a constant polynomial equals its value
+    two = MultiPoly.constant(2, ("x",), t)
+    assert two == 2 and len({two, 2, FieldElement.rational(2)}) == 1
+    assert len({MultiPoly.zero(("x", "y")), MultiPoly.zero(), 0}) == 1
+
+
 def test_divide_exact():
     p = parse_poly("x^2 - y^2")
     assert p.divide_exact(parse_poly("x - y")) == parse_poly("x + y")
