@@ -133,13 +133,11 @@ def squarefree_part(f, var):
     return f.divide_exact(g).monic()
 
 
-def roots_in_extension(f, tower=None):
+def roots_in_extension(f, tower):
     """All roots of a univariate polynomial, adjoining new generators when
     needed: the one place where a tower grows.  Returns (roots, tower);
     roots are FieldElements of the returned tower, sorted by their
     coordinate vectors.  A constant has no roots."""
-    if tower is None:
-        tower = f.tower
     eff = f.effective_vars()
     if not eff:
         return [], tower

@@ -208,20 +208,6 @@ class Tower:
             return q * a
         return tuple(self.scalar_mul(q, x, depth - 1) for x in a)
 
-    def pow(self, a, e, depth=None):
-        if depth is None:
-            depth = self.depth
-        if e < 0:
-            return self.pow(self.inv(a, depth), -e, depth)
-        result = self.lift_rational(_ONE, depth)
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base, depth)
-            base = self.mul(base, base, depth)
-            e >>= 1
-        return result
-
     def is_zero(self, a, depth=None):
         if depth is None:
             depth = self.depth
@@ -248,7 +234,7 @@ class Tower:
             r1 = self._trim(r1, sub)
             if len(r1) == 0:
                 break
-            q, r = self._pdivmod(r0, r1, sub)
+            q, r = self.pdivmod(r0, r1, sub)
             r0, r1 = r1, r
             s0, s1 = s1, self._psub(s0, self._pmul(q, s1, sub), sub)
         # r0 is the gcd, s0 the cofactor of a... careful: invariants give
@@ -256,9 +242,9 @@ class Tower:
         # so here s tracks the coefficient of a.
         r0 = self._trim(r0, sub)
         if len(r0) > 1:
-            g = self._monic(r0, sub)
-            q, _ = self._pdivmod(mp, g, sub)
-            raise SplitRequired(depth, (tuple(g), tuple(self._monic(q, sub))))
+            g = self.monic(r0, sub)
+            q, _ = self.pdivmod(mp, g, sub)
+            raise SplitRequired(depth, (tuple(g), tuple(self.monic(q, sub))))
         c = self.inv(r0[0], sub)
         out = [self.mul(c, x, sub) for x in s0]
         out = out[: len(a)]
@@ -295,28 +281,26 @@ class Tower:
                 out[i + j] = self.add(out[i + j], self.mul(x, y, depth), depth)
         return out
 
-    def _pdivmod(self, p, q, depth):
-        p = self._trim(p, depth)
+    def pdivmod(self, p, q, depth):
         q = self._trim(q, depth)
         if not q:
             raise ZeroDivisionError("polynomial division by zero")
-        z = self._zero_at(depth)
+        n = len(q) - 1
         inv_lc = self.inv(q[-1], depth)
-        quot = [z] * max(0, len(p) - len(q) + 1)
-        rem = list(p)
-        while len(rem) >= len(q) and self._trim(rem, depth):
-            rem = self._trim(rem, depth)
-            if len(rem) < len(q):
-                break
-            c = self.mul(rem[-1], inv_lc, depth)
-            k = len(rem) - len(q)
-            quot[k] = self.add(quot[k], c, depth)
-            for i, y in enumerate(q):
-                rem[k + i] = self.sub(rem[k + i], self.mul(c, y, depth), depth)
-            rem.pop()
-        return quot, self._trim(rem, depth)
+        rem = self._trim(p, depth)
+        quot = [self._zero_at(depth)] * max(0, len(rem) - n)
+        while len(rem) > n:
+            # the leading term cancels: pop it instead of subtracting it
+            c = self.mul(rem.pop(), inv_lc, depth)
+            k = len(rem) - n
+            quot[k] = c
+            for i in range(n):
+                rem[k + i] = self.sub(rem[k + i], self.mul(c, q[i], depth), depth)
+            while rem and self.is_zero(rem[-1], depth):
+                rem.pop()
+        return quot, rem
 
-    def _monic(self, p, depth):
+    def monic(self, p, depth):
         p = self._trim(p, depth)
         if not p:
             return p
@@ -495,9 +479,6 @@ class FieldElement:
 
     def __neg__(self):
         return FieldElement(self.tower, self.tower.neg(self.v))
-
-    def __pow__(self, e):
-        return FieldElement(self.tower, self.tower.pow(self.v, e))
 
     def inverse(self):
         return FieldElement(self.tower, self.tower.inv(self.v))

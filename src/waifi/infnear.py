@@ -19,9 +19,10 @@ class NotSubconfiguration(ValueError):
 class InfNearPoint:
     """A point of the plane (level 0) or of some exceptional divisor.
 
-    coordinate is the location on the parent divisor (None for plane points
-    and for the single V2-origin of a divisor); proximate_to always contains
-    the parent for points above the plane.
+    coordinate is the triple (X : Y : Z) of a plane point, and for a point
+    above the plane its location on the parent divisor (None for the single
+    V2-origin of a divisor); proximate_to always contains the parent for
+    points above the plane.
     """
 
     pid: int
@@ -220,20 +221,22 @@ def e_vector(conf, pid):
 
 
 def export_proximity_graph(conf, dicritical=()):
-    """Lossless JSON description plus DOT rendering helpers.
+    """JSON description plus DOT rendering helpers.
 
     Solid edges join parents to children (first infinitesimal neighborhood);
-    dashed edges record the remaining proximities.
+    dashed edges record the remaining proximities.  "coordinate" is the
+    location on the parent divisor, so it is null for a plane point.
     """
     dicritical = set(dicritical)
     points = []
     for p in conf:
+        at = None if p.parent is None else p.coordinate
         points.append(
             {
                 "id": p.pid,
                 "parent": p.parent,
                 "branch": p.branch,
-                "coordinate": None if p.coordinate is None else str(p.coordinate),
+                "coordinate": None if at is None else str(at),
                 "level": p.level,
                 "proximate_to": sorted(p.proximate_to),
                 "free": p.free,

@@ -173,19 +173,16 @@ def compute_R(family):
     return R
 
 
-def extract_curves(res, family, R):
+def extract_curves(family, R):
     """Defining polynomials F_i of the candidate curves C_i."""
     conf = family.configuration
-    plane = {
-        pid: res.plane_coords[pid] for pid in conf.roots() if pid in res.plane_coords
-    }
     r = len(family.maximal)
     if r == 1:
         n = int(R.v0)
         mults = {pid: int(R.components[pid]) for pid in conf.order}
         K = Cluster(conf, mults)
         try:
-            basis = linear_system(n, K, plane_points=plane).basis
+            basis = linear_system(n, K)
         except EmptySystem:
             raise AnalysisFailure(CURVE_NOT_UNIQUE, "empty pencil system")
         if len(basis) != 2:
@@ -204,7 +201,7 @@ def extract_curves(res, family, R):
     for h, d in zip(family.h_systems, family.d_values):
         K = Cluster(conf, {pid: h[pid] for pid in conf.order})
         try:
-            basis = linear_system(d, K, plane_points=plane).basis
+            basis = linear_system(d, K)
         except EmptySystem:
             raise AnalysisFailure(CURVE_NOT_UNIQUE, "no curve in the linear system")
         if len(basis) != 1:
@@ -297,9 +294,9 @@ def _z_divides(omega):
 def _check_line_invariant(res):
     if not _z_divides(res.one_form):
         raise AnalysisFailure(LINE_NOT_INVARIANT, "Z=0 is not invariant")
-    for rid in res.dicritical_configuration.roots():
-        triple = res.plane_coords[rid]
-        if triple[2] != 0:
+    conf = res.dicritical_configuration
+    for rid in conf.roots():
+        if conf.point(rid).coordinate[2] != 0:
             raise AnalysisFailure(
                 LINE_NOT_INVARIANT,
                 "a dicritical plane point lies outside the line at infinity",
@@ -315,7 +312,7 @@ def _front_half(res):
     except StructureMismatch as exc:
         raise AnalysisFailure(WRONG_FREE_MAXIMAL_COUNT, str(exc))
     R = compute_R(family)
-    curves = extract_curves(res, family, R)
+    curves = extract_curves(family, R)
     return family, R, curves, [dehomogenize(F) for F in curves]
 
 

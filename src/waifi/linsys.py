@@ -36,13 +36,6 @@ class NoGenericMember(WaifiError, RuntimeError):
     multiplicities of the cluster K."""
 
 
-@dataclass
-class LinearSystemBasis:
-    degree: int
-    cluster: Cluster
-    basis: list
-
-
 def degree_monomials(m):
     """Exponents (a, b, c) of the degree-m monomials X^a Y^b Z^c, in a fixed
     canonical (descending) order."""
@@ -77,10 +70,9 @@ def _child_transforms(eqs, mu, conf, pid):
         yield cid, [strict_transform(eq, chart, mu) for eq in eqs]
 
 
-def linear_system(m, K, plane_points=None):
+def linear_system(m, K):
     """Basis of the curves of degree m passing virtually through the cluster
-    K.  Plane (root) locations are taken from the root points' coordinate
-    triples, or from plane_points[pid].
+    K, whose root points carry their plane triples as coordinates.
 
     Virtual transforms are linear in the curve, so each degree-m monomial is
     carried through the cluster on its own: at a point of virtual
@@ -91,11 +83,9 @@ def linear_system(m, K, plane_points=None):
     if m < 1:
         raise ValueError("degree must be at least 1")
     conf = K.configuration
-    plane_points = plane_points or {}
     tower = QQ_TOWER
-    values = [conf.point(pid).coordinate for pid in conf.order]
-    for value in values + list(plane_points.values()):
-        for c in value if isinstance(value, tuple) else (value,):
+    for p in conf:
+        for c in p.coordinate if isinstance(p.coordinate, tuple) else (p.coordinate,):
             if isinstance(c, FieldElement):
                 tower = tower.join(c.tower)
 
@@ -130,11 +120,8 @@ def linear_system(m, K, plane_points=None):
                 walk(cid, kept, child_eqs)
 
     for rid in conf.roots():
-        p = conf.point(rid)
-        triple = p.coordinate if isinstance(p.coordinate, tuple) else None
-        if triple is None:
-            triple = plane_points.get(rid)
-        if triple is None:
+        triple = conf.point(rid).coordinate
+        if not isinstance(triple, tuple):
             raise ValueError(f"no plane location for root point {rid}")
         walk(rid, range(U), _localize(curves, triple, tower))
 
@@ -142,7 +129,7 @@ def linear_system(m, K, plane_points=None):
     vectors = nullspace(constraints or [[FieldElement.rational(0, tower)] * U])
     if not vectors:
         raise EmptySystem(f"no curve of degree {m} passes through the cluster")
-    basis = [
+    return [
         MultiPoly(
             ("X", "Y", "Z"),
             {e: c.v for c, e in zip(vec, mons) if not c.is_zero()},
@@ -150,26 +137,18 @@ def linear_system(m, K, plane_points=None):
         )
         for vec in vectors
     ]
-    return LinearSystemBasis(m, K, basis)
 
 
 # -- pencils ---------------------------------------------------------------
 
 
-@dataclass
-class BasePointCluster:
-    cluster: Cluster
+@dataclass(frozen=True)
+class BasePointCluster(Cluster):
+    """The base points of a pencil with their generic multiplicities, the
+    dicritical ones among them and the tower of their coordinates."""
+
     dicritical: frozenset
     tower: Tower
-    plane_coords: dict
-
-    @property
-    def configuration(self):
-        return self.cluster.configuration
-
-    @property
-    def multiplicities(self):
-        return self.cluster.multiplicities
 
 
 def _check_pencil(F1, F2):
@@ -200,17 +179,17 @@ def pencil_base_points(F1, F2, max_depth=64, max_tower_degree=16):
         (t, ("u", "v"), {}, tuple(_localize((F1, F2), t, tower)))
         for t in triples
     ]
-    conf, tower, records, _, _, plane_coords = walk_resolution(
+    conf, tower, records, _, _ = walk_resolution(
         roots, _generic_multiplicity, _base_point_children, tower, max_depth, "base points"
     )
     result = BasePointCluster(
-        cluster=Cluster(conf, {pid: m for pid, (m, _) in records.items()}),
+        conf,
+        {pid: m for pid, (m, _) in records.items()},
         # deg D < mP: the tangent cones of the members vary
         dicritical=frozenset(
             pid for pid, (m, D) in records.items() if m > max(D.total_degree(), 0)
         ),
         tower=tower,
-        plane_coords=plane_coords,
     )
     _verify_generic_member(F1, F2, result)
     return result
@@ -268,7 +247,7 @@ def _verify_generic_member(F1, F2, bp):
         if all(
             _check_member(loc, conf, rid, bp.multiplicities)
             for rid in conf.roots()
-            for loc in _localize([G], bp.plane_coords[rid], bp.tower)
+            for loc in _localize([G], conf.point(rid).coordinate, bp.tower)
         ):
             return
     raise NoGenericMember(f"no member F1 + t*F2 with t = 1..{tries} is generic")

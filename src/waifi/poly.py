@@ -250,12 +250,8 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def initial_form(self, m=None):
-        """Terms of total degree exactly m (default: the order)."""
-        if m is None:
-            m = self.order()
-            if m is None:
-                return self
+    def initial_form(self, m):
+        """Terms of total degree exactly m."""
         terms = {e: c for e, c in self.terms.items() if sum(e) == m}
         return MultiPoly(self.vars, terms, self.tower)
 
@@ -671,30 +667,19 @@ def _shift_rational_column(col, lam):
 
 
 def _euclid_univ_gcd(f, g, var):
-    """Monic Euclidean gcd of univariate polynomials over the tower."""
-    tower = f.tower
-
-    def clist(p):
-        p = p.drop_unused_vars()
-        return [p.coefficient((i,)) for i in range(p.degree_in(var) + 1)]
-
-    a, b = clist(f), clist(g)
-    while b:
-        inv = b[-1].inverse()
-        b = [x * inv for x in b]
-        while len(a) >= len(b):
-            c = a[-1]
-            k = len(a) - len(b)
-            for i in range(len(b) - 1):
-                a[k + i] = a[k + i] - c * b[i]
-            a.pop()
-            while a and a[-1].is_zero():
-                a.pop()
-        a, b = b, a
-    out = MultiPoly.from_coeff_dict(
-        (var,), {(i,): c for i, c in enumerate(a)}, tower
+    """Monic Euclidean gcd of nonzero polynomials in the one variable var
+    over the tower, on dense lists of raw coefficients."""
+    tower, depth = f.tower, f.tower.depth
+    a, b = (
+        [p.terms.get((i,), tower.zero()) for i in range(p.degree_in(var) + 1)]
+        for p in (f, g)
     )
-    return out.monic()
+    while b:
+        # a monic divisor keeps the remainders' coefficients small
+        b = tower.monic(b, depth)
+        a, b = b, tower.pdivmod(a, b, depth)[1]
+    terms = {(i,): c for i, c in enumerate(a) if not tower.is_zero(c, depth)}
+    return MultiPoly((var,), terms, tower)
 
 
 # -- resultants -----------------------------------------------------------
@@ -799,7 +784,7 @@ def _lagrange(points, values, var):
 # -- parser ---------------------------------------------------------------
 
 
-def parse_poly(text, allowed=ALLOWED_VARS):
+def parse_poly(text):
     """Parse a polynomial in the external grammar.
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
@@ -808,13 +793,12 @@ def parse_poly(text, allowed=ALLOWED_VARS):
     primary:= coeff | var | '(' expr ')'
     coeff  := int ['/' int]
     """
-    return _Parser(text, allowed).parse()
+    return _Parser(text).parse()
 
 
 class _Parser:
-    def __init__(self, text, allowed):
+    def __init__(self, text):
         self.text = text
-        self.allowed = allowed
         self.pos = 0
 
     def _loc(self, pos=None):
@@ -905,7 +889,7 @@ class _Parser:
             while self.pos < len(self.text) and self.text[self.pos].isalnum():
                 self.pos += 1
             name = self.text[start : self.pos]
-            if name not in self.allowed:
+            if name not in ALLOWED_VARS:
                 self._error(
                     f"unknown variable {name!r}", UnknownVariable, start
                 )

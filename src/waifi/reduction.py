@@ -62,7 +62,6 @@ class ReductionResult:
     infinity_points: frozenset
     local_forms: dict
     tracked_curves: dict
-    plane_coords: dict
 
     def report_json(self):
         graph = export_proximity_graph(
@@ -98,21 +97,20 @@ def walk_resolution(roots, keep, expand, tower, max_depth, what):
     with the tower grown by their centres.  A kept point gets the next pid
     and is proximate to the points whose divisors E<pid> it tracks; it
     raises DepthExceeded ("<what> deeper than ...") beyond max_depth.  A
-    child keeps the chart variables of its root and tracks the divisor of
-    its parent and the parent's curves that still pass through it.
+    root's coordinate is its plane point.  A child keeps the chart
+    variables of its root and tracks the divisor of its parent and the
+    parent's curves that still pass through it.
 
     Returns the Configuration, the final tower, and dicts by pid of the
-    records, the payloads, the tracked curves and the roots' plane points.
+    records, the payloads and the tracked curves.
     """
     stack = [
-        (None, None, None, 0, chart_vars, tracked, payload, plane)
+        (None, None, plane, 0, chart_vars, tracked, payload)
         for plane, chart_vars, tracked, payload in reversed(roots)
     ]
-    points, records, payloads, curves, planes = [], {}, {}, {}, {}
+    points, records, payloads, curves = [], {}, {}, {}
     while stack:
-        parent, branch, coordinate, level, chart_vars, tracked, payload, plane = (
-            stack.pop()
-        )
+        parent, branch, coordinate, level, chart_vars, tracked, payload = stack.pop()
         record = keep(payload)
         if record is None:
             continue
@@ -122,8 +120,6 @@ def walk_resolution(roots, keep, expand, tower, max_depth, what):
         prox = frozenset(int(label[1:]) for label in tracked if label.startswith("E"))
         points.append(InfNearPoint(pid, parent, branch, coordinate, level, prox))
         records[pid], payloads[pid], curves[pid] = record, payload, tracked
-        if plane is not None:
-            planes[pid] = plane
         children, tower = expand(payload, record, tower)
         pending = []
         for child_branch, center, child in children:
@@ -132,10 +128,10 @@ def walk_resolution(roots, keep, expand, tower, max_depth, what):
             )
             at = None if child_branch == V2 else center
             pending.append(
-                (pid, child_branch, at, level + 1, chart_vars, through, child, None)
+                (pid, child_branch, at, level + 1, chart_vars, through, child)
             )
         stack.extend(reversed(pending))
-    return Configuration(points), tower, records, payloads, curves, planes
+    return Configuration(points), tower, records, payloads, curves
 
 
 def _keep_singular(form):
@@ -227,7 +223,7 @@ def reduce(omega, max_depth=64, max_tower_degree=16, start=None, affine=True):
         loc = _translate(charts[one], dict(zip(charts[one].vars, centre)))
         tracked = {} if one == "Z" else {INFINITY_LINE: MultiPoly.variable("z")}
         roots.append((triple, loc.vars, tracked, loc))
-    sconf, tower, classes, forms, curves, planes = walk_resolution(
+    sconf, tower, classes, forms, curves = walk_resolution(
         roots, _keep_singular, _divisor_singularities, tower, max_depth, "reduction"
     )
 
@@ -247,7 +243,6 @@ def reduce(omega, max_depth=64, max_tower_degree=16, start=None, affine=True):
         ),
         local_forms=forms,
         tracked_curves=curves,
-        plane_coords=planes,
     )
 
 

@@ -61,9 +61,8 @@ class ProjectiveOneForm:
         )
 
 
-def homogenize(p, d, vars=("X", "Y", "Z")):
+def homogenize(p, d):
     """Z^d p(X/Z, Y/Z) as a degree-d homogeneous polynomial."""
-    VX, VY, VZ = vars
     terms = {}
     for e, c in p.terms.items():
         exp = dict(zip(p.vars, e))
@@ -72,8 +71,7 @@ def homogenize(p, d, vars=("X", "Y", "Z")):
         if a + b > d:
             raise ValueError("degree of p exceeds homogenization degree")
         terms[(a, b, d - a - b)] = c
-    out = MultiPoly((VX, VY, VZ), terms, p.tower)
-    return out._reorder(tuple(sorted((VX, VY, VZ))))
+    return MultiPoly(("X", "Y", "Z"), terms, p.tower)
 
 
 def dehomogenize(F, one="Z", names=("x", "y")):

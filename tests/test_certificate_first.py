@@ -49,7 +49,7 @@ def reference_decide(V, routes, max_depth=64, max_tower_degree=16):
         except StructureMismatch as exc:
             raise AnalysisFailure(WRONG_FREE_MAXIMAL_COUNT, str(exc))
         R = compute_R(family)
-        curves = extract_curves(res, family, R)
+        curves = extract_curves(family, R)
     except AnalysisFailure as exc:
         return [(None, exc.reason)] * len(routes)
     front = (family, R, curves, [dehomogenize(F) for F in curves])

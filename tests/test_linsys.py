@@ -5,7 +5,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from waifi.blowup import blow_up_chart, strict_transform
 from waifi.field import FieldElement, QQ_TOWER
-from waifi.infnear import Cluster, Configuration, InfNearPoint
+from waifi.infnear import (
+    Cluster,
+    Configuration,
+    InfNearPoint,
+    export_proximity_graph,
+)
 from waifi.linalg import nullspace
 from waifi.linsys import (
     CommonComponent,
@@ -45,12 +50,12 @@ def test_cubic_system_through_four_point_cluster():
     )
     K = Cluster(conf, {0: 2, 1: 2, 2: 1, 3: 1})
     sys = linear_system(3, K)
-    assert len(sys.basis) == 2
+    assert len(sys) == 2
     allowed = {(1, 2, 0), (0, 3, 0)}  # X*Y^2 and Y^3
-    for b in sys.basis:
+    for b in sys:
         assert set(b.terms) <= allowed
     # both monomials are hit across the basis
-    assert {e for b in sys.basis for e in b.terms} == allowed
+    assert {e for b in sys for e in b.terms} == allowed
 
 
 def test_empty_system():
@@ -64,7 +69,7 @@ def test_unconstrained_system_is_full():
     conf = Configuration([pt(0, None, None, (0, 0, 1), ())])
     K = Cluster(conf, {0: 0})
     sys = linear_system(1, K)
-    assert len(sys.basis) == 3
+    assert len(sys) == 3
 
 
 def test_pencil_validation():
@@ -88,7 +93,43 @@ def test_pencil_xy_z2():
     assert [conf.point(i).parent for i in conf.order] == [None, 0, None, 2]
     assert bp.multiplicities == {0: 1, 1: 1, 2: 1, 3: 1}
     assert bp.dicritical == frozenset({1, 3})
-    assert set(bp.plane_coords) == {0, 2}
+    located = [p.pid for p in conf if isinstance(p.coordinate, tuple)]
+    assert located == [0, 2]
+
+
+def assert_roots_are_common_zeros(conf, polys, count):
+    """Every root carries its plane triple, a common zero of polys; one of
+    them is an irrational point at infinity; the JSON keeps null for it."""
+    triples = [conf.point(rid).coordinate for rid in conf.roots()]
+    assert len(triples) == count
+    for t in triples:
+        assert isinstance(t, tuple)
+        assert all(F.evaluate(dict(zip("XYZ", t))).is_zero() for F in polys)
+    assert any(t[2] == 0 and any(c.is_rational() is None for c in t) for t in triples)
+    doc = export_proximity_graph(conf)
+    assert all(p["coordinate"] is None for p in doc["points"] if p["parent"] is None)
+
+
+def test_reduce_roots_carry_their_plane_triple():
+    # the rotation: the points (+-i:1:0) at infinity; its simple centre
+    # (0:0:1) is not in the configuration
+    res = reduce(projectivize(AffineVectorField(parse_poly("-y"), parse_poly("x"))))
+    omega = res.one_form
+    assert_roots_are_common_zeros(
+        res.singular_configuration, (omega.A, omega.B, omega.C), 2
+    )
+
+
+def test_pencil_roots_carry_their_plane_triple():
+    # the base points (+-sqrt(2):1:0) at infinity, (-1:0:1) and (0:0:1)
+    F1, F2 = parse_poly("X^2 - 2*Y^2 + X*Z"), parse_poly("Y*Z")
+    assert_roots_are_common_zeros(pencil_base_points(F1, F2).configuration, (F1, F2), 4)
+
+
+def test_linear_system_needs_root_triples():
+    conf = Configuration([pt(0, None, None, None, ())])
+    with pytest.raises(ValueError, match="no plane location for root point 0"):
+        linear_system(1, Cluster(conf, {0: 1}))
 
 
 def test_pencil_first_member_not_generic():
@@ -102,10 +143,10 @@ def test_pencil_first_member_not_generic():
     assert bp.dicritical == frozenset({1, 3})
     (origin,) = [
         rid for rid in conf.roots()
-        if bp.plane_coords[rid][:2] == (0, 0)
+        if conf.point(rid).coordinate[:2] == (0, 0)
     ]
     for t, generic in ((1, False), (2, True)):
-        (loc,) = _localize([F1 + t * F2], bp.plane_coords[origin], bp.tower)
+        (loc,) = _localize([F1 + t * F2], conf.point(origin).coordinate, bp.tower)
         assert (loc.order() == bp.multiplicities[origin]) == generic
 
 
@@ -161,11 +202,11 @@ def test_linear_system_recovers_pencil():
     F1 = parse_poly("X^2*Z^3 + Y^5")
     F2 = parse_poly("Z^5")
     bp = pencil_base_points(F1, F2)
-    sys = linear_system(5, bp.cluster, plane_points=bp.plane_coords)
-    assert len(sys.basis) == 2
+    sys = linear_system(5, bp)
+    assert len(sys) == 2
     vars3 = ("X", "Y", "Z")
     allowed = set(F1.with_vars(vars3).terms) | set(F2.with_vars(vars3).terms)
-    for b in sys.basis:
+    for b in sys:
         assert set(b.terms) <= allowed
 
 
@@ -247,16 +288,15 @@ def reference_split_jet(eq, mu, cindex):
     return rows, MultiPoly(eq.vars, keep, tower)
 
 
-def reference_linear_system(m, K, plane_points=None):
+def reference_linear_system(m, K):
     """The basis of L_m(K) from one generic curve in the unknowns @c<j>
     carried through the virtual transforms of the cluster."""
     if m < 1:
         raise ValueError("degree must be at least 1")
     conf = K.configuration
-    plane_points = plane_points or {}
     tower = QQ_TOWER
     values = [conf.point(pid).coordinate for pid in conf.order]
-    for value in values + list(plane_points.values()):
+    for value in values:
         for c in value if isinstance(value, tuple) else (value,):
             if isinstance(c, FieldElement):
                 tower = tower.join(c.tower)
@@ -278,11 +318,7 @@ def reference_linear_system(m, K, plane_points=None):
             walk(cid, child_eq)
 
     for rid in conf.roots():
-        p = conf.point(rid)
-        triple = p.coordinate if isinstance(p.coordinate, tuple) else None
-        if triple is None:
-            triple = plane_points.get(rid)
-        walk(rid, reference_localize(F, triple, tower))
+        walk(rid, reference_localize(F, conf.point(rid).coordinate, tower))
 
     U = len(names)
     if not constraints:
@@ -313,11 +349,11 @@ def basis_or_empty(system):
         return EmptySystem
 
 
-def assert_same_system(m, K, plane_points=None):
+def assert_same_system(m, K):
     """linear_system and the reference give the same basis element by
     element, or both raise EmptySystem."""
-    ours = basis_or_empty(lambda: linear_system(m, K, plane_points=plane_points).basis)
-    ref = basis_or_empty(lambda: reference_linear_system(m, K, plane_points))
+    ours = basis_or_empty(lambda: linear_system(m, K))
+    ref = basis_or_empty(lambda: reference_linear_system(m, K))
     if ours is EmptySystem or ref is EmptySystem:
         assert ours is ref
         return
@@ -356,7 +392,7 @@ def test_linear_system_matches_reference_hand_made(K, m):
 def test_linear_system_matches_reference_quintic_pencil():
     bp = pencil_base_points(parse_poly("X^2*Z^3 + Y^5"), parse_poly("Z^5"))
     for m in (4, 5, 6):
-        assert_same_system(m, bp.cluster, bp.plane_coords)
+        assert_same_system(m, bp)
 
 
 @st.composite
@@ -398,4 +434,4 @@ def test_linear_system_matches_reference_on_planted_pencils(case):
     F1, d = case
     bp = pencil_base_points(F1, MultiPoly.variable("Z") ** d)
     for m in range(max(d - 1, 1), d + 2):
-        assert_same_system(m, bp.cluster, bp.plane_coords)
+        assert_same_system(m, bp)
