@@ -1,5 +1,5 @@
 """Local blow-ups of 1-forms and curves: strict transforms, characteristic
-polynomials, singularity classification, and curve tracking through charts.
+polynomials and singularity classification.
 
 All local data lives at an origin of a two-variable chart.  Blowing up at a
 divisor coordinate lambda recentres first, so every blow-up is a blow-up at
@@ -96,49 +96,34 @@ def _common_power(polys, var):
     return 0 if e is None else e
 
 
-@dataclass(frozen=True)
-class Chart:
-    """One chart of the blow-up of the origin of vars = (u, v), recentred at
-    `center` on the divisor.
+def _axes(branch, vars):
+    """(divisor, other) of one blow-up of the origin of vars = (u, v).
 
     V1 pulls back along (u, v) -> (u, u (v + center)) and keeps u = 0 as
     the divisor; V2 along (u, v) -> (v (u + center), v) and keeps v = 0.
-    divisor names the divisor variable and other the remaining one; the
-    tower of the FieldElement center is the one pulled-back polynomials are
-    lifted to.  The pull-back is the exponent map of _remap followed by the
-    Taylor shift other -> other + center.
+    divisor names the divisor variable and other the remaining one.  The
+    pull-back is the exponent map of _remap followed by the Taylor shift
+    other -> other + center.
     """
-
-    vars: tuple
-    divisor: str
-    other: str
-    center: FieldElement
-
-
-def blow_up_chart(center, branch, vars, tower):
-    """The chart of one blow-up; polynomials live over tower, deepened to
-    the tower of a FieldElement center."""
     u, v = vars
     if branch == V1:
-        divisor, other = u, v
-    elif branch == V2:
-        divisor, other = v, u
-    else:
-        raise ValueError("branch must be V1 or V2")
-    if isinstance(center, FieldElement):
-        tower = tower.join(center.tower)
-    return Chart(vars, divisor, other, tower.element(center))
+        return u, v
+    if branch == V2:
+        return v, u
+    raise ValueError("branch must be V1 or V2")
 
 
-def _remap(p, chart, times=None):
-    """p under the monomial part of the chart map, (i, j) -> (i + j, j) on
-    V1 and (i, i + j) on V2 in the exponents of (u, v), multiplied by the
-    chart variable named times (if any); other variables are untouched."""
-    p = p.with_vars(chart.vars)
-    d = p.vars.index(chart.divisor)
-    o = p.vars.index(chart.other)
-    bump_d = int(times == chart.divisor)
-    bump_o = int(times == chart.other)
+def _remap(p, vars, axes, times=None):
+    """p under the monomial part of the chart map with axes (divisor,
+    other), (i, j) -> (i + j, j) on V1 and (i, i + j) on V2 in the exponents
+    of (u, v), multiplied by the chart variable named times (if any); other
+    variables are untouched."""
+    divisor, other = axes
+    p = p.with_vars(vars)
+    d = p.vars.index(divisor)
+    o = p.vars.index(other)
+    bump_d = int(times == divisor)
+    bump_o = int(times == other)
     terms = {}
     for e, c in p.terms.items():
         ne = list(e)
@@ -148,15 +133,17 @@ def _remap(p, chart, times=None):
     return MultiPoly(p.vars, terms, p.tower)
 
 
-def strict_transform(p, chart, e):
-    """The pull-back of p through the chart divided by the e-th power of the
-    divisor variable; None when the pull-back is not divisible by it."""
-    out = _div_power(_remap(p, chart), chart.divisor, e)
-    return None if out is None else out.shift(chart.other, chart.center)
+def strict_transform(p, center, branch, vars, e):
+    """The pull-back of p through the chart of branch at center (see _axes)
+    divided by the e-th power of the divisor variable; None when the
+    pull-back is not divisible by it."""
+    axes = divisor, other = _axes(branch, vars)
+    out = _div_power(_remap(p, vars, axes), divisor, e)
+    return None if out is None else out.shift(other, center)
 
 
 def blow_up_form(omega, center, branch, dicritical=None):
-    """Strict transform of omega under one blow-up (see Chart).
+    """Strict transform of omega under one blow-up (see _axes).
 
     Both components are divided by the maximal common power e of the divisor
     variable; e must be m (non-dicritical) or m+1 (dicritical).  dicritical
@@ -164,19 +151,22 @@ def blow_up_form(omega, center, branch, dicritical=None):
     is computed from char_poly.
     """
     m = multiplicity(omega)
-    chart = blow_up_chart(center, branch, omega.vars, omega.a.tower)
-    tower = chart.center.tower
+    vars = omega.vars
+    axes = divisor, other = _axes(branch, vars)
+    tower = omega.a.tower
+    if isinstance(center, FieldElement):
+        tower = tower.join(center.tower)
     # b can be over a deeper tower than a and the centre
     a, b = omega.a.lift_to(tower), omega.b.lift_to(tower.join(omega.b.tower))
     # a du + b dv pulls back to (a + (v + center) b) du + u b dv on V1 and
     # v a du + ((u + center) a + b) dv on V2; the shift comes last
     if branch == V1:
-        na = _remap(a, chart) + _remap(b, chart, chart.other)
-        nb = _remap(b, chart, chart.divisor)
+        na = _remap(a, vars, axes) + _remap(b, vars, axes, other)
+        nb = _remap(b, vars, axes, divisor)
     else:
-        na = _remap(a, chart, chart.divisor)
-        nb = _remap(a, chart, chart.other) + _remap(b, chart)
-    e = _common_power([na, nb], chart.divisor)
+        na = _remap(a, vars, axes, divisor)
+        nb = _remap(a, vars, axes, other) + _remap(b, vars, axes)
+    e = _common_power([na, nb], divisor)
     if dicritical is None:
         dicritical = char_poly(omega).is_zero()
     expected = m + 1 if dicritical else m
@@ -184,9 +174,9 @@ def blow_up_form(omega, center, branch, dicritical=None):
         raise DivisibilityViolation(
             f"removed exceptional power {e}, expected {expected}"
         )
-    na = _div_power(na, chart.divisor, e).shift(chart.other, chart.center)
-    nb = _div_power(nb, chart.divisor, e).shift(chart.other, chart.center)
-    return LocalOneForm(na, nb, omega.vars)
+    na = _div_power(na, divisor, e).shift(other, center)
+    nb = _div_power(nb, divisor, e).shift(other, center)
+    return LocalOneForm(na, nb, vars)
 
 
 def blow_up_curve(equation, center, branch, vars):
@@ -198,25 +188,9 @@ def blow_up_curve(equation, center, branch, vars):
     mult = equation.order()
     if mult is None:
         raise ValueError("zero curve cannot be tracked")
-    out = strict_transform(
-        equation, blow_up_chart(center, branch, vars, equation.tower), mult
-    )
+    out = strict_transform(equation, center, branch, vars, mult)
     if out is None:
         raise DivisibilityViolation("curve pull-back not divisible to multiplicity")
-    return out
-
-
-def track_curves(tracked, label, center, branch, vars, tower):
-    """Curves through the origin of a new chart: the exceptional divisor of
-    the blow-up, under label, then the strict transforms of the tracked
-    curves that still pass through it."""
-    divisor = vars[0] if branch == V1 else vars[1]
-    out = {label: MultiPoly.variable(divisor, tower)}
-    for name, eq in tracked.items():
-        new_eq = blow_up_curve(eq, center, branch, vars)
-        o = new_eq.order()
-        if o is not None and o >= 1:
-            out[name] = new_eq
     return out
 
 

@@ -12,13 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .errors import InputError, WaifiError
+from .field import MAX_TOWER_DEGREE
 from .infnear import export_proximity_graph, proximity_graph_dot
 from .integrability import AnalysisFailure, decide, poincare_bound, poincare_degree
 from .linsys import pencil_base_points
 from .poly import PolySyntaxError, parse_poly
-from .reduction import reduce as reduce_form
+from .reduction import MAX_DEPTH, reduce as reduce_form
 from .vfield import AffineVectorField, ProjectiveOneForm, projectivize
 
 
@@ -35,7 +37,10 @@ class RoutesDisagree(WaifiError, RuntimeError):
 
 
 def _read_spec(path):
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not UTF-8: byte {exc.start} ({exc.reason})")
     entries = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -220,8 +225,8 @@ def build_parser():
     def common(p):
         p.add_argument("input", help="input file of key = polynomial lines, or -")
         p.add_argument("--json", action="store_true", help="machine output")
-        p.add_argument("--max-depth", type=int, default=64)
-        p.add_argument("--max-tower-degree", type=int, default=16)
+        p.add_argument("--max-depth", type=int, default=MAX_DEPTH)
+        p.add_argument("--max-tower-degree", type=int, default=MAX_TOWER_DEGREE)
 
     p = sub.add_parser("reduce", help="reduction of singularities")
     common(p)

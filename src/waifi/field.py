@@ -44,6 +44,9 @@ class ExtensionDegreeExceeded(WaifiError):
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+#: the default cap on the degree of a tower over Q (--max-tower-degree)
+MAX_TOWER_DEGREE = 16
+
 
 class Tower:
     """A tower of simple extensions of Q.
@@ -55,7 +58,7 @@ class Tower:
 
     __slots__ = ("levels", "max_degree", "_degree")
 
-    def __init__(self, levels=(), max_degree=16):
+    def __init__(self, levels=(), max_degree=MAX_TOWER_DEGREE):
         self.levels = tuple(levels)
         self.max_degree = max_degree
         d = 1

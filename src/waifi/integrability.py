@@ -14,10 +14,12 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import WaifiError
+from .field import MAX_TOWER_DEGREE
 from .infnear import Cluster, PairingVector, e_vector, multiplicity_system
 from .linsys import EmptySystem, linear_system
 from .poly import MultiPoly
 from .reduction import (
+    MAX_DEPTH,
     StructureMismatch,
     maximal_free_pairs,
     points_at_infinity,
@@ -380,7 +382,7 @@ def _decide_from(V, res, routes):
     return out
 
 
-def decide(V, routes, max_depth=64, max_tower_degree=16):
+def decide(V, routes, max_depth=MAX_DEPTH, max_tower_degree=MAX_TOWER_DEGREE):
     """(certificate, None) or (None, reason) for each route.
 
     A WAI integral H gives the pencil H - lambda Z^n, whose base points, the

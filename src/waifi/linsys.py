@@ -12,15 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blowup import V1, V2, blow_up_chart, strict_transform
+from .blowup import V1, V2, strict_transform
 from .errors import InputError, WaifiError
 from .factor import plane_common_zeros, roots_in_extension
-from .field import FieldElement, QQ_TOWER, Tower
+from .field import MAX_TOWER_DEGREE, FieldElement, QQ_TOWER, Tower
 from .infnear import Cluster
 from .linalg import nullspace
 from .poly import MultiPoly, poly_gcd
-from .reduction import walk_resolution
+from .reduction import MAX_DEPTH, walk_resolution
 from .vfield import ProjectiveOneForm, chart_at, dehomogenize
+
+
+UV = ("u", "v")  # the local variables at every point of a cluster
 
 
 class EmptySystem(ValueError):
@@ -52,10 +55,10 @@ def _localize(curves, triple, tower):
     one, centre = chart_at(tuple(tower.element(c) for c in triple))
     out = []
     for F in curves:
-        local = dehomogenize(F.lift_to(tower), one, ("u", "v"))
-        for var, c in zip(("u", "v"), centre):
+        local = dehomogenize(F.lift_to(tower), one, UV)
+        for var, c in zip(UV, centre):
             local = local.shift(var, c)
-        out.append(local.with_vars(("u", "v")))
+        out.append(local.with_vars(UV))
     return out
 
 
@@ -66,8 +69,7 @@ def _child_transforms(eqs, mu, conf, pid):
     for cid in conf.children(pid):
         child = conf.point(cid)
         lam = 0 if child.coordinate is None else child.coordinate
-        chart = blow_up_chart(lam, child.branch, ("u", "v"), eqs[0].tower)
-        yield cid, [strict_transform(eq, chart, mu) for eq in eqs]
+        yield cid, [strict_transform(eq, lam, child.branch, UV, mu) for eq in eqs]
 
 
 def linear_system(m, K):
@@ -165,7 +167,7 @@ def _check_pencil(F1, F2):
         raise CommonComponent("the generators share a factor")
 
 
-def pencil_base_points(F1, F2, max_depth=64, max_tower_degree=16):
+def pencil_base_points(F1, F2, max_depth=MAX_DEPTH, max_tower_degree=MAX_TOWER_DEGREE):
     """Cluster of base points of the pencil <F1, F2>, with generic
     multiplicities and dicritical flags, verified on a generic member."""
     _check_pencil(F1, F2)
@@ -175,10 +177,7 @@ def pencil_base_points(F1, F2, max_depth=64, max_tower_degree=16):
         dehomogenize(F2),
         Tower((), max_degree=max_tower_degree),
     )
-    roots = [
-        (t, ("u", "v"), {}, tuple(_localize((F1, F2), t, tower)))
-        for t in triples
-    ]
+    roots = [(t, {}, tuple(_localize((F1, F2), t, tower))) for t in triples]
     conf, tower, records, _, _ = walk_resolution(
         roots, _generic_multiplicity, _base_point_children, tower, max_depth, "base points"
     )
@@ -217,7 +216,7 @@ def _base_point_children(fg, record, tower):
     mP, D = record
     if D.is_constant():
         return [], tower
-    Dv = D.with_vars(("u", "v"))
+    Dv = D.with_vars(UV)
     lams, tower = roots_in_extension(Dv.restrict("u", 1).with_vars(("v",)), tower)
     centers = [(V1, lam) for lam in lams]
     # the direction (0:1) of the divisor lies in the V2 chart
@@ -225,8 +224,7 @@ def _base_point_children(fg, record, tower):
         centers.insert(0, (V2, FieldElement.rational(0, tower)))
     children = []
     for branch, center in centers:
-        chart = blow_up_chart(center, branch, ("u", "v"), tower)
-        child = (strict_transform(f, chart, mP), strict_transform(g, chart, mP))
+        child = tuple(strict_transform(h, center, branch, UV, mP) for h in (f, g))
         children.append((branch, center, child))
     return children, tower
 

@@ -20,7 +20,6 @@ from .blowup import (
     V2,
     blow_up_form,
     classify,
-    track_curves,
 )
 from .errors import WaifiError
 from .factor import (
@@ -29,10 +28,13 @@ from .factor import (
     plane_triples,
     roots_in_extension,
 )
-from .field import Tower
+from .field import MAX_TOWER_DEGREE, Tower
 from .infnear import Configuration, InfNearPoint, export_proximity_graph
 from .poly import MultiPoly, poly_gcd
 from .vfield import ProjectiveOneForm, chart_at, dehomogenize, restrict_to_chart
+
+#: the default blow-up depth budget (--max-depth)
+MAX_DEPTH = 64
 
 
 class DepthExceeded(WaifiError, RuntimeError):
@@ -61,7 +63,7 @@ class ReductionResult:
     dicritical: frozenset  # the dicritical points, by pid
     infinity_points: frozenset
     local_forms: dict
-    tracked_curves: dict
+    tracked_curves: dict  # by pid: label -> axis (0 for u = 0, 1 for v = 0)
 
     def report_json(self):
         graph = export_proximity_graph(
@@ -87,30 +89,45 @@ def _translate(form, shifts):
     return LocalOneForm(a, b, form.vars)
 
 
+def _child_axes(tracked, label, branch, center):
+    """The tracked curves through the origin of a child chart, by label:
+    each is a coordinate axis, 0 for u = 0 and 1 for v = 0.
+
+    On V2 (centre 0) u pulls back to u v and v to v, so the u axis stays and
+    the divisor, labelled label, is the v axis.  On V1 at lambda u pulls
+    back to u and v to u (v + lambda): the divisor is the u axis, and the v
+    axis stays only when lambda = 0.
+    """
+    stay = 0 if branch == V2 else 1 if center.is_zero() else None
+    out = {name: axis for name, axis in tracked.items() if axis == stay}
+    out[label] = 1 if branch == V2 else 0
+    return out
+
+
 def walk_resolution(roots, keep, expand, tower, max_depth, what):
     """Depth-first walk of the infinitely near points above plane points.
 
-    roots lists (plane point, chart variables, tracked curves, payload) in
-    canonical order.  keep(payload) returns None to drop a point and its
+    roots lists (plane point, tracked curves, payload) in canonical order;
+    tracked curves map each label to the chart axis the curve is (see
+    _child_axes).  keep(payload) returns None to drop a point and its
     subtree, otherwise the point's record; expand(payload, record, tower)
     returns the children as (branch, centre, payload) in canonical order,
     with the tower grown by their centres.  A kept point gets the next pid
     and is proximate to the points whose divisors E<pid> it tracks; it
     raises DepthExceeded ("<what> deeper than ...") beyond max_depth.  A
-    root's coordinate is its plane point.  A child keeps the chart
-    variables of its root and tracks the divisor of its parent and the
-    parent's curves that still pass through it.
+    root's coordinate is its plane point.  A child tracks the divisor of
+    its parent and the parent's curves that still pass through it.
 
     Returns the Configuration, the final tower, and dicts by pid of the
     records, the payloads and the tracked curves.
     """
     stack = [
-        (None, None, plane, 0, chart_vars, tracked, payload)
-        for plane, chart_vars, tracked, payload in reversed(roots)
+        (None, None, plane, 0, tracked, payload)
+        for plane, tracked, payload in reversed(roots)
     ]
     points, records, payloads, curves = [], {}, {}, {}
     while stack:
-        parent, branch, coordinate, level, chart_vars, tracked, payload = stack.pop()
+        parent, branch, coordinate, level, tracked, payload = stack.pop()
         record = keep(payload)
         if record is None:
             continue
@@ -123,13 +140,9 @@ def walk_resolution(roots, keep, expand, tower, max_depth, what):
         children, tower = expand(payload, record, tower)
         pending = []
         for child_branch, center, child in children:
-            through = track_curves(
-                tracked, f"E{pid}", center, child_branch, chart_vars, tower
-            )
+            through = _child_axes(tracked, f"E{pid}", child_branch, center)
             at = None if child_branch == V2 else center
-            pending.append(
-                (pid, child_branch, at, level + 1, chart_vars, through, child)
-            )
+            pending.append((pid, child_branch, at, level + 1, through, child))
         stack.extend(reversed(pending))
     return Configuration(points), tower, records, payloads, curves
 
@@ -146,7 +159,8 @@ def _keep_singular(form):
 def _divisor_singularities(form, cls, tower):
     """The singular points on the divisor of one blow-up: the V2 origin,
     the single point outside the V1 chart, then the common roots on u = 0
-    of the V1 strict transform."""
+    of the V1 strict transform.  The V1 chart at lambda is the chart at 0
+    shifted by v -> v + lambda."""
     u, v = form.vars
     dicritical = cls == DICRITICAL
     children = []
@@ -163,8 +177,8 @@ def _divisor_singularities(form, cls, tower):
         raise NonIsolatedSingularities("whole exceptional divisor singular")
     lam_roots, tower = roots_in_extension(g, tower)
     for lam in lam_roots:
-        strict = strict1 if lam.is_zero() else blow_up_form(form, lam, V1, dicritical)
-        children.append((V1, lam, strict))
+        a, b = strict1.a.shift(v, lam), strict1.b.shift(v, lam)
+        children.append((V1, lam, LocalOneForm(a, b, form.vars)))
     return children, tower
 
 
@@ -180,7 +194,7 @@ class PlaneStart:
     tower: Tower
 
 
-def points_at_infinity(omega, max_tower_degree=16):
+def points_at_infinity(omega, max_tower_degree=MAX_TOWER_DEGREE):
     """Reduce omega, check that its singular points are isolated and find
     its points on Z = 0."""
     omega = omega.reduced()
@@ -196,7 +210,8 @@ def points_at_infinity(omega, max_tower_degree=16):
     return PlaneStart(omega, f, g, at_inf, tower)
 
 
-def reduce(omega, max_depth=64, max_tower_degree=16, start=None, affine=True):
+def reduce(omega, max_depth=MAX_DEPTH, max_tower_degree=MAX_TOWER_DEGREE,
+           start=None, affine=True):
     """Run the reduction of singularities of a projective 1-form.
 
     start, the points_at_infinity of omega found before, is reused instead
@@ -206,23 +221,20 @@ def reduce(omega, max_depth=64, max_tower_degree=16, start=None, affine=True):
     """
     if start is None:
         start = points_at_infinity(omega, max_tower_degree)
-    omega, f, g, tower = start.one_form, start.f, start.g, start.tower
+    omega, tower = start.one_form, start.tower
     points = []
     if affine:
-        points, tower = affine_common_zeros(f, g, tower)
+        points, tower = affine_common_zeros(start.f, start.g, tower)
     triples = plane_triples(start.at_infinity, points, tower)
 
     located = [(triple, *chart_at(triple)) for triple in triples]
-    # each chart once; the Z chart is (f, g), coprime when it has points
-    xy = ("x", "y")
-    charts = {"Z": LocalOneForm(f.with_vars(xy), g.with_vars(xy), xy)}
-    for name in {one for _, one, _ in located} - {"Z"}:
-        charts[name] = restrict_to_chart(omega, name)
+    charts = {one: restrict_to_chart(omega, one) for one in {c for _, c, _ in located}}
     roots = []
     for triple, one, centre in located:
         loc = _translate(charts[one], dict(zip(charts[one].vars, centre)))
-        tracked = {} if one == "Z" else {INFINITY_LINE: MultiPoly.variable("z")}
-        roots.append((triple, loc.vars, tracked, loc))
+        # the line at infinity is the axis z = 0 of the X and Y charts
+        tracked = {} if one == "Z" else {INFINITY_LINE: loc.vars.index("z")}
+        roots.append((triple, tracked, loc))
     sconf, tower, classes, forms, curves = walk_resolution(
         roots, _keep_singular, _divisor_singularities, tower, max_depth, "reduction"
     )

@@ -118,8 +118,15 @@ def chart_at(triple):
 
 
 def restrict_to_chart(omega, chart):
-    """Restrict to an affine chart; returns a LocalOneForm in the two chart
-    variables, reduced by the gcd of its components."""
+    """Restrict a reduced form to an affine chart; returns a LocalOneForm in
+    the two chart variables.
+
+    Its components share no factor, so no gcd is taken: on chart Z, say, a
+    common factor h of A and B divides XA + YB = -ZC, and h shares no
+    factor with C because the form is reduced, so h is a power of Z, which
+    is 1 on the chart.  A common factor of the dehomogenised components
+    would homogenise to such an h.
+    """
     if chart not in CHARTS:
         raise ValueError("chart must be one of 'X', 'Y', 'Z'")
     one_var, (u, v) = CHARTS[chart]
@@ -127,10 +134,6 @@ def restrict_to_chart(omega, chart):
     comps = {"X": omega.A, "Y": omega.B, "Z": omega.C}
     a = dehomogenize(comps[others[0]], one_var, (u, v))
     b = dehomogenize(comps[others[1]], one_var, (u, v))
-    g = poly_gcd(a, b)
-    if not (g.is_constant() or g.is_zero()):
-        a = a.divide_exact(g)
-        b = b.divide_exact(g)
     return LocalOneForm(a.with_vars((u, v)), b.with_vars((u, v)), (u, v))
 
 

@@ -12,7 +12,6 @@ from waifi.blowup import (
     SIMPLE,
     V1,
     V2,
-    blow_up_chart,
     blow_up_curve,
     blow_up_form,
     char_poly,
@@ -151,6 +150,9 @@ def test_blow_up_at_shifted_center():
 def test_blow_up_rejects_bad_branch():
     with pytest.raises(ValueError):
         blow_up_form(lof("z", "y"), 0, "V3")
+    vars = ("y", "z")
+    with pytest.raises(ValueError):
+        strict_transform(parse_poly("z").with_vars(vars), 0, "V3", vars, 1)
 
 
 def test_blow_up_curve_smooth_transverse():
@@ -230,15 +232,14 @@ def pull_back(p, center, branch):
 def test_strict_transform_divides_pull_back(case):
     p, center, branch, e = case
     vars = ("u", "v")
-    chart = blow_up_chart(center, branch, vars, p.tower)
-    out = strict_transform(p, chart, e)
+    out = strict_transform(p, center, branch, vars, e)
     # the pull-back is divisible by exactly the order of p
     assert (out is None) == (e > p.order())
     if out is not None:
-        divisor = MultiPoly.variable(chart.divisor, out.tower)
+        divisor = MultiPoly.variable("u" if branch == V1 else "v", out.tower)
         assert (divisor ** e * out - pull_back(p, center, branch)).is_zero()
     assert blow_up_curve(p, center, branch, vars) == strict_transform(
-        p, chart, p.order()
+        p, center, branch, vars, p.order()
     )
 
 

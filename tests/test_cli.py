@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -213,6 +214,19 @@ def test_bad_input_exit_code(tmp_path, capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_input_is_one_error_line(tmp_path, capsys):
+    spec = tmp_path / "latin1.txt"
+    spec.write_bytes(b"p = x\xff\nq = y\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["integrate", str(spec)])
+        run(capsys, ["integrate", write(tmp_path, "p = 5*y^4\nq = -2*x\n")])
+    assert (code, out) == (1, "")
+    assert err == "error: input is not UTF-8: byte 5 (invalid start byte)\n"
+    # the input file is closed, not left to the garbage collector
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_tower_budget_exit_code(tmp_path, capsys):

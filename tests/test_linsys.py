@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from waifi.blowup import blow_up_chart, strict_transform
+from waifi.blowup import strict_transform
 from waifi.field import FieldElement, QQ_TOWER
 from waifi.infnear import (
     Cluster,
@@ -312,8 +312,7 @@ def reference_linear_system(m, K):
         for cid in conf.children(pid):
             child = conf.point(cid)
             lam = 0 if child.coordinate is None else child.coordinate
-            chart = blow_up_chart(lam, child.branch, ("u", "v"), pruned.tower)
-            child_eq = strict_transform(pruned, chart, mu)
+            child_eq = strict_transform(pruned, lam, child.branch, ("u", "v"), mu)
             assert child_eq is not None, "not divisible after pruning"
             walk(cid, child_eq)
 

@@ -1,9 +1,14 @@
-import pytest
+from fractions import Fraction
 
-from waifi.blowup import DICRITICAL, ORDINARY, SIMPLE
-from waifi.poly import parse_poly
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from waifi.blowup import DICRITICAL, ORDINARY, SIMPLE, V1, V2, blow_up_curve
+from waifi.field import FieldElement, QQ_TOWER, Tower
+from waifi.poly import MultiPoly, parse_poly
 from waifi.reduction import (
     INFINITY_LINE,
+    _child_axes,
     StructureMismatch,
     dicritical_points,
     max_free_points,
@@ -68,6 +73,48 @@ def test_infinity_line_is_tracked():
     # exceptional divisors are tracked through later blow-ups: the satellite
     # point 2 lies on both E0 and E1
     assert {"E0", "E1"} <= set(res.tracked_curves[2])
+
+
+def reference_track_curves(tracked, label, center, branch, vars):
+    """Curves through the origin of a new chart as polynomials: the divisor
+    of the blow-up, under label, then the strict transforms of the tracked
+    curves that still pass through it."""
+    out = {label: MultiPoly.variable(vars[0] if branch == V1 else vars[1])}
+    for name, eq in tracked.items():
+        new_eq = blow_up_curve(eq, center, branch, vars)
+        o = new_eq.order()
+        if o is not None and o >= 1:
+            out[name] = new_eq
+    return out
+
+
+QS = Tower().adjoin("s", (Fraction(-2), Fraction(0), Fraction(1)))  # s^2 = 2
+nonzero = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+v1_centers = st.one_of(
+    st.just(FieldElement.rational(0, QQ_TOWER)),
+    nonzero.map(lambda q: FieldElement.rational(q, QQ_TOWER)),
+    st.tuples(nonzero, nonzero).map(lambda v: FieldElement(QS, v)),
+)
+steps = st.one_of(
+    st.just((V2, FieldElement.rational(0, QQ_TOWER))),
+    v1_centers.map(lambda c: (V1, c)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.sampled_from([0, 1])), st.lists(steps, min_size=1, max_size=6))
+def test_axis_rule_matches_curve_tracking(start, chain):
+    # the axes of a root chart, tracked both ways through a chain of
+    # blow-ups at the origins of successive charts
+    vars = ("y", "z")
+    axes = {f"L{axis}": axis for axis in start}
+    curves = {name: MultiPoly.variable(vars[axis]) for name, axis in axes.items()}
+    for k, (branch, center) in enumerate(chain):
+        curves = reference_track_curves(curves, f"E{k}", center, branch, vars)
+        axes = _child_axes(axes, f"E{k}", branch, center)
+        assert set(axes) == set(curves)
+        for name, axis in axes.items():
+            assert curves[name] == MultiPoly.variable(vars[axis]).with_vars(vars)
 
 
 def test_cusp_field_structure():

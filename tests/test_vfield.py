@@ -1,5 +1,6 @@
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from waifi.poly import MultiPoly, parse_poly
 from waifi.vfield import (
@@ -98,12 +99,40 @@ def test_restrict_to_chart_affine():
 
 
 def test_restrict_to_chart_infinity():
-    # the X-chart of the quintic example: 5 y^4 z dy - (5 y^5 + 2 z^3) dz
-    om = projectivize(field("5*y^4", "-2*x"))
+    # the X-chart of the quintic example: 5 y^4 z dy - (5 y^5 + 2 z^3) dz;
+    # its projectivisation has the common factor Z, which reduced() removes
+    om = projectivize(field("5*y^4", "-2*x")).reduced()
     loc = restrict_to_chart(om, "X")
     assert loc.vars == ("y", "z")
     assert loc.a == parse_poly("5*y^4*z").with_vars(("y", "z"))
     assert loc.b == parse_poly("-5*y^5 - 2*z^3").with_vars(("y", "z"))
+
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda e: sum(e) <= 2),
+    st.integers(-3, 3).filter(bool),
+    max_size=4,
+)
+factors = st.sampled_from(["1", "x", "y", "x - 1", "x + y + 2", "y^2 + 1"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, small_polys, factors)
+def test_restricted_components_are_coprime(p_terms, q_terms, h):
+    # a field of degree 1-3, sometimes with a common factor h of p and q
+    xy = ("x", "y")
+    hp = parse_poly(h)
+    p = hp * MultiPoly.from_coeff_dict(xy, p_terms)
+    q = hp * MultiPoly.from_coeff_dict(xy, q_terms)
+    assume(not (p.is_zero() and q.is_zero()))
+    V = AffineVectorField(p, q)
+    assume(1 <= V.degree <= 3)
+    om = projectivize(V).reduced()
+    for chart in ("X", "Y", "Z"):
+        loc = restrict_to_chart(om, chart)
+        a, b = (sympy.sympify(c.to_string().replace("^", "**")) for c in (loc.a, loc.b))
+        gcd = sympy.gcd(a, b)
+        assert gcd != 0 and not gcd.free_symbols
 
 
 def test_cofactor():
