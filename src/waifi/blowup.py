@@ -10,7 +10,7 @@ equation, the V2 chart keeps the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import inf, isqrt
 
 from .errors import WaifiError
 from .field import FieldElement
@@ -62,18 +62,24 @@ def char_poly(omega):
 
     With omega = p dy - q dx (so p is the second component and q minus the
     first), this is y p_m - x q_m; identically zero exactly at dicritical
-    singularities.
+    singularities.  Multiplying by a variable bumps an exponent, so the two
+    jets are added term by term.
     """
     m = multiplicity(omega)
-    u, v = omega.vars
-    up = MultiPoly.variable(u, omega.a.tower)
-    vp = MultiPoly.variable(v, omega.a.tower)
-    am = omega.a.with_vars(omega.vars).initial_form(m)
-    bm = omega.b.with_vars(omega.vars).initial_form(m)
-    return vp * bm + up * am
+    tower = omega.a.tower.join(omega.b.tower)
+    terms = {}
+    for p, (di, dj) in ((omega.b, (0, 1)), (omega.a, (1, 0))):
+        p = p.with_vars(omega.vars).lift_to(tower)
+        for (i, j), c in p.terms.items():
+            if i + j == m:
+                e = (i + di, j + dj)
+                terms[e] = tower.add(terms[e], c) if e in terms else c
+    terms = {e: c for e, c in terms.items() if not tower.is_zero(c)}
+    return MultiPoly(omega.vars, terms, tower)
 
 
-def _div_power(p, var, e):
+def div_power(p, var, e):
+    """p divided by var^e, or None when var^e does not divide p."""
     if e == 0 or p.is_zero():
         return p
     i = p.vars.index(var)
@@ -85,15 +91,16 @@ def _div_power(p, var, e):
     return MultiPoly(p.vars, terms, p.tower)
 
 
-def _common_power(polys, var):
-    e = None
+def common_power(polys, var):
+    """The largest e with var^e dividing each of polys: the least exponent
+    of var in their terms, 0 when var is not in a ring and infinite when
+    all of them are zero."""
+    e = inf
     for p in polys:
-        if p.is_zero():
-            continue
-        i = p.vars.index(var)
-        low = min(exps[i] for exps in p.terms)
-        e = low if e is None else min(e, low)
-    return 0 if e is None else e
+        if p.terms:
+            i = p.vars.index(var) if var in p.vars else None
+            e = min(e, 0 if i is None else min(exps[i] for exps in p.terms))
+    return e
 
 
 def _axes(branch, vars):
@@ -138,7 +145,7 @@ def strict_transform(p, center, branch, vars, e):
     divided by the e-th power of the divisor variable; None when the
     pull-back is not divisible by it."""
     axes = divisor, other = _axes(branch, vars)
-    out = _div_power(_remap(p, vars, axes), divisor, e)
+    out = div_power(_remap(p, vars, axes), divisor, e)
     return None if out is None else out.shift(other, center)
 
 
@@ -166,7 +173,7 @@ def blow_up_form(omega, center, branch, dicritical=None):
     else:
         na = _remap(a, vars, axes, divisor)
         nb = _remap(a, vars, axes, other) + _remap(b, vars, axes)
-    e = _common_power([na, nb], divisor)
+    e = common_power([na, nb], divisor)
     if dicritical is None:
         dicritical = char_poly(omega).is_zero()
     expected = m + 1 if dicritical else m
@@ -174,8 +181,8 @@ def blow_up_form(omega, center, branch, dicritical=None):
         raise DivisibilityViolation(
             f"removed exceptional power {e}, expected {expected}"
         )
-    na = _div_power(na, divisor, e).shift(other, center)
-    nb = _div_power(nb, divisor, e).shift(other, center)
+    na = div_power(na, divisor, e).shift(other, center)
+    nb = div_power(nb, divisor, e).shift(other, center)
     return LocalOneForm(na, nb, vars)
 
 

@@ -37,8 +37,9 @@ class RoutesDisagree(WaifiError, RuntimeError):
 
 
 def _read_spec(path):
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"input is not UTF-8: byte {exc.start} ({exc.reason})")
     entries = {}

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from . import linalg
+from .blowup import common_power
 from .errors import WaifiError
 from .field import MAX_TOWER_DEGREE
 from .infnear import Cluster, PairingVector, e_vector, multiplicity_system
@@ -133,10 +134,10 @@ def assemble_S(res):
     )
 
 
-def _primitive_positive(vec, reason, what):
-    """The primitive integer multiple of a rational vector whose entries all
-    have one strict sign, made positive; AnalysisFailure(reason) otherwise."""
-    raw = [x.tower.as_rational(x.v) for x in vec]
+def _primitive_positive(raw, reason, what):
+    """The primitive integer multiple of a vector of rationals (None for an
+    entry that is not rational) whose entries all have one strict sign,
+    made positive; AnalysisFailure(reason) otherwise."""
     if None in raw:
         raise AnalysisFailure(reason, f"non-rational {what}")
     denom = lcm(*[q.denominator for q in raw])
@@ -149,20 +150,40 @@ def _primitive_positive(vec, reason, what):
     return [n // g for n in ints]
 
 
+def _rationals(vec):
+    return [x.tower.as_rational(x.v) for x in vec]
+
+
 def compute_R(family):
-    """The positive integer generator of the orthogonal complement of S."""
+    """The positive integer generator of the orthogonal complement of S.
+
+    <e_P, R> = 0 is the proximity equality R_P = sum of R_Q over the points
+    Q proximate to P, one for each non-maximal P.  Its solutions are
+    R = (v0; sum_j t_j h_j), with h_j the multiplicity system of the chain
+    of points under the maximal point R_j: h_j is 1 at R_j, 0 at the other
+    maximal points and obeys every proximity equality.  So only the r
+    conditions <c_i, R> = 0 in the r + 1 unknowns (v0, t_1..t_r) are
+    solved.  The e-rows are independent (each has -1 at its point and +1
+    only at points above it), so rank S = #e-rows + rank of the small
+    system, and S is dependent exactly when the small system has rank < r.
+    """
     conf = family.configuration
-    rows = []
-    for s in family.vectors:
-        lst = s.as_list()
-        rows.append([lst[0]] + [-x for x in lst[1:]])
+    hs = [
+        multiplicity_system(conf.subconfiguration(conf.ancestors(rid)), conf)
+        for rid in family.maximal
+    ]
+    rows = [
+        [c.v0] + [-sum(c.components[p] * h[p] for p in conf.order) for h in hs]
+        for c in family.c_vectors
+    ]
     vecs = linalg.nullspace(rows)
-    # rank = columns - nullity, both read from the one reduced echelon form
-    if 1 + len(conf.order) - len(vecs) < len(rows):
+    if 1 + len(hs) - len(vecs) < len(rows):
         raise AnalysisFailure(S_DEPENDENT, "the family S is linearly dependent")
     if len(vecs) != 1:
         raise AnalysisFailure(R_NOT_RANK_ONE, f"solution space has dim {len(vecs)}")
-    ints = _primitive_positive(vecs[0], R_NON_INTEGRAL, "R")
+    v0, *ts = _rationals(vecs[0])
+    comps = [sum(t * h[p] for t, h in zip(ts, hs)) for p in conf.order]
+    ints = _primitive_positive([v0] + comps, R_NON_INTEGRAL, "R")
     R = PairingVector.make(conf, ints[0], dict(zip(conf.order, ints[1:])))
     n = R.v0
     inf_sum = sum(R.components[p] for p in conf.order if p in family.infinity)
@@ -238,20 +259,23 @@ def exponents_pairing(family, R):
     return n_i, b_P
 
 
-def exponents_darboux(V, factors):
-    """Coprime positive integers n_i with sum n_i k_i = 0."""
-    cofactors = [cofactor(V, f).with_vars(("x", "y")) for f in factors]
+def exponents_darboux(cofactors):
+    """Coprime positive integers n_i with sum n_i k_i = 0 for the Darboux
+    cofactors k_i of the curves."""
+    cofactors = [k.with_vars(("x", "y")) for k in cofactors]
     exps = sorted({e for k in cofactors for e in k.terms})
     if not exps:
         # all cofactors vanish: any positive vector works, take all ones
-        return [1] * len(factors)
+        return [1] * len(cofactors)
     rows = [[k.coefficient(e) for k in cofactors] for e in exps]
     vecs = linalg.nullspace(rows)
     if len(vecs) != 1:
         raise AnalysisFailure(
             EXPONENTS_INVALID, f"cofactor relation space has dim {len(vecs)}"
         )
-    return _primitive_positive(vecs[0], EXPONENTS_INVALID, "cofactor relation")
+    return _primitive_positive(
+        _rationals(vecs[0]), EXPONENTS_INVALID, "cofactor relation"
+    )
 
 
 def _over_q(f):
@@ -289,8 +313,7 @@ def _recombine_conjugates(factors, exponents):
 def _z_divides(omega):
     """Whether Z divides A and B, that is whether the line Z = 0 is
     invariant."""
-    Z = MultiPoly.variable("Z")
-    return omega.A.divide_exact(Z) is not None and omega.B.divide_exact(Z) is not None
+    return common_power([omega.A, omega.B], "Z") > 0
 
 
 def _check_line_invariant(res):
@@ -318,18 +341,25 @@ def _front_half(res):
     return family, R, curves, [dehomogenize(F) for F in curves]
 
 
+def _cofactors(V, factors):
+    try:
+        return [cofactor(V, f) for f in factors]
+    except NotInvariant as exc:
+        raise AnalysisFailure(VERIFICATION_FAILED, str(exc))
+
+
 def _certify(V, front, route):
     """One route's exponents, checked and verified twice: the certificate,
-    or AnalysisFailure."""
+    or AnalysisFailure.  The Darboux route's cofactors serve the second
+    check too; the pairing route takes them only after the residual."""
     family, R, curves, factors = front
     n = int(R.v0)
+    cofactors = None
     if route == "pairing":
         n_i, _ = exponents_pairing(family, R)
     else:
-        try:
-            n_i = exponents_darboux(V, factors)
-        except NotInvariant as exc:
-            raise AnalysisFailure(VERIFICATION_FAILED, str(exc))
+        cofactors = _cofactors(V, factors)
+        n_i = exponents_darboux(cofactors)
     if sum(ni * F.total_degree() for ni, F in zip(n_i, curves)) != n:
         raise AnalysisFailure(DEGREE_CHECKS_FAILED, "exponent degrees do not sum to n")
     g = 0
@@ -344,14 +374,13 @@ def _certify(V, front, route):
     if not ok:
         raise AnalysisFailure(VERIFICATION_FAILED, "residual is nonzero")
     # second, independent verification through cofactors
-    try:
-        combo = MultiPoly.zero(("x", "y"))
-        for f, ni in zip(factors, n_i):
-            combo = combo + ni * cofactor(V, f)
-        if not combo.is_zero():
-            raise AnalysisFailure(VERIFICATION_FAILED, "cofactor relation fails")
-    except NotInvariant as exc:
-        raise AnalysisFailure(VERIFICATION_FAILED, str(exc))
+    if cofactors is None:
+        cofactors = _cofactors(V, factors)
+    combo = MultiPoly.zero(("x", "y"))
+    for k, ni in zip(cofactors, n_i):
+        combo = combo + ni * k
+    if not combo.is_zero():
+        raise AnalysisFailure(VERIFICATION_FAILED, "cofactor relation fails")
     disp_f, disp_e = _recombine_conjugates(factors, n_i)
     return IntegralCertificate(
         factors=factors,

@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals and over extension towers.
 
 Rational matrices go through fraction-free (Bareiss) elimination on integer
-rescalings of the rows; matrices with genuine algebraic entries use ordinary
-exact Gaussian elimination in the tower.  Everything returns FieldElement
-results, never floats.
+rescalings of the rows, and the reduced echelon form clears the entries above
+each pivot on those integer rows too (row k becomes pivot * row k - entry *
+pivot row, divided by its content), so Fractions are made only once, when
+each row is divided by its pivot at the end.  Matrices with genuine
+algebraic entries use ordinary exact Gaussian elimination in the tower.
+Everything returns FieldElement results, never floats.
 """
 
 from __future__ import annotations
@@ -122,10 +125,19 @@ def _rref(rows):
     if tower.depth == 0:
         m, _ = _int_rows(raw)
         pivots, _, _ = _bareiss(m)
+        m = m[: len(pivots)]
+        # eliminate above the pivots on integers, each row kept primitive
+        for i in range(len(pivots) - 1, -1, -1):
+            c = pivots[i]
+            for k in range(i):
+                f = m[k][c]
+                if f:
+                    row = [m[i][c] * x - f * y for x, y in zip(m[k], m[i])]
+                    g = gcd(*row)
+                    m[k] = [x // g for x in row]
         ech = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
-    else:
-        ech, pivots, _, _ = _tower_echelon(raw, tower)
-    # eliminate above the pivots
+        return ech, pivots, tower
+    ech, pivots, _, _ = _tower_echelon(raw, tower)
     for i in range(len(pivots) - 1, -1, -1):
         c = pivots[i]
         for k in range(i):

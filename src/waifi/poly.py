@@ -831,7 +831,7 @@ class _Parser:
     def _expr(self):
         sign = 1
         ch = self._peek()
-        if ch in "+-":
+        if ch and ch in "+-":
             self.pos += 1
             sign = -1 if ch == "-" else 1
         result = self._term()

@@ -195,14 +195,15 @@ class PlaneStart:
 
 
 def points_at_infinity(omega, max_tower_degree=MAX_TOWER_DEGREE):
-    """Reduce omega, check that its singular points are isolated and find
-    its points on Z = 0."""
+    """Reduce omega and find its points on Z = 0.
+
+    The reduced A and B share at most a power of Z (see
+    ProjectiveOneForm.reduced), so the affine singular points are isolated
+    with no further gcd."""
     omega = omega.reduced()
     if omega.A.is_zero() and omega.B.is_zero() and omega.C.is_zero():
         raise NonIsolatedSingularities("zero 1-form")
     f, g = dehomogenize(omega.A), dehomogenize(omega.B)
-    if not (f.is_zero() or g.is_zero() or poly_gcd(f, g).is_constant()):
-        raise NonIsolatedSingularities("A and B share a curve of zeros")
     at_inf, tower = infinity_common_zeros(
         [c.restrict("Z", 0) for c in (omega.A, omega.B, omega.C)],
         Tower((), max_degree=max_tower_degree),

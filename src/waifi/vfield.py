@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blowup import LocalOneForm
+from .blowup import LocalOneForm, common_power, div_power
 from .errors import InputError
 from .poly import MultiPoly, poly_gcd
 
@@ -52,13 +52,24 @@ class ProjectiveOneForm:
                 raise InputError("components must be homogeneous")
 
     def reduced(self):
-        """Divide out the common polynomial factor of A, B, C."""
-        g = poly_gcd(poly_gcd(self.A, self.B), self.C)
-        if g.is_constant() or g.is_zero():
+        """Divide out the common polynomial factor h of A, B, C.
+
+        One gcd suffices: g = gcd(A, B) = Z^k g1 with Z not dividing g1,
+        and g1 divides ZC = -(XA + YB), so g1 divides C and
+        h = gcd(g, C) = g1 Z^min(k, ord_Z C).  The reduced A and B then
+        share only the power Z^(k - min(k, ord_Z C)).  InputError when g1
+        does not divide C, which the relation XA + YB + ZC = 0 rules out.
+        """
+        g = poly_gcd(self.A, self.B)
+        if g.is_zero():
             return self
-        return ProjectiveOneForm(
-            self.A.divide_exact(g), self.B.divide_exact(g), self.C.divide_exact(g)
-        )
+        h = div_power(g, "Z", common_power([g], "Z") - common_power([g, self.C], "Z"))
+        if h.is_constant():
+            return self
+        C = self.C.divide_exact(h)
+        if C is None:
+            raise InputError("XA+YB+ZC != 0")
+        return ProjectiveOneForm(self.A.divide_exact(h), self.B.divide_exact(h), C)
 
 
 def homogenize(p, d):

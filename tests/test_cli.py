@@ -59,7 +59,7 @@ def test_integrate_negative_exit_code(tmp_path, capsys):
 def test_integrate_stdin(tmp_path, capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("p = -y\nq = x\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"p = -y\nq = x\n")))
     code, out, _ = run(capsys, ["integrate", "-", "--json"])
     assert code == 0
     assert json.loads(out)["degree"] == 2
@@ -227,6 +227,23 @@ def test_non_utf8_input_is_one_error_line(tmp_path, capsys):
     assert err == "error: input is not UTF-8: byte 5 (invalid start byte)\n"
     # the input file is closed, not left to the garbage collector
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"p = x\xff\nq = y\n", "input is not UTF-8: byte 5 (invalid start byte)"),
+        (b"p = \nq = y\n", "line 1: unexpected end of input (line 1, column 1)"),
+    ],
+)
+def test_stdin_reads_like_a_file(tmp_path, capsys, monkeypatch, data, message):
+    import io
+
+    spec = tmp_path / "input.txt"
+    spec.write_bytes(data)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    for path in ("-", str(spec)):
+        assert run(capsys, ["integrate", path]) == (1, "", f"error: {message}\n")
 
 
 def test_tower_budget_exit_code(tmp_path, capsys):

@@ -1,0 +1,394 @@
+"""The certificate path against the eliminations it replaced.
+
+Three references are kept here as they were before the shortcuts:
+
+- `reference_compute_R`: R as the nullspace of the whole matrix of S, whose
+  rank decides `S-dependent` and `R-not-rank-one`.  `compute_R` solves only
+  the r x (r + 1) system left by the proximity equalities.
+- `reference_reduced`: the form divided by gcd(gcd(A, B), C), two gcds.
+  `ProjectiveOneForm.reduced` takes the one gcd of A and B.
+- sympy's `Matrix.rref` and `Matrix.nullspace`, for the integer
+  back-elimination of `linalg`.
+
+Each must give the same R (or the same reason and message), the same
+reduced form, and the same nullspace or solution.
+"""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+import pytest
+import sympy
+from hypothesis import assume, example, given, settings, strategies as st
+from test_certificate_first import perturbation, planted_hamiltonians
+
+from waifi import linalg
+from waifi.errors import InputError
+from waifi.field import FieldElement, QQ_TOWER
+from waifi.infnear import Configuration, InfNearPoint, PairingVector, e_vector
+from waifi.integrability import (
+    DEGREE_CHECKS_FAILED,
+    R_NON_INTEGRAL,
+    R_NOT_RANK_ONE,
+    S_DEPENDENT,
+    AnalysisFailure,
+    SFamily,
+    assemble_S,
+    assemble_S_from,
+    compute_R,
+)
+from waifi.linsys import pencil_vector_field
+from waifi.poly import MultiPoly, parse_poly, poly_gcd
+from waifi.reduction import StructureMismatch, reduce
+from waifi.vfield import AffineVectorField, ProjectiveOneForm, projectivize
+
+# -- R ----------------------------------------------------------------------
+
+
+def reference_compute_R(family):
+    """R from the nullspace of all of S: rows s with the point entries
+    negated, so that a row times R is the pairing <s, R>."""
+    conf = family.configuration
+    rows = []
+    for s in family.vectors:
+        lst = s.as_list()
+        rows.append([lst[0]] + [-x for x in lst[1:]])
+    vecs = linalg.nullspace(rows)
+    if 1 + len(conf.order) - len(vecs) < len(rows):
+        raise AnalysisFailure(S_DEPENDENT, "the family S is linearly dependent")
+    if len(vecs) != 1:
+        raise AnalysisFailure(R_NOT_RANK_ONE, f"solution space has dim {len(vecs)}")
+    raw = [x.tower.as_rational(x.v) for x in vecs[0]]
+    if None in raw:
+        raise AnalysisFailure(R_NON_INTEGRAL, "non-rational R")
+    denom = lcm(*[q.denominator for q in raw])
+    ints = [int(q * denom) for q in raw]
+    if ints[0] < 0:
+        ints = [-n for n in ints]
+    if any(n <= 0 for n in ints):
+        raise AnalysisFailure(R_NON_INTEGRAL, "R has nonpositive components")
+    g = gcd(*ints)
+    ints = [n // g for n in ints]
+    R = PairingVector.make(conf, ints[0], dict(zip(conf.order, ints[1:])))
+    n = R.v0
+    inf_sum = sum(R.components[p] for p in conf.order if p in family.infinity)
+    if n != inf_sum:
+        raise AnalysisFailure(
+            DEGREE_CHECKS_FAILED, f"n={n} but sum over infinity points is {inf_sum}"
+        )
+    if n * n != sum(x * x for x in R.components.values()):
+        raise AnalysisFailure(DEGREE_CHECKS_FAILED, "Noether degree identity fails")
+    return R
+
+
+def R_outcome(compute, family):
+    try:
+        return [str(x) for x in compute(family).as_list()]
+    except AnalysisFailure as exc:
+        return exc.reason, str(exc)
+
+
+def assert_same_R(family):
+    ours = R_outcome(compute_R, family)
+    assert ours == R_outcome(reference_compute_R, family)
+    return ours
+
+
+def field_family(V, affine=True):
+    """The S family of a field's reduction, or None when it has the wrong
+    shape."""
+    try:
+        return assemble_S(reduce(projectivize(V), affine=affine))
+    except StructureMismatch:
+        return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(planted_hamiltonians(), st.booleans())
+def test_R_of_planted_fields(H, affine):
+    family = field_family(AffineVectorField(-H.diff("y"), H.diff("x")), affine)
+    assume(family is not None)
+    assert isinstance(assert_same_R(family), list)
+
+
+# the full reductions of perturbations 0 and 4 take seconds each, and those
+# of 2 and 5 exceed the tower cap
+@pytest.mark.parametrize(
+    "seed, affine",
+    [(s, False) for s in range(12)] + [(s, True) for s in (1, 3, 6, 7, 8, 9, 10, 11)],
+)
+def test_R_of_non_wai_perturbations(seed, affine):
+    assert_same_R(field_family(perturbation(seed), affine))
+
+
+def test_R_failures_of_perturbation_ten():
+    # no dicritical point at infinity, and a negative R with the affine one
+    ours = assert_same_R(field_family(perturbation(10), affine=False))
+    assert ours == (R_NOT_RANK_ONE, f"{R_NOT_RANK_ONE}: solution space has dim 0")
+    ours = assert_same_R(field_family(perturbation(10)))
+    assert ours == (R_NON_INTEGRAL, f"{R_NON_INTEGRAL}: R has nonpositive components")
+
+
+def test_R_of_the_degree_ten_anchor():
+    a = parse_poly(
+        "10*x^7 - 9*x^6 + 6*x^5*y + 9*x^4*y - 6*x^3*y + 6*x^2*y^2 + 2*x*y^2"
+    )
+    b = parse_poly("2*x^6 - x^4 + 6*x^3*y - x^2*y + 4*y^2")
+    family = field_family(AffineVectorField(b, -a))
+    assert len(family.maximal) == 3
+    assert assert_same_R(family)[:2] == ["10", "6"]
+
+
+@st.composite
+def configurations(draw):
+    """Parent-closed trees in pid order: each point is a root or lies over
+    an earlier point, proximate to its parent and perhaps (a satellite) to
+    one of the points its parent is proximate to."""
+    points = []
+    for pid in range(draw(st.integers(1, 8))):
+        parent = None if pid == 0 else draw(st.none() | st.integers(0, pid - 1))
+        if parent is None:
+            points.append(InfNearPoint(pid, None, None, (pid, 1, 0), 0, frozenset()))
+            continue
+        above = points[parent]
+        prox = {parent}
+        if above.proximate_to and draw(st.booleans()):
+            prox.add(draw(st.sampled_from(sorted(above.proximate_to))))
+        points.append(
+            InfNearPoint(pid, parent, "V1", None, above.level + 1, frozenset(prox))
+        )
+    conf = Configuration(points)
+    assume(1 <= len(conf.maximal_points()) <= 3)
+    return conf
+
+
+@st.composite
+def synthetic_families(draw):
+    """S of a configuration with a random line at infinity: as assembled
+    when the configuration has the free/maximal shape, otherwise (or on
+    request) with small random c-vectors, which reach S-dependent."""
+    conf = draw(configurations())
+    infinity = frozenset(draw(st.sets(st.sampled_from(conf.order))))
+    if draw(st.booleans()):
+        try:
+            return assemble_S_from(conf, infinity)
+        except StructureMismatch:
+            pass
+    maximal = conf.maximal_points()
+    entries = st.integers(0, 2)
+    c_vectors = [
+        PairingVector.make(
+            conf, draw(entries), {pid: draw(entries) for pid in conf.order}
+        )
+        for _ in maximal
+    ]
+    return SFamily(
+        configuration=conf,
+        maximal=maximal,
+        free_maximal=maximal,
+        c_vectors=c_vectors,
+        e_vectors={
+            pid: e_vector(conf, pid) for pid in conf.order if pid not in maximal
+        },
+        h_systems=[],
+        d_values=[],
+        infinity=infinity,
+    )
+
+
+def two_roots_with_equal_c_vectors():
+    # test_integrability's S-dependent case: S has rank 1, not 2
+    conf = Configuration(
+        [
+            InfNearPoint(0, None, None, (1, 0, 0), 0, frozenset()),
+            InfNearPoint(1, None, None, (0, 1, 0), 0, frozenset()),
+        ]
+    )
+    c = PairingVector.make(conf, 1, {0: 1})
+    return SFamily(
+        configuration=conf,
+        maximal=[0, 1],
+        free_maximal=[0, 1],
+        c_vectors=[c, c],
+        e_vectors={},
+        h_systems=[{0: 1, 1: 0}] * 2,
+        d_values=[1, 1],
+        infinity=frozenset({0, 1}),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(synthetic_families())
+@example(two_roots_with_equal_c_vectors())
+def test_R_of_synthetic_configurations(family):
+    assert_same_R(family)
+
+
+def test_two_roots_with_equal_c_vectors_are_dependent():
+    ours = assert_same_R(two_roots_with_equal_c_vectors())
+    assert ours == (S_DEPENDENT, f"{S_DEPENDENT}: the family S is linearly dependent")
+
+
+def test_empty_configuration_has_no_R():
+    family = assemble_S_from(Configuration([]), frozenset())
+    ours = assert_same_R(family)
+    assert ours == (R_NOT_RANK_ONE, f"{R_NOT_RANK_ONE}: solution space has dim 0")
+
+
+# -- reduced forms -----------------------------------------------------------
+
+
+def reference_reduced(omega):
+    """The form divided by gcd(gcd(A, B), C)."""
+    g = poly_gcd(poly_gcd(omega.A, omega.B), omega.C)
+    if g.is_constant() or g.is_zero():
+        return omega
+    return ProjectiveOneForm(
+        omega.A.divide_exact(g), omega.B.divide_exact(g), omega.C.divide_exact(g)
+    )
+
+
+def assert_same_reduced(omega):
+    ours, theirs = omega.reduced(), reference_reduced(omega)
+    for a, b in zip((ours.A, ours.B, ours.C), (theirs.A, theirs.B, theirs.C)):
+        assert a == b and a.to_string() == b.to_string()
+
+
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda e: sum(e) <= 2),
+    st.integers(-3, 3).filter(bool),
+    max_size=4,
+)
+affine_factors = st.sampled_from(["1", "x", "y", "x - 1", "x + y + 2", "y^2 + 1"])
+form_factors = st.sampled_from(["1", "X", "Y + Z", "X^2 + Y^2", "X - 2*Z"])
+
+
+def times(omega, F):
+    return ProjectiveOneForm(F * omega.A, F * omega.B, F * omega.C)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, small_polys, affine_factors, form_factors, st.integers(0, 2))
+def test_reduced_with_planted_factors(p_terms, q_terms, h, F, k):
+    # a common factor h of p and q, and a factor F * Z^k of all of A, B, C
+    xy = ("x", "y")
+    p = parse_poly(h) * MultiPoly.from_coeff_dict(xy, p_terms)
+    q = parse_poly(h) * MultiPoly.from_coeff_dict(xy, q_terms)
+    assume(not (p.is_zero() and q.is_zero()))
+    omega = projectivize(AffineVectorField(p, q))
+    assert_same_reduced(times(omega, parse_poly(F) * parse_poly("Z") ** k))
+
+
+@pytest.mark.parametrize("h", ["1", "x", "x^2 + y^2 + 1"])
+@pytest.mark.parametrize("F", ["1", "Z", "X*Z^2"])
+def test_reduced_radial_field(h, F):
+    # C = 0: the radial field x, y times h, and its form times F
+    hp = parse_poly(h)
+    omega = projectivize(AffineVectorField(hp * parse_poly("x"), hp * parse_poly("y")))
+    assert omega.C.is_zero()
+    assert_same_reduced(times(omega, parse_poly(F)))
+
+
+binary_cubics = st.sampled_from(
+    ["X^3", "Y^2*Z", "X^3 + Y^3 + Z^3", "X*Y*Z", "X^2*Z - Y^3", "(X + Y)^3", "Z^3",
+     "X^3 - 2*X*Z^2"]
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(binary_cubics, binary_cubics, form_factors)
+def test_reduced_pencil_forms(F1, F2, F):
+    F1, F2 = parse_poly(F1), parse_poly(F2)
+    assume(poly_gcd(F1, F2).is_constant())
+    A = F2 * F1.diff("X") - F1 * F2.diff("X")
+    B = F2 * F1.diff("Y") - F1 * F2.diff("Y")
+    C = F2 * F1.diff("Z") - F1 * F2.diff("Z")
+    omega = ProjectiveOneForm(A, B, C)
+    assert_same_reduced(omega)
+    assert_same_reduced(times(omega, parse_poly(F)))
+    assert pencil_vector_field(F1, F2) == reference_reduced(omega)
+
+
+def test_reduced_rejects_a_form_off_the_euler_relation():
+    # A and B share X + Y, which does not divide C
+    omega = ProjectiveOneForm(
+        parse_poly("X^2 + X*Y"), parse_poly("X*Y + Y^2"), parse_poly("Z")
+    )
+    with pytest.raises(InputError, match=r"XA\+YB\+ZC != 0"):
+        omega.reduced()
+
+
+# -- linalg against sympy -----------------------------------------------------
+
+
+def fe(q):
+    return FieldElement.rational(Fraction(q), QQ_TOWER)
+
+
+def as_fractions(vec):
+    return [QQ_TOWER.as_rational(x.v) for x in vec]
+
+
+def sympy_fractions(vec):
+    return [Fraction(int(x.p), int(x.q)) for x in vec]
+
+
+@st.composite
+def rank_deficient(draw, rational):
+    """An n x m product of n x k and k x m matrices, k < min(n, m), with
+    zero rows mixed in."""
+    n, m = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    k = draw(st.integers(0, min(n, m) - 1))
+    entry = (
+        st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        if rational
+        else st.integers(-4, 4).map(Fraction)
+    )
+    left = [[draw(entry) for _ in range(k)] for _ in range(n)]
+    right = [[draw(entry) for _ in range(m)] for _ in range(k)]
+    rows = [
+        [sum((a * right[t][j] for t, a in enumerate(row)), Fraction(0)) for j in range(m)]
+        for row in left
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * m)
+    return rows
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                         for r in rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans().flatmap(rank_deficient))
+def test_nullspace_matches_sympy(rows):
+    ours = linalg.nullspace([[fe(x) for x in r] for r in rows])
+    ours = [as_fractions(v) for v in ours]
+    theirs = [sympy_fractions(v) for v in to_sympy(rows).nullspace()]
+    assert ours == theirs
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.booleans().flatmap(rank_deficient),
+    st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+    st.booleans(),
+)
+def test_solve_matches_sympy_rref(rows, seed_vec, consistent):
+    m = len(rows[0])
+    if consistent:
+        x0 = [Fraction(v) for v in seed_vec[:m]]
+        rhs = [sum((a * b for a, b in zip(r, x0)), Fraction(0)) for r in rows]
+    else:
+        rhs = [Fraction(v) for v in seed_vec[: len(rows)]]
+        rhs += [Fraction(1)] * (len(rows) - len(rhs))
+    ours = linalg.solve([[fe(x) for x in r] for r in rows], [fe(b) for b in rhs])
+    aug, pivots = to_sympy([r + [b] for r, b in zip(rows, rhs)]).rref()
+    if m in pivots:
+        assert ours is None
+        return
+    expect = [Fraction(0)] * m
+    for i, c in enumerate(pivots):
+        expect[c] = sympy_fractions([aug[i, m]])[0]
+    assert as_fractions(ours) == expect

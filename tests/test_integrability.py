@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from waifi.integrability import (
 )
 from waifi.poly import parse_poly
 from waifi.reduction import reduce
-from waifi.vfield import AffineVectorField, projectivize
+from waifi.vfield import AffineVectorField, cofactor, projectivize
 
 
 def field(p, q):
@@ -196,7 +197,7 @@ def test_degree_check_failure():
 def test_darboux_all_zero_cofactors():
     V = field("2*y", "3*x^2")
     f = parse_poly("y^2 - x^3")
-    assert exponents_darboux(V, [f]) == [1]
+    assert exponents_darboux([cofactor(V, f)]) == [1]
 
 
 def bad_conf():
@@ -258,3 +259,48 @@ def test_poincare_degree_matches_darboux_certificate():
         infinity = frozenset(res.infinity_points) & set(conf.order)
         n, _ = poincare_degree(conf, infinity)
         assert n == cert.degree, H.to_string()
+
+
+@pytest.mark.parametrize(
+    "V, routes",
+    [
+        (field("5*y^4", "-2*x"), ["darboux"]),
+        (main_example_field(), ["darboux"]),
+        (main_example_field(), ["pairing", "darboux"]),
+    ],
+)
+def test_certificate_work_is_pinned(V, routes, monkeypatch):
+    # counts, not times: compute_R hands nullspace at most r rows, a route
+    # takes each curve's cofactor once, reduced() takes one gcd and
+    # points_at_infinity none
+    from waifi import integrability, linalg, reduction, vfield
+
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append((name, sys._getframe(1).f_code.co_name, args))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(linalg, "nullspace")
+    spy(integrability, "compute_R")
+    spy(integrability, "cofactor")
+    spy(vfield, "poly_gcd")
+    spy(reduction, "poly_gcd")
+    results = integrability.decide(V, routes)
+    assert all(reason is None for _, reason in results)
+    factors = results[0][0].factors
+
+    def made(name, caller=None):
+        return [a for n, c, a in calls if n == name and caller in (None, c)]
+
+    ((family,),) = made("compute_R")
+    ((rows,),) = made("nullspace", "compute_R")
+    assert len(rows) <= len(family.maximal) < len(family.vectors)
+    assert len(made("cofactor")) == len(routes) * len(factors)
+    assert len(made("poly_gcd", "reduced")) == 1
+    assert made("poly_gcd", "points_at_infinity") == []

@@ -53,6 +53,14 @@ def test_parse_errors():
         parse_poly("x^-2")
 
 
+@pytest.mark.parametrize("text, column", [("", 1), ("   ", 4)])
+def test_parse_end_of_input_column(text, column):
+    # the end of input is no sign: the error points at the end, not past it
+    with pytest.raises(PolySyntaxError, match="unexpected end of input") as exc:
+        parse_poly(text)
+    assert (exc.value.line, exc.value.column) == (1, column)
+
+
 def test_roundtrip_random():
     rng = random.Random(7)
     for _ in range(500):
