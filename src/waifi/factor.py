@@ -5,20 +5,30 @@ Over the rationals, factorisation and gcds go through sympy's sparse
 integer ring: a polynomial is cleared to integers plus one denominator
 (poly.to_zz), factored over the integers, and the unit is the integer
 content over that denominator, as sympy's own rational factorisation does.
-Over a proper tower, a squarefree polynomial is factored through its norm:
-resultants against the top minimal polynomial push the problem one level
-down, the shifted norm is factored recursively, and gcds pull the factors
-back up (the Taylor shifts there run on tower values; only shifts over the
-rationals run on integers).  Roots that do not exist yet can be adjoined,
-growing the tower up to its degree cap.
+Over a proper tower, a squarefree polynomial is first brought down to the
+shortest prefix K_k of the tower that holds its coefficients and factored
+there.  Over K_k it is factored through its norm (_factor_norm): resultants
+against the top minimal polynomial push the problem one level down, the
+shifted norm is factored recursively, and gcds pull the factors back up
+(the Taylor shifts there run on tower values; only shifts over the
+rationals run on integers).  The factors are then lifted to the tower one
+level at a time.  At level j, a factor of degree d irreducible over K_(j-1)
+stays irreducible when e = [K_j : K_(j-1)] is coprime to d: a root
+generates a degree-d extension of K_(j-1), so d and e both divide
+[K_j(root) : K_(j-1)] <= d e, which is then d e, and the root has degree d
+over K_j.  Only the other factors take a norm, over K_j alone.  Roots that
+do not exist yet can be adjoined, growing the tower up to its degree cap;
+after an adjoin only the factors that are still nonlinear can split, and
+only at the new level.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import WaifiError
-from .field import FieldElement, Tower
+from .field import FieldElement
 from .poly import MultiPoly, from_zz, poly_gcd, resultant, to_zz
 
 _ZVAR = "@z"
@@ -79,14 +89,46 @@ def univ_factor(f):
 
 
 def _factor_squarefree(f, var, tower):
-    """Irreducible monic factors of a squarefree monic univariate f."""
+    """Irreducible monic factors over tower of a squarefree monic univariate
+    f: factored over the shortest prefix K_k of tower that holds the
+    coefficients of f, then lifted level by level (_lift_factors)."""
+    k = max(tower.shortest(c)[1] for c in f.terms.values())
+    base = tower.prefix(k)
+    low = MultiPoly(
+        f.vars, {e: tower.shortest(c, floor=k)[0] for e, c in f.terms.items()}, base
+    )
+    return _lift_factors(_factor_norm(low, var, base), var, tower, k)
+
+
+def _lift_factors(factors, var, tower, k):
+    """Irreducible monic factors over tower of the product of factors, each
+    irreducible over the prefix K_k.  Level j keeps a factor of degree d
+    whole when gcd(d, [K_j : K_(j-1)]) = 1, and takes the norm of the others
+    over K_j alone."""
+    for j in range(k + 1, tower.depth + 1):
+        level = tower.prefix(j)
+        e = tower.level_degree(j)
+        out = []
+        for p in factors:
+            p = p.lift_to(level)
+            if gcd(p.degree_in(var), e) == 1:
+                out.append(p)
+            else:
+                out.extend(_factor_norm(p, var, level))
+        factors = out
+    return factors
+
+
+def _factor_norm(f, var, tower):
+    """Irreducible monic factors of a squarefree monic univariate f over
+    tower, through Trager's norm over the level below."""
     if f.degree_in(var) <= 1:
         return [f]
     if tower.depth == 0:
         _, factors = _qq_factor(f, var)
         return [p.monic() for p, _ in factors]
-    sub = Tower(tower.levels[:-1], tower.max_degree)
-    name, mp = tower.levels[-1]
+    sub = tower.prefix(tower.depth - 1)
+    mp = tower.levels[-1][1]
     # minimal polynomial of the top generator, over the lower tower
     m_poly = MultiPoly.from_coeff_dict(
         (_ZVAR,),
@@ -94,7 +136,6 @@ def _factor_squarefree(f, var, tower):
         sub,
     )
     # rewrite f as a two-variable polynomial over the lower tower
-    two = MultiPoly.zero((var, _ZVAR), sub)
     terms = {}
     for (e,), c in f.drop_unused_vars().terms.items():
         for j, comp in enumerate(c):
@@ -143,27 +184,29 @@ def roots_in_extension(f, tower):
         return [], tower
     (var,) = eff
     f = f.drop_unused_vars().lift_to(tower)
-    g = squarefree_part(f, var)
+    factors = _factor_squarefree(squarefree_part(f, var), var, tower)
+    roots = []
     while True:
-        factors = _factor_squarefree(g, var, tower)
-        roots = []
         nonlinear = []
         for p in factors:
             if p.degree_in(var) == 1:
-                c0 = p.coefficient((0,))
-                roots.append(-c0)
+                roots.append(-p.coefficient((0,)))
             else:
                 nonlinear.append(p)
         if not nonlinear:
+            roots = [r.lift_to(tower) for r in roots]
             roots.sort(key=lambda r: r.sort_key())
             return roots, tower
+        # adjoin a root of the first nonlinear factor; only the nonlinear
+        # factors can split further, and only at the new level
         nonlinear.sort(key=lambda p: (p.total_degree(), p.to_string()))
         pick = nonlinear[0]
         coeffs = tuple(
             pick.coefficient((i,)).v for i in range(pick.degree_in(var) + 1)
         )
+        k = tower.depth
         tower = tower.adjoin(tower.fresh_name(), coeffs)
-        g = g.lift_to(tower)
+        factors = _lift_factors(nonlinear, var, tower, k)
 
 
 def affine_common_zeros(f, g, tower):

@@ -2,9 +2,14 @@
 
 Elements are represented without floating point at any stage.  A tower is a
 chain Q = K_0 < K_1 < ... < K_k where each level adjoins one generator with a
-monic minimal polynomial over the previous level.  A raw value at depth 0 is a
-Fraction; at depth j it is a tuple of depth-(j-1) values whose length equals
-the degree of the j-th minimal polynomial.
+monic minimal polynomial over the previous level.  A raw value at depth 0 (a
+leaf) is an int when it is integral and a Fraction otherwise, never a float:
+most coefficients met in practice are integers, and int arithmetic is far
+cheaper than Fraction arithmetic.  Every operation that makes a leaf
+normalises it (a Fraction with denominator 1 becomes its numerator), so one
+rational has one leaf.  At depth j a raw value is a tuple of depth-(j-1)
+values whose length equals the degree of the j-th minimal polynomial; it
+lies in the prefix K_(j-1) when its entries 1.. are zero.
 
 Inversion of a zero divisor (possible only when a stored modulus is secretly
 reducible) raises SplitRequired carrying the discovered factorisation, in the
@@ -41,8 +46,16 @@ class ExtensionDegreeExceeded(WaifiError):
     """Adjoining a root would push the tower degree over the configured cap."""
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+_ONE_Q = Fraction(1)
+
+
+def ratio(n, d):
+    """n/d for ints n and d != 0 as a depth-0 raw value: an int when d
+    divides n."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
 
 #: the default cap on the degree of a tower over Q (--max-tower-degree)
 MAX_TOWER_DEGREE = 16
@@ -56,11 +69,12 @@ class Tower:
     is plain Q.
     """
 
-    __slots__ = ("levels", "max_degree", "_degree")
+    __slots__ = ("levels", "max_degree", "_degree", "depth")
 
     def __init__(self, levels=(), max_degree=MAX_TOWER_DEGREE):
         self.levels = tuple(levels)
         self.max_degree = max_degree
+        self.depth = len(self.levels)
         d = 1
         for _, mp in self.levels:
             d *= len(mp) - 1
@@ -68,13 +82,15 @@ class Tower:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def depth(self):
-        return len(self.levels)
-
     def degree(self):
         """Total degree [K:Q]."""
         return self._degree
+
+    def prefix(self, k):
+        """The tower K_k of the first k levels, with this tower's cap."""
+        if k == self.depth:
+            return self
+        return Tower(self.levels[:k], self.max_degree)
 
     def level_degree(self, j):
         """Degree of level j (1-based) over level j-1."""
@@ -124,7 +140,11 @@ class Tower:
         return self.lift_rational(_ONE)
 
     def lift_rational(self, q, depth=None):
-        return self._pad(Fraction(q), 0, self.depth if depth is None else depth)
+        if type(q) is not int:
+            q = Fraction(q)
+            if q.denominator == 1:
+                q = q.numerator
+        return self._pad(q, 0, self.depth if depth is None else depth)
 
     def _pad(self, v, lo, hi):
         """A raw value of depth lo as a raw value of depth hi."""
@@ -154,19 +174,24 @@ class Tower:
         return self._pad(v, from_tower.depth, self.depth)
 
     # -- raw arithmetic ----------------------------------------------------
+    # A leaf result is normalised inline (a Fraction with denominator 1
+    # becomes its numerator) rather than by a helper: these are the
+    # hottest calls of the package.
 
     def add(self, a, b, depth=None):
         if depth is None:
             depth = self.depth
         if depth == 0:
-            return a + b
+            r = a + b
+            return r if type(r) is int or r.denominator != 1 else r.numerator
         return tuple(self.add(x, y, depth - 1) for x, y in zip(a, b))
 
     def sub(self, a, b, depth=None):
         if depth is None:
             depth = self.depth
         if depth == 0:
-            return a - b
+            r = a - b
+            return r if type(r) is int or r.denominator != 1 else r.numerator
         return tuple(self.sub(x, y, depth - 1) for x, y in zip(a, b))
 
     def neg(self, a, depth=None):
@@ -180,7 +205,8 @@ class Tower:
         if depth is None:
             depth = self.depth
         if depth == 0:
-            return a * b
+            r = a * b
+            return r if type(r) is int or r.denominator != 1 else r.numerator
         n = len(a)
         sub = depth - 1
         prod = [self._zero_at(sub) for _ in range(2 * n - 1)]
@@ -208,7 +234,8 @@ class Tower:
         if depth is None:
             depth = self.depth
         if depth == 0:
-            return q * a
+            r = q * a
+            return r if type(r) is int or r.denominator != 1 else r.numerator
         return tuple(self.scalar_mul(q, x, depth - 1) for x in a)
 
     def is_zero(self, a, depth=None):
@@ -224,7 +251,8 @@ class Tower:
         if depth == 0:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / a
+            r = _ONE_Q / a
+            return r if r.denominator != 1 else r.numerator
         if self.is_zero(a, depth):
             raise ZeroDivisionError("inverse of zero")
         sub = depth - 1
@@ -289,12 +317,16 @@ class Tower:
         if not q:
             raise ZeroDivisionError("polynomial division by zero")
         n = len(q) - 1
-        inv_lc = self.inv(q[-1], depth)
+        # a monic divisor, such as each of Euclid's, needs no inverse
+        lc = q[-1]
+        inv_lc = None if self.as_rational(lc, depth) == 1 else self.inv(lc, depth)
         rem = self._trim(p, depth)
         quot = [self._zero_at(depth)] * max(0, len(rem) - n)
         while len(rem) > n:
             # the leading term cancels: pop it instead of subtracting it
-            c = self.mul(rem.pop(), inv_lc, depth)
+            c = rem.pop()
+            if inv_lc is not None:
+                c = self.mul(c, inv_lc, depth)
             k = len(rem) - n
             quot[k] = c
             for i in range(n):
@@ -312,16 +344,20 @@ class Tower:
 
     # -- structure of values ----------------------------------------------
 
-    def as_rational(self, a, depth=None) -> Optional[Fraction]:
-        """Return a as a Fraction if it lies in Q, else None."""
-        if depth is None:
-            depth = self.depth
-        if depth == 0:
-            return a
-        for x in a[1:]:
-            if not self.is_zero(x, depth - 1):
-                return None
-        return self.as_rational(a[0], depth - 1)
+    def shortest(self, a, depth=None, floor=0):
+        """(v, k): the raw value a as a raw value v of the shortest prefix
+        K_k (k >= floor) that holds it.  A value of depth j lies in K_(j-1)
+        when its entries 1.. are zero, and then its entry 0 is that value."""
+        k = self.depth if depth is None else depth
+        while k > floor and all(self.is_zero(x, k - 1) for x in a[1:]):
+            a, k = a[0], k - 1
+        return a, k
+
+    def as_rational(self, a, depth=None) -> Optional[int | Fraction]:
+        """Return a as a leaf (an int or a Fraction) if it lies in Q, else
+        None."""
+        v, k = self.shortest(a, depth)
+        return v if k == 0 else None
 
     def sort_key(self, a, depth=None):
         """Coordinates of a in the rational basis, as a flat tuple."""
@@ -506,11 +542,9 @@ class FieldElement:
     def __hash__(self):
         # equality lifts both sides to the deeper tower, so hash the value
         # on the shortest prefix tower that holds it; a rational hashes as
-        # the Fraction, which equals the int
-        tower, v, depth = self.tower, self.v, self.tower.depth
-        while depth and all(tower.is_zero(x, depth - 1) for x in v[1:]):
-            v, depth = v[0], depth - 1
-        return hash(v) if depth == 0 else hash((tower.levels[:depth], v))
+        # its leaf, which equals the int or Fraction it came from
+        v, depth = self.tower.shortest(self.v)
+        return hash(v) if depth == 0 else hash((self.tower.levels[:depth], v))
 
     def sort_key(self):
         return self.tower.sort_key(self.v)

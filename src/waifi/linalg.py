@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .field import FieldElement, QQ_TOWER
+from .field import FieldElement, QQ_TOWER, ratio
 
 
 def _unwrap(rows):
@@ -135,7 +135,7 @@ def _rref(rows):
                     row = [m[i][c] * x - f * y for x, y in zip(m[k], m[i])]
                     g = gcd(*row)
                     m[k] = [x // g for x in row]
-        ech = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
+        ech = [[ratio(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
         return ech, pivots, tower
     ech, pivots, _, _ = _tower_echelon(raw, tower)
     for i in range(len(pivots) - 1, -1, -1):

@@ -23,7 +23,7 @@ from sympy.polys.rings import PolyRing
 
 from . import linalg
 from .errors import WaifiError
-from .field import FieldElement, QQ_TOWER
+from .field import FieldElement, QQ_TOWER, ratio
 
 ALLOWED_VARS = ("x", "y", "z", "X", "Y", "Z")
 
@@ -286,7 +286,7 @@ class MultiPoly:
             if e[i] == 0:
                 continue
             ne = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            v = tw.scalar_mul(Fraction(e[i]), c)
+            v = tw.scalar_mul(e[i], c)
             if ne in terms:
                 v = tw.add(terms[ne], v)
             if not tw.is_zero(v):
@@ -631,7 +631,7 @@ def to_zz(p, names):
 def from_zz(h, den, names):
     """Inverse of to_zz: h/den as a MultiPoly in `names`, for h in the
     integer ring on `names` and a non-zero integer den."""
-    terms = {e: Fraction(int(c), den) for e, c in h.items()}
+    terms = {e: ratio(int(c), den) for e, c in h.items()}
     return MultiPoly(names, terms, QQ_TOWER)
 
 
@@ -642,7 +642,7 @@ def _shift_rational_column(col, lam):
     With den the least common denominator of the column and d its degree,
     h_k = c_k * den * b^(d-k) are integers, the synthetic division shifts
     them by a, and each shifted h_k is read back as h_k * b^k / (den * b^d).
-    Returns the shifted column, None where a coefficient is zero.
+    Returns the shifted column of leaves, None where a coefficient is zero.
     """
     a, b = lam.numerator, lam.denominator
     d = len(col) - 1
@@ -661,7 +661,7 @@ def _shift_rational_column(col, lam):
     out = []
     bk = 1
     for hk in h:
-        out.append(Fraction(hk * bk, scale) if hk else None)
+        out.append(ratio(hk * bk, scale) if hk else None)
         bk *= b
     return out
 

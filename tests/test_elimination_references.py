@@ -9,9 +9,16 @@ Three references are kept here as they were before the shortcuts:
   `ProjectiveOneForm.reduced` takes the one gcd of A and B.
 - sympy's `Matrix.rref` and `Matrix.nullspace`, for the integer
   back-elimination of `linalg`.
+- `reference_factor_squarefree`: Trager's norm down the whole tower.
+  `factor._factor_squarefree` factors over the shortest prefix that holds
+  the coefficients and lifts the factors level by level.
+- `reference_roots_in_extension`: the whole squarefree part factored again
+  after every adjoin.  `roots_in_extension` keeps the roots it found and
+  factors again only the nonlinear factors.
 
 Each must give the same R (or the same reason and message), the same
-reduced form, and the same nullspace or solution.
+reduced form, the same nullspace or solution, and the same monic factors,
+roots and generator names.
 """
 
 from fractions import Fraction
@@ -19,12 +26,18 @@ from math import gcd, lcm
 
 import pytest
 import sympy
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 from test_certificate_first import perturbation, planted_hamiltonians
 
-from waifi import linalg
+from waifi import factor, linalg
 from waifi.errors import InputError
-from waifi.field import FieldElement, QQ_TOWER
+from waifi.factor import (
+    _factor_squarefree,
+    _qq_factor,
+    roots_in_extension,
+    squarefree_part,
+)
+from waifi.field import ExtensionDegreeExceeded, FieldElement, QQ_TOWER, Tower
 from waifi.infnear import Configuration, InfNearPoint, PairingVector, e_vector
 from waifi.integrability import (
     DEGREE_CHECKS_FAILED,
@@ -38,7 +51,7 @@ from waifi.integrability import (
     compute_R,
 )
 from waifi.linsys import pencil_vector_field
-from waifi.poly import MultiPoly, parse_poly, poly_gcd
+from waifi.poly import MultiPoly, parse_poly, poly_gcd, resultant
 from waifi.reduction import StructureMismatch, reduce
 from waifi.vfield import AffineVectorField, ProjectiveOneForm, projectivize
 
@@ -392,3 +405,178 @@ def test_solve_matches_sympy_rref(rows, seed_vec, consistent):
     for i, c in enumerate(pivots):
         expect[c] = sympy_fractions([aug[i, m]])[0]
     assert as_fractions(ours) == expect
+
+
+# -- factors and roots over towers ---------------------------------------------
+
+
+def reference_factor_squarefree(f, var, tower):
+    """Irreducible monic factors of a squarefree monic univariate f, through
+    Trager's norm down the whole tower, whatever field holds the
+    coefficients of f."""
+    if f.degree_in(var) <= 1:
+        return [f]
+    if tower.depth == 0:
+        _, factors = _qq_factor(f, var)
+        return [p.monic() for p, _ in factors]
+    sub = Tower(tower.levels[:-1], tower.max_degree)
+    mp = tower.levels[-1][1]
+    m_poly = MultiPoly.from_coeff_dict(
+        ("@z",), {(i,): FieldElement(sub, c) for i, c in enumerate(mp)}, sub
+    )
+    terms = {}
+    for (e,), c in f.drop_unused_vars().terms.items():
+        for j, comp in enumerate(c):
+            if not sub.is_zero(comp):
+                key = (e, j) if var < "@z" else (j, e)
+                terms[key] = sub.add(terms.get(key, sub.zero()), comp)
+    two = MultiPoly(tuple(sorted((var, "@z"))), terms, sub)
+    t_poly = MultiPoly.variable(var, sub)
+    z_poly = MultiPoly.variable("@z", sub)
+    s = 0
+    while True:
+        shifted = two.substitute({var: t_poly - s * z_poly})
+        norm = resultant(m_poly, shifted, "@z")
+        norm = norm.with_vars((var,)).drop_unused_vars().with_vars((var,))
+        if norm.degree_in(var) == f.degree_in(var) * (len(mp) - 1):
+            if poly_gcd(norm, norm.diff(var)).is_constant():
+                break
+        s += 1
+        assert s <= 40, "no squarefree norm shift"
+    theta = FieldElement.generator(tower)
+    out = []
+    for nf in reference_factor_squarefree(norm.monic(), var, sub):
+        g = poly_gcd(f, nf.shift(var, s * theta))
+        if not g.is_constant():
+            out.append(g.monic())
+    return out
+
+
+def reference_roots_in_extension(f, tower):
+    """All roots of f, factoring the whole squarefree part of f again over
+    the tower after every adjoin."""
+    eff = f.effective_vars()
+    if not eff:
+        return [], tower
+    (var,) = eff
+    g = squarefree_part(f.drop_unused_vars().lift_to(tower), var)
+    while True:
+        roots, nonlinear = [], []
+        for p in reference_factor_squarefree(g, var, tower):
+            if p.degree_in(var) == 1:
+                roots.append(-p.coefficient((0,)))
+            else:
+                nonlinear.append(p)
+        if not nonlinear:
+            return sorted(roots, key=lambda r: r.sort_key()), tower
+        pick = min(nonlinear, key=lambda p: (p.total_degree(), p.to_string()))
+        coeffs = tuple(pick.coefficient((i,)).v for i in range(pick.degree_in(var) + 1))
+        tower = tower.adjoin(tower.fresh_name(), coeffs)
+        g = g.lift_to(tower)
+
+
+def factor_set(factors):
+    return sorted((p.tower.levels, tuple(sorted(p.terms.items()))) for p in factors)
+
+
+def element(draw, tower, depth):
+    """A small element of the prefix of tower of the given depth: an integer
+    plus small multiples of its generators."""
+    out = FieldElement.rational(draw(st.integers(-2, 2)), tower.prefix(depth))
+    for j in range(1, depth + 1):
+        gen = FieldElement.generator(tower.prefix(j))
+        out = out + draw(st.integers(-2, 2)) * gen
+    return out
+
+
+@st.composite
+def towers(draw, max_degree=8):
+    """A tower of depth 1 to 3, each level a root of t^2 - c or t^3 - c for
+    a small element c of the tower so far (an irreducible factor of it when
+    it splits), of degree at most max_degree."""
+    tower = Tower()
+    t = MultiPoly.variable("t")
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.sampled_from((2, 3)))
+        if tower.degree() * k > max_degree:
+            break
+        c = element(draw, tower, draw(st.integers(0, tower.depth)))
+        assume(not c.is_zero())
+        _, grown = roots_in_extension(t.lift_to(tower) ** k - c, tower)
+        assume(grown.depth == tower.depth + 1)
+        tower = grown
+    return tower
+
+
+@st.composite
+def tower_polys(draw, max_degree=8, cap=16):
+    """(f, tower): a product of one to three monic factors of degree 1 to 3
+    over a random tower of degree at most max_degree and the tower cap cap,
+    each factor with its coefficients in a prefix of the tower, often a
+    proper one."""
+    tower = Tower(draw(towers(max_degree)).levels, cap)
+    x = MultiPoly.variable("x", tower)
+    f = MultiPoly.constant(1, ("x",), tower)
+    for _ in range(draw(st.integers(1, 3))):
+        depth = draw(st.integers(0, tower.depth))
+        factor = x ** draw(st.integers(1, 3))
+        for k in range(factor.degree_in("x")):
+            factor = factor + element(draw, tower, depth) * x**k
+        f = f * factor
+    return f, tower
+
+
+@settings(max_examples=40, deadline=None)
+@given(tower_polys())
+@example((parse_poly("x^3 - 2"), Tower().adjoin("a", (-2, 0, 1))))
+def test_factor_squarefree_matches_full_tower_norm(f_tower):
+    f, tower = f_tower
+    f = squarefree_part(f.lift_to(tower), "x")
+    ours = _factor_squarefree(f, "x", tower)
+    assert factor_set(ours) == factor_set(reference_factor_squarefree(f, "x", tower))
+    assert all(p.tower == tower for p in ours)
+
+
+def roots_outcome(find, f, tower):
+    try:
+        roots, grown = find(f, tower)
+    except ExtensionDegreeExceeded as exc:
+        return str(exc)
+    return grown.names(), grown.levels, [(r.tower.levels, r.v) for r in roots]
+
+
+# the reference factors everything again up to the cap: a small cap keeps
+# it quick, and both must then stop with the same message
+@settings(max_examples=40, deadline=None)
+@given(tower_polys(max_degree=4, cap=8))
+@example((parse_poly("(x^2 - 2)*(x^2 - 3)*(x - 1)"), Tower()))
+@example((parse_poly("(x^2 - 2)*(x^3 - 2)"), Tower()))
+@example((parse_poly("(x^2 - 2)*(x^3 - 2)"), Tower((), 4)))
+def test_roots_in_extension_matches_refactoring_everything(f_tower):
+    f, tower = f_tower
+    ours = roots_outcome(roots_in_extension, f, tower)
+    assert ours == roots_outcome(reference_roots_in_extension, f, tower)
+    event("over the cap" if isinstance(ours, str) else f"{len(ours[0])} levels")
+
+
+def test_degree_rule_keeps_a_rational_cubic_whole_over_sqrt2(monkeypatch):
+    tower = Tower().adjoin("a", (-2, 0, 1))
+    norms = []
+    real = factor._factor_norm
+
+    def spy(f, var, K):
+        norms.append(K.depth)
+        return real(f, var, K)
+
+    monkeypatch.setattr(factor, "_factor_norm", spy)
+    cubic = parse_poly("x^3 - 2").lift_to(tower)
+    (p,) = _factor_squarefree(cubic, "x", tower)
+    assert p == cubic and p.tower == tower
+    # factored once over Q, and no norm over Q(a): gcd(3, 2) = 1
+    assert norms == [0]
+
+
+def test_a_rational_quadratic_lifted_to_sqrt2_splits():
+    tower = Tower().adjoin("a", (-2, 0, 1))
+    factors = factor._lift_factors([parse_poly("x^2 - 2")], "x", tower, 0)
+    assert sorted(p.to_string() for p in factors) == ["x + (-a)", "x + (a)"]

@@ -4,6 +4,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
+from waifi import factor
 from waifi.factor import (
     affine_common_zeros,
     plane_common_zeros,
@@ -12,7 +13,8 @@ from waifi.factor import (
 )
 from waifi.field import QQ_TOWER, Tower
 from waifi.poly import MultiPoly, parse_poly, poly_gcd, resultant
-from waifi.vfield import homogenize
+from waifi.reduction import reduce
+from waifi.vfield import AffineVectorField, homogenize, projectivize
 
 
 def test_univ_factor_rational():
@@ -230,3 +232,23 @@ def test_affine_common_zeros_matches_two_branch_reference(fg):
     assert [(x0.tower.levels, x0.v, y0.tower.levels, y0.v) for x0, y0 in ours] == [
         (x0.tower.levels, x0.v, y0.tower.levels, y0.v) for x0, y0 in ref
     ]
+
+
+def test_deep_tower_field_factors_small_norms(monkeypatch):
+    # the affine points of the Hamiltonian field of this H need a tower of
+    # degree 16 in four levels; a cubic with coefficients two levels down,
+    # normed down the whole tower, gave rational norms of degree 48, whose
+    # factorisation took minutes.  Normed over its coefficient field and
+    # lifted by the degree rule, no rational norm exceeds degree 16.
+    H = parse_poly("(y - 2)^3*x*(y^3 - x^2 + y)")
+    degrees = []
+    real = factor._qq_factor
+
+    def spy(f, var):
+        degrees.append(f.degree_in(var))
+        return real(f, var)
+
+    monkeypatch.setattr(factor, "_qq_factor", spy)
+    res = reduce(projectivize(AffineVectorField(-H.diff("y"), H.diff("x"))))
+    assert res.tower.degree() == 16 and res.tower.depth == 4
+    assert degrees and max(degrees) <= 16

@@ -10,15 +10,16 @@ must keep its output byte-identical is checked with
     diff <(cd old && python3 tools/corpus_digests.py) \\
          <(cd new && python3 tools/corpus_digests.py)
 
-The corpus has 1185 commands.  1125 are built from the inputs of
+The corpus has 1192 commands.  1125 are built from the inputs of
 bench/corpus.py:
   integrate, integrate --method pairing, integrate --method both, poincare,
   poincare --bound, reduce and dicritical, each with --json, on the first
   40 wai ops of seeds 1-3 and on all 15 non-wai cases;
   pencil-basepoints --json on the first 60 pencils ops of seeds 1-3.
-The other 60 are pencil-basepoints --json on pencils with irrational base
+Then 60 are pencil-basepoints --json on pencils with irrational base
 points (irrational_pencils), whose tangent directions are gcds of binary
-forms over a tower.
+forms over a tower.  The last 7 are the field commands on DEEP_TOWER_FIELD,
+whose affine points build a tower of four levels.
 Each command runs in-process through waifi.cli.main on an input file in a
 temporary directory, whose path is masked in the output before hashing.
 Nothing is written under bench/.
@@ -53,6 +54,17 @@ FIELD_COMMANDS = [
     ["dicritical"],
 ]
 SEEDS = (1, 2, 3)
+
+#: the Hamiltonian field p = -H_y, q = H_x of H = (y - 2)^3 x (y^3 - x^2 + y):
+#: its 12 affine points need a tower of degree 16 in four levels, and a
+#: cubic with coefficients two levels down must be factored over all four
+DEEP_TOWER_FIELD = (
+    "deep-tower/hamiltonian",
+    "p = 3*x^3*y^2 - 12*x^3*y + 12*x^3 - 6*x*y^5 + 30*x*y^4 - 52*x*y^3"
+    " + 42*x*y^2 - 24*x*y + 8*x\n"
+    "q = -3*x^2*y^3 + 18*x^2*y^2 - 36*x^2*y + 24*x^2 + y^6 - 6*y^5"
+    " + 13*y^4 - 14*y^3 + 12*y^2 - 8*y\n",
+)
 
 
 def irrational_pencils(n=60, seed=12):
@@ -106,6 +118,8 @@ def commands():
         (f"{name} pencil-basepoints", ["pencil-basepoints"], text)
         for name, text in irrational_pencils()
     ]
+    name, text = DEEP_TOWER_FIELD
+    out += [(f"{name} {' '.join(argv)}", argv, text) for argv in FIELD_COMMANDS]
     return out
 
 
