@@ -7,7 +7,8 @@ variable tuple is always sorted, so equal polynomials have equal dicts.
 There is one gcd per coefficient domain: rational polynomials go to sympy's
 sparse integer ring, univariate polynomials over a proper tower take
 Euclid's algorithm, and binary forms over a proper tower reduce to Euclid
-through their dehomogenisation.
+through their dehomogenisation.  The resultant splits the same way: sympy's
+over the rationals, scalar Euclid and Newton interpolation over a tower.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from sympy.polys.domains import ZZ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
-from . import linalg
 from .errors import WaifiError
 from .field import FieldElement, QQ_TOWER, ratio
 
@@ -301,9 +301,9 @@ class MultiPoly:
         The result lives on the sorted union of the kept variables and the
         variables of every substituted value that actually occurs (exponent
         at least 1 in some term), over the deepest of the towers involved.
-        Its one caller is the norm loop of factor._factor_squarefree; setting
-        a variable to a constant is restrict, a Taylor shift is shift.  It
-        goes when that loop and resultant move to dense coefficient lists.
+        Its one caller is the norm loop of factor._factor_norm (setting a
+        variable to a constant is restrict, a Taylor shift is shift).  A
+        shift there would replace it, but bench/tracing.py counts its calls.
         """
         tw = self.tower
         subs = []  # (position in self.vars, value)
@@ -510,20 +510,6 @@ class MultiPoly:
             rem = rem - t * g
         return quot
 
-    def as_univariate(self, var):
-        """Dense coefficient list (low to high) in var, entries MultiPoly in
-        the remaining variables."""
-        rest = tuple(v for v in self.vars if v != var)
-        if var not in self.vars:
-            return [self]
-        i = self.vars.index(var)
-        d = self.degree_in(var)
-        coeffs = [MultiPoly.zero(rest, self.tower) for _ in range(max(d + 1, 1))]
-        for e, c in self.terms.items():
-            re = tuple(k for j, k in enumerate(e) if j != i)
-            coeffs[e[i]] = coeffs[e[i]] + MultiPoly(rest, {re: c}, self.tower)
-        return coeffs
-
     # -- printing ----------------------------------------------------------
 
     def __repr__(self):
@@ -620,9 +606,12 @@ def _zz_ring(names):
 
 def to_zz(p, names):
     """A rational-coefficient polynomial as (h, den): h in sympy's sparse
-    integer ring on the generators `names` (a sorted superset of p.vars,
-    lex order) and den > 0 the least common denominator, so p = h/den."""
+    integer ring on the generators `names` (lex order on them, in any
+    order, holding every variable that occurs in p) and den > 0 the least
+    common denominator, so p = h/den."""
     p = p.with_vars(names)
+    if p.vars != names:
+        p = p._reorder(names)
     den = lcm(*(c.denominator for c in p.terms.values()))
     rep = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
     return _zz_ring(names).from_dict(rep), den
@@ -685,100 +674,111 @@ def _euclid_univ_gcd(f, g, var):
 # -- resultants -----------------------------------------------------------
 
 
-def sylvester_matrix(fc, gc):
-    """Sylvester matrix from dense coefficient lists (low to high)."""
-    m = len(fc) - 1
-    n = len(gc) - 1
-    if m < 0 or n < 0:
-        raise ValueError("resultant of a zero polynomial")
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [None] * size
-        for j, c in enumerate(reversed(fc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [None] * size
-        for j, c in enumerate(reversed(gc)):
-            row[i + j] = c
-        rows.append(row)
-    return rows
-
-
 def resultant(f, g, var):
-    """Resultant of f and g with respect to var.
+    """Resultant of f and g with respect to var, with the sign of
+    lc(f)^deg(g) * prod g(roots of f).
 
-    Both polynomials must involve at most one variable besides var; the
-    result is a polynomial in that variable (or a constant), computed by
-    evaluation and Lagrange interpolation to keep the elimination scalar.
+    Both polynomials must involve at most one variable besides var, the
+    parameter; the result is a polynomial in it (or a constant).  Over the
+    rationals with a parameter it is sympy's integer resultant.  Otherwise
+    the coefficients of var are dense lists in the parameter; Newton
+    interpolation runs through scalar Euclid resultants at bound + 1 of the
+    integers 0, 1, -1, 2, ... where neither leading coefficient vanishes.
     """
     f, g = MultiPoly._pair(f, g)
     tw = f.tower
-    fc = f.as_univariate(var)
-    gc = g.as_univariate(var)
-    if len(fc) == 1 or len(gc) == 1:
+    m, n = f.degree_in(var), g.degree_in(var)
+    if m < 1 or n < 1:
         # degree zero in var: Res(f, g) = f^deg(g) (or symmetric)
-        if len(fc) == 1 and len(gc) == 1:
+        if m < 1 and n < 1:
             return MultiPoly.constant(1, (), tw)
-        if len(fc) == 1:
-            return fc[0] ** (len(gc) - 1)
-        return gc[0] ** (len(fc) - 1)
-    others = {v for c in fc + gc for v in c.effective_vars()}
+        return f.restrict(var, 0) ** n if m < 1 else g.restrict(var, 0) ** m
+    others = (set(f.effective_vars()) | set(g.effective_vars())) - {var}
     if len(others) > 1:
         raise ValueError("resultant supports at most one parameter variable")
-    if not others:
-        zero = FieldElement(tw, tw.zero())
-        mat = [
-            [zero if c is None else c.constant_value() for c in row]
-            for row in sylvester_matrix(fc, gc)
-        ]
-        d = linalg.det(mat)
-        return MultiPoly.constant(d)
-    (param,) = others
-    bound = (
-        f.degree_in(param) * (len(gc) - 1)
-        + g.degree_in(param) * (len(fc) - 1)
-    )
-    sym = sylvester_matrix(fc, gc)
-    zero = FieldElement(tw, tw.zero())
-    points = []
-    values = []
-    c = 0
+    (param,) = others or (None,)
+    if tw.depth == 0 and param is not None:
+        # in sympy's integer ring, Res(den_f*f, den_g*g) = den_f^n den_g^m
+        # Res(f, g); sympy 1.14 has the sign wrong when m < n are both odd,
+        # so it gets the operand of higher degree first
+        (F, den_f), (G, den_g) = (to_zz(p, (var, param)) for p in (f, g))
+        h = F.resultant(G) if m >= n else (-1) ** (m * n) * G.resultant(F)
+        return from_zz(h, den_f**n * den_g**m, (param,))
+    fc, gc = _dense(f, var, param, m), _dense(g, var, param, n)
+    # the degree in param of the Sylvester determinant is at most bound
+    bound = (max(map(len, fc)) - 1) * n + (max(map(len, gc)) - 1) * m
+    points, values, t = [], [], 0
     while len(points) <= bound:
-        pt = Fraction(c)
-        c = -c if c > 0 else -c + 1
-        mat = []
-        for row in sym:
-            mat.append(
-                [
-                    zero if entry is None else entry.evaluate({param: pt})
-                    for entry in row
-                ]
-            )
-        points.append(pt)
-        values.append(linalg.det(mat))
-    return _lagrange(points, values, param)
+        a, b = ([_horner(tw, col, t) for col in cols] for cols in (fc, gc))
+        if not (tw.is_zero(a[-1]) or tw.is_zero(b[-1])):
+            points.append(t)
+            values.append(_scalar_resultant(tw, a, b))
+        t = -t if t > 0 else 1 - t
+    if param is None:
+        return MultiPoly.constant(FieldElement(tw, values[0]))
+    coeffs = _newton(tw, points, values)
+    terms = {(k,): c for k, c in enumerate(coeffs) if not tw.is_zero(c)}
+    return MultiPoly((param,), terms, tw)
 
 
-def _lagrange(points, values, var):
-    tower = QQ_TOWER
-    for v in values:
-        tower = tower.join(v.tower)
-    x = MultiPoly.variable(var, tower)
-    total = MultiPoly.zero((var,), tower)
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        if yi.is_zero():
-            continue
-        num = MultiPoly.constant(1, (var,), tower)
-        den = Fraction(1)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            num = num * (x - MultiPoly.constant(xj, (var,), tower))
-            den *= xi - xj
-        total = total + num * (yi.lift_to(tower) / den)
-    return total
+def _dense(p, var, param, d):
+    """The coefficients of var^0 .. var^d in p, as dense lists (low to high)
+    of raw values in param (of length at most 1 when param is None)."""
+    i, j = p.vars.index(var), param and p.vars.index(param)
+    cols = [[] for _ in range(d + 1)]
+    for e, c in p.terms.items():
+        col, k = cols[e[i]], 0 if j is None else e[j]
+        col.extend([p.tower.zero()] * (k + 1 - len(col)))
+        col[k] = c
+    return cols
+
+
+def _horner(tower, col, t):
+    """The dense list col (low to high) of raw values at the integer t."""
+    acc = tower.zero()
+    for c in reversed(col):
+        acc = tower.add(tower.scalar_mul(t, acc), c)
+    return acc
+
+
+def _scalar_resultant(tower, a, b):
+    """Res(a, b) of dense lists of raw values with nonzero leading entries,
+    by Euclid (Collins 1967; Brown-Traub 1971): Res(a, b) = (-1)^(deg a
+    deg b) lc(b)^(deg a - deg r) Res(b, r) for r = a mod b, and
+    Res(a, c) = c^deg(a) for a constant c."""
+    res = tower.one()
+    while len(b) > 1:
+        r = tower.pdivmod(a, b, tower.depth)[1]
+        if not r:
+            return tower.zero()
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = tower.neg(res)
+        for _ in range(len(a) - len(r)):
+            res = tower.mul(res, b[-1])
+        a, b = b, r
+    for _ in range(len(a) - 1):
+        res = tower.mul(res, b[0])
+    return res
+
+
+def _newton(tower, points, values):
+    """Coefficients (low to high) of the polynomial of degree below
+    len(points) through the raw values at the distinct integer points:
+    divided differences, then the Newton form expanded by Horner's rule."""
+    d, n = list(values), len(points)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            step = Fraction(1, points[i] - points[i - j])
+            d[i] = tower.scalar_mul(step, tower.sub(d[i], d[i - 1]))
+    zero, coeffs = tower.zero(), [d[-1]]
+    for k in range(n - 2, -1, -1):
+        # coeffs * (t - points[k]) + d[k]
+        coeffs = [
+            tower.sub(hi, tower.scalar_mul(points[k], lo))
+            for hi, lo in zip([zero] + coeffs, coeffs + [zero])
+        ]
+        coeffs[0] = tower.add(coeffs[0], d[k])
+    return coeffs
 
 
 # -- parser ---------------------------------------------------------------

@@ -15,10 +15,14 @@ Three references are kept here as they were before the shortcuts:
 - `reference_roots_in_extension`: the whole squarefree part factored again
   after every adjoin.  `roots_in_extension` keeps the roots it found and
   factors again only the nonlinear factors.
+- `reference_resultant`: the determinant of the Sylvester matrix
+  (`linalg.det`) at integer points, then Lagrange interpolation.
+  `poly.resultant` takes sympy's integer resultant over the rationals, and
+  a scalar Euclid resultant and Newton interpolation over a tower.
 
 Each must give the same R (or the same reason and message), the same
-reduced form, the same nullspace or solution, and the same monic factors,
-roots and generator names.
+reduced form, the same nullspace or solution, the same monic factors,
+roots and generator names, and the same resultant down to its leaf types.
 """
 
 from fractions import Fraction
@@ -28,6 +32,7 @@ import pytest
 import sympy
 from hypothesis import assume, event, example, given, settings, strategies as st
 from test_certificate_first import perturbation, planted_hamiltonians
+from test_poly import as_univariate
 
 from waifi import factor, linalg
 from waifi.errors import InputError
@@ -405,6 +410,143 @@ def test_solve_matches_sympy_rref(rows, seed_vec, consistent):
     for i, c in enumerate(pivots):
         expect[c] = sympy_fractions([aug[i, m]])[0]
     assert as_fractions(ours) == expect
+
+
+# -- resultants ------------------------------------------------------------
+
+
+def sylvester_matrix(fc, gc):
+    """Sylvester matrix from dense coefficient lists (low to high)."""
+    m, n = len(fc) - 1, len(gc) - 1
+    rows = []
+    for coeffs, count in ((fc, n), (gc, m)):
+        for i in range(count):
+            row = [None] * (m + n)
+            for j, c in enumerate(reversed(coeffs)):
+                row[i + j] = c
+            rows.append(row)
+    return rows
+
+
+def reference_resultant(f, g, var):
+    """Res_var(f, g): the Sylvester matrix evaluated at the integers 0, 1,
+    -1, 2, ..., a linalg.det at each of bound + 1 points, and Lagrange
+    interpolation; without a parameter one determinant."""
+    f, g = MultiPoly._pair(f, g)
+    tw = f.tower
+    fc, gc = as_univariate(f, var), as_univariate(g, var)
+    if len(fc) == 1 or len(gc) == 1:
+        if len(fc) == 1 and len(gc) == 1:
+            return MultiPoly.constant(1, (), tw)
+        if len(fc) == 1:
+            return fc[0] ** (len(gc) - 1)
+        return gc[0] ** (len(fc) - 1)
+    others = {v for c in fc + gc for v in c.effective_vars()}
+    zero = FieldElement(tw, tw.zero())
+    sym = sylvester_matrix(fc, gc)
+    if not others:
+        mat = [[zero if c is None else c.constant_value() for c in row] for row in sym]
+        return MultiPoly.constant(linalg.det(mat))
+    (param,) = others
+    bound = f.degree_in(param) * (len(gc) - 1) + g.degree_in(param) * (len(fc) - 1)
+    points, values = [], []
+    c = 0
+    while len(points) <= bound:
+        pt = Fraction(c)
+        c = -c if c > 0 else -c + 1
+        mat = [
+            [zero if e is None else e.evaluate({param: pt}) for e in row] for row in sym
+        ]
+        points.append(pt)
+        values.append(linalg.det(mat))
+    tower = QQ_TOWER
+    for v in values:
+        tower = tower.join(v.tower)
+    t = MultiPoly.variable(param, tower)
+    total = MultiPoly.zero((param,), tower)
+    for i, (xi, yi) in enumerate(zip(points, values)):
+        if yi.is_zero():
+            continue
+        num, den = MultiPoly.constant(1, (param,), tower), Fraction(1)
+        for j, xj in enumerate(points):
+            if j != i:
+                num = num * (t - MultiPoly.constant(xj, (param,), tower))
+                den *= xi - xj
+        total = total + num * (yi.lift_to(tower) / den)
+    return total
+
+
+def leaf_types(p):
+    """The terms of p with each coefficient as its tuple of leaf types."""
+    return {e: tuple(map(type, p.tower.sort_key(c))) for e, c in p.terms.items()}
+
+
+def assert_same_resultant(f, g, var):
+    ours, ref = resultant(f, g, var), reference_resultant(f, g, var)
+    assert (ours.vars, ours.terms, ours.tower) == (ref.vars, ref.terms, ref.tower)
+    assert leaf_types(ours) == leaf_types(ref)
+    return ours
+
+
+SQRT2 = Tower().adjoin("a", (-2, 0, 1))
+# Q(2^(1/2), 2^(1/4)): b^2 = a
+FOURTH_ROOT_2 = SQRT2.adjoin("b", ((0, -1), (0, 0), (1, 0)))
+
+
+@st.composite
+def resultant_pairs(draw):
+    """(f, g, var) over Q, Q(sqrt 2) or Q(2^(1/4)), in var and at most one
+    parameter, of degree 0 to 3 in var and 0 to 2 in the parameter, with
+    rational coefficients on half of the draws.  Some pairs share a factor
+    (a zero resultant), some have the leading coefficient t - t^2 in the
+    parameter t, which vanishes at the first two points, some have no
+    parameter."""
+    tower = draw(st.sampled_from((QQ_TOWER, SQRT2, FOURTH_ROOT_2)))
+    var, param = draw(st.sampled_from((("x", "y"), ("y", "x"), ("@z", "x"))))
+    pdeg = draw(st.integers(0, 2))
+    scale = draw(st.sampled_from((1, Fraction(1, 3))))
+
+    def poly(degree):
+        out = MultiPoly.zero((var, param), tower)
+        for i in range(degree + 1):
+            for j in range(pdeg + 1):
+                c = element(draw, tower, draw(st.integers(0, tower.depth)))
+                out = out + MultiPoly.from_coeff_dict(
+                    (var, param), {(i, j): c * scale}, tower
+                )
+        return out
+
+    f, g = poly(draw(st.integers(0, 3))), poly(draw(st.integers(0, 3)))
+    if pdeg and draw(st.booleans()):
+        # a leading coefficient that vanishes at the points 0 and 1
+        lead = MultiPoly.from_coeff_dict((var, param), {(4, 1): 1, (4, 2): -1}, tower)
+        f = f + lead
+    if draw(st.booleans()):
+        common = poly(1)
+        f, g = f * common, g * common
+    return f, g, var
+
+
+@settings(max_examples=150, deadline=None)
+@given(resultant_pairs())
+@example((parse_poly("y*x^2 + 1"), parse_poly("x^3 - y + 2"), "x"))
+@example((parse_poly("(x - y)*(x + 1)"), parse_poly("(x - y)*y"), "x"))
+@example((parse_poly("x^2 + 1/2"), parse_poly("x^3 - 2*x + 3"), "x"))
+@example((parse_poly("y^2 + 1"), parse_poly("x^3 - y"), "x"))
+def test_resultant_matches_sylvester_determinant(case):
+    f, g, var = case
+    ours = assert_same_resultant(f, g, var)
+    event(f"depth {f.tower.depth}, {'zero' if ours.is_zero() else 'nonzero'}")
+
+
+# sympy 1.14's integer resultant has the wrong sign when deg f < deg g are
+# both odd; resultant hands it the operand of higher degree first
+@pytest.mark.parametrize("m, n", [(1, 3), (3, 5), (1, 5), (3, 1), (5, 3)])
+def test_resultant_sign_for_odd_degrees(m, n):
+    f = parse_poly(f"x^{m} - y*x + 1/2")
+    g = parse_poly(f"2*x^{n} + x - 1/3*y + 1")
+    ours = assert_same_resultant(f, g, "x")
+    assert ours.tower.depth == 0 and not ours.is_zero()
 
 
 # -- factors and roots over towers ---------------------------------------------

@@ -322,6 +322,21 @@ def binary_forms(draw, tower, max_degree=2):
     return p
 
 
+def as_univariate(p, var):
+    """Dense coefficient list (low to high) of p in var, entries MultiPoly
+    in the remaining variables."""
+    if var not in p.vars:
+        return [p]
+    rest = tuple(v for v in p.vars if v != var)
+    i = p.vars.index(var)
+    d = max(p.degree_in(var), 0)
+    coeffs = [MultiPoly.zero(rest, p.tower) for _ in range(d + 1)]
+    for e, c in p.terms.items():
+        re = e[:i] + e[i + 1 :]
+        coeffs[e[i]] = coeffs[e[i]] + MultiPoly(rest, {re: c}, p.tower)
+    return coeffs
+
+
 def reference_gcd(f, g):
     """The gcd poly_gcd took over a proper tower before binary forms went
     through their dehomogenisation: the gcd of the contents in a main
@@ -339,7 +354,7 @@ def reference_gcd(f, g):
         return _euclid_univ_gcd(f, g, shared[0])
     # main variable: smallest worst-case degree keeps the recursion shallow
     main = min(shared, key=lambda v: max(f.degree_in(v), g.degree_in(v)))
-    fc, gc = f.as_univariate(main), g.as_univariate(main)
+    fc, gc = as_univariate(f, main), as_univariate(g, main)
     cont_f, cont_g = reference_content(fc), reference_content(gc)
     h = reference_prs(
         [c.divide_exact(cont_f) for c in fc], [c.divide_exact(cont_g) for c in gc]
