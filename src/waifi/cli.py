@@ -262,6 +262,11 @@ _PARSER = build_parser()
 def main(argv=None):
     try:
         args = _PARSER.parse_args(argv)
+        # a budget below its minimum is meaningless: a usage error, no work
+        for flag, low in (("--max-depth", 0), ("--max-tower-degree", 1)):
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value < low:
+                _PARSER.error(f"argument {flag}: must be at least {low}, not {value}")
         return args.func(args)
     except (WaifiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

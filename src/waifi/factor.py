@@ -9,17 +9,16 @@ Over a proper tower, a squarefree polynomial is first brought down to the
 shortest prefix K_k of the tower that holds its coefficients and factored
 there.  Over K_k it is factored through its norm (_factor_norm): resultants
 against the top minimal polynomial push the problem one level down, the
-shifted norm is factored recursively, and gcds pull the factors back up
-(the Taylor shifts there run on tower values; only shifts over the
-rationals run on integers).  The factors are then lifted to the tower one
-level at a time.  At level j, a factor of degree d irreducible over K_(j-1)
-stays irreducible when e = [K_j : K_(j-1)] is coprime to d: a root
-generates a degree-d extension of K_(j-1), so d and e both divide
-[K_j(root) : K_(j-1)] <= d e, which is then d e, and the root has degree d
-over K_j.  Only the other factors take a norm, over K_j alone.  Roots that
-do not exist yet can be adjoined, growing the tower up to its degree cap;
-after an adjoin only the factors that are still nonlinear can split, and
-only at the new level.
+shifted norm is factored recursively, and gcds pull the factors back up.
+Both directions are Taylor shifts by a multiple of the top generator.  The
+factors are then lifted to the tower one level at a time.  At level j, a
+factor of degree d irreducible over K_(j-1) stays irreducible when
+e = [K_j : K_(j-1)] is coprime to d: a root generates a degree-d extension
+of K_(j-1), so d and e both divide [K_j(root) : K_(j-1)] <= d e, which is
+then d e, and the root has degree d over K_j.  Only the other factors take
+a norm, over K_j alone.  Roots that do not exist yet can be adjoined, growing
+the tower up to its degree cap; after an adjoin only the factors that are
+still nonlinear can split, and only at the new level.
 """
 
 from __future__ import annotations
@@ -129,29 +128,18 @@ def _factor_norm(f, var, tower):
         return [p.monic() for p, _ in factors]
     sub = tower.prefix(tower.depth - 1)
     mp = tower.levels[-1][1]
-    # minimal polynomial of the top generator, over the lower tower
-    m_poly = MultiPoly.from_coeff_dict(
-        (_ZVAR,),
-        {(i,): FieldElement(sub, c) for i, c in enumerate(mp)},
-        sub,
-    )
-    # rewrite f as a two-variable polynomial over the lower tower
-    terms = {}
-    for (e,), c in f.drop_unused_vars().terms.items():
-        for j, comp in enumerate(c):
-            if sub.is_zero(comp):
-                continue
-            key = (e, j) if var < _ZVAR else (j, e)
-            terms[key] = sub.add(terms.get(key, sub.zero()), comp)
-    vars2 = tuple(sorted((var, _ZVAR)))
-    two = MultiPoly(vars2, terms, sub)
-    t_poly = MultiPoly.variable(var, sub)
-    z_poly = MultiPoly.variable(_ZVAR, sub)
-    s = 0
+    # minimal polynomial of the top generator theta, in @z over the lower tower
+    coeffs = {(i,): c for i, c in enumerate(mp) if not sub.is_zero(c)}
+    m_poly = MultiPoly((_ZVAR,), coeffs, sub)
+    theta = FieldElement.generator(tower)
+    f = f.drop_unused_vars()
+    # with every coefficient in the level below, the s = 0 norm is f^e
+    s = 0 if any(tower.shortest(c)[1] == tower.depth for c in f.terms.values()) else 1
     while True:
-        shifted = two.substitute({var: t_poly - s * z_poly})
+        # f(var - s*theta) lowered agrees with f(var - s*@z) modulo the monic
+        # m_poly, and Res_z(m, g) = prod g(roots of m) depends on g mod m only
+        shifted = _lower(f.shift(var, -s * theta), var, sub)
         norm = resultant(m_poly, shifted, _ZVAR)
-        norm = norm.with_vars((var,)).drop_unused_vars().with_vars((var,))
         if norm.degree_in(var) == f.degree_in(var) * (len(mp) - 1):
             g = poly_gcd(norm, norm.diff(var))
             if g.is_constant():
@@ -160,13 +148,23 @@ def _factor_norm(f, var, tower):
         if s > 40:
             raise NoSquarefreeShift("no squarefree norm shift found")
     sub_factors = _factor_squarefree(norm.monic(), var, sub)
-    theta = FieldElement.generator(tower)
     out = []
     for nf in sub_factors:
         g = poly_gcd(f, nf.shift(var, s * theta))
         if not g.is_constant():
             out.append(g.monic())
     return out
+
+
+def _lower(f, var, sub):
+    """A univariate f in var over a tower one level above sub, as a
+    polynomial in (var, @z) over sub with the top generator read as @z."""
+    terms = {}
+    for (e,), c in f.terms.items():
+        for j, comp in enumerate(c):
+            if not sub.is_zero(comp):
+                terms[(e, j) if var < _ZVAR else (j, e)] = comp
+    return MultiPoly(tuple(sorted((var, _ZVAR))), terms, sub)
 
 
 def squarefree_part(f, var):

@@ -268,9 +268,8 @@ class Tower:
             q, r = self.pdivmod(r0, r1, sub)
             r0, r1 = r1, r
             s0, s1 = s1, self._psub(s0, self._pmul(q, s1, sub), sub)
-        # r0 is the gcd, s0 the cofactor of a... careful: invariants give
-        # s_i * a + t_i * m = r_i with the roles of r0, r1 swapped at start,
-        # so here s tracks the coefficient of a.
+        # invariant: s0*a = r0 and s1*a = r1 modulo the minimal polynomial,
+        # so with r0 the gcd, s0/r0 is the inverse of a when r0 is a unit
         r0 = self._trim(r0, sub)
         if len(r0) > 1:
             g = self.monic(r0, sub)

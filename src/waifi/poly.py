@@ -301,9 +301,9 @@ class MultiPoly:
         The result lives on the sorted union of the kept variables and the
         variables of every substituted value that actually occurs (exponent
         at least 1 in some term), over the deepest of the towers involved.
-        Its one caller is the norm loop of factor._factor_norm (setting a
-        variable to a constant is restrict, a Taylor shift is shift).  A
-        shift there would replace it, but bench/tracing.py counts its calls.
+        No library code calls it: setting a variable to a constant is
+        restrict, a Taylor shift is shift.  It stays because bench/tracing.py
+        counts its calls, until the benchmark drops it from that list.
         """
         tw = self.tower
         subs = []  # (position in self.vars, value)
@@ -389,9 +389,8 @@ class MultiPoly:
 
         The result of substitute({var: var + value}) on the ring self.vars:
         self when var never occurs, otherwise over the deeper of the two
-        towers.  Over the rationals each coefficient column is shifted on
-        integers (_shift_rational_column); over a proper tower it is
-        synthetic division on raw tower values.
+        towers.  Each coefficient column is shifted by synthetic division on
+        raw tower values, over the rationals as over a proper tower.
         """
         if var not in self.vars:
             return self
@@ -403,18 +402,15 @@ class MultiPoly:
             return self.lift_to(tower)
         terms = {}
         for rest, col in self._columns(i, tower).items():
-            if tower.depth == 0:
-                col = _shift_rational_column(col, lam)
-            else:
-                # synthetic division by var - lam, d times in place
-                d = len(col) - 1
-                for j in range(d):
-                    for m in range(d - 1, j - 1, -1):
-                        c = col[m + 1]
-                        if c is None:
-                            continue
-                        c = tower.mul(lam, c)
-                        col[m] = c if col[m] is None else tower.add(col[m], c)
+            # synthetic division by var - lam, d times in place
+            d = len(col) - 1
+            for j in range(d):
+                for m in range(d - 1, j - 1, -1):
+                    c = col[m + 1]
+                    if c is None:
+                        continue
+                    c = tower.mul(lam, c)
+                    col[m] = c if col[m] is None else tower.add(col[m], c)
             for k, c in enumerate(col):
                 if c is not None and not tower.is_zero(c):
                     terms[rest[:i] + (k,) + rest[i:]] = c
@@ -622,37 +618,6 @@ def from_zz(h, den, names):
     integer ring on `names` and a non-zero integer den."""
     terms = {e: ratio(int(c), den) for e, c in h.items()}
     return MultiPoly(names, terms, QQ_TOWER)
-
-
-def _shift_rational_column(col, lam):
-    """Taylor shift of one rational coefficient column [c0, c1, ...] (None
-    for a missing power) by lam = a/b, on integers.
-
-    With den the least common denominator of the column and d its degree,
-    h_k = c_k * den * b^(d-k) are integers, the synthetic division shifts
-    them by a, and each shifted h_k is read back as h_k * b^k / (den * b^d).
-    Returns the shifted column of leaves, None where a coefficient is zero.
-    """
-    a, b = lam.numerator, lam.denominator
-    d = len(col) - 1
-    den = lcm(*(c.denominator for c in col if c is not None))
-    h = [0] * (d + 1)
-    bpow = 1  # b^(d-k)
-    for k in range(d, -1, -1):
-        c = col[k]
-        if c is not None:
-            h[k] = c.numerator * (den // c.denominator) * bpow
-        bpow *= b
-    for j in range(d):
-        for m in range(d - 1, j - 1, -1):
-            h[m] += a * h[m + 1]
-    scale = den * b**d
-    out = []
-    bk = 1
-    for hk in h:
-        out.append(ratio(hk * bk, scale) if hk else None)
-        bk *= b
-    return out
 
 
 def _euclid_univ_gcd(f, g, var):

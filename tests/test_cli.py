@@ -185,6 +185,48 @@ def test_pencil_budget_exit_code(tmp_path, capsys, command, text, flags, message
     assert err == message
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--max-depth", "-1", "must be at least 0, not -1"),
+        ("--max-tower-degree", "0", "must be at least 1, not 0"),
+        ("--max-tower-degree", "-3", "must be at least 1, not -3"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("integrate", "p = 5*y^4\nq = -2*x\n"),
+        ("reduce", "p = 5*y^4\nq = -2*x\n"),
+        ("pencil-basepoints", "F1 = X^2*Z^3 + Y^5\nF2 = Z^5\n"),
+    ],
+)
+def test_meaningless_budget_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, command, text, flag, value, message
+):
+    # rejected while the arguments are parsed: no work starts
+    import waifi.cli as cli
+
+    def never(args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "_read_spec", never)
+    spec = write(tmp_path, text)
+    code, out, err = run(capsys, [command, spec, flag, value])
+    assert (code, out) == (1, "")
+    assert err == f"error: argument {flag}: {message}\n"
+
+
+def test_smallest_budgets_are_accepted(tmp_path, capsys):
+    # a depth of 0 allows no blow-up, a tower degree of 1 no extension
+    spec = write(tmp_path, "p = 5*y^4\nq = -2*x\n")
+    code, _, err = run(capsys, ["reduce", spec, "--max-depth", "0"])
+    assert (code, err) == (1, "error: reduction deeper than 0 levels\n")
+    spec = write(tmp_path, "p = y^2 - 2\nq = x^2 - 3\n")
+    code, _, err = run(capsys, ["integrate", spec, "--max-tower-degree", "1"])
+    assert (code, err) == (1, "error: tower degree 2 exceeds cap 1\n")
+
+
 def test_bad_input_exit_code(tmp_path, capsys):
     spec = write(tmp_path, "p = x +\nq = y\n")
     code, _, err = run(capsys, ["integrate", spec])

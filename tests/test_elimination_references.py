@@ -32,7 +32,7 @@ import pytest
 import sympy
 from hypothesis import assume, event, example, given, settings, strategies as st
 from test_certificate_first import perturbation, planted_hamiltonians
-from test_poly import as_univariate
+from test_poly import QI, QS, QST, as_univariate, field_elements
 
 from waifi import factor, linalg
 from waifi.errors import InputError
@@ -563,22 +563,10 @@ def reference_factor_squarefree(f, var, tower):
         return [p.monic() for p, _ in factors]
     sub = Tower(tower.levels[:-1], tower.max_degree)
     mp = tower.levels[-1][1]
-    m_poly = MultiPoly.from_coeff_dict(
-        ("@z",), {(i,): FieldElement(sub, c) for i, c in enumerate(mp)}, sub
-    )
-    terms = {}
-    for (e,), c in f.drop_unused_vars().terms.items():
-        for j, comp in enumerate(c):
-            if not sub.is_zero(comp):
-                key = (e, j) if var < "@z" else (j, e)
-                terms[key] = sub.add(terms.get(key, sub.zero()), comp)
-    two = MultiPoly(tuple(sorted((var, "@z"))), terms, sub)
-    t_poly = MultiPoly.variable(var, sub)
-    z_poly = MultiPoly.variable("@z", sub)
+    m_poly = minimal_polynomial(tower)
     s = 0
     while True:
-        shifted = two.substitute({var: t_poly - s * z_poly})
-        norm = resultant(m_poly, shifted, "@z")
+        norm = resultant(m_poly, reference_norm_operand(f, var, tower, s), "@z")
         norm = norm.with_vars((var,)).drop_unused_vars().with_vars((var,))
         if norm.degree_in(var) == f.degree_in(var) * (len(mp) - 1):
             if poly_gcd(norm, norm.diff(var)).is_constant():
@@ -592,6 +580,64 @@ def reference_factor_squarefree(f, var, tower):
         if not g.is_constant():
             out.append(g.monic())
     return out
+
+
+def minimal_polynomial(tower):
+    """The minimal polynomial of the top generator of tower, in @z over the
+    level below."""
+    sub = tower.prefix(tower.depth - 1)
+    return MultiPoly.from_coeff_dict(
+        ("@z",),
+        {(i,): FieldElement(sub, c) for i, c in enumerate(tower.levels[-1][1])},
+        sub,
+    )
+
+
+def reference_norm_operand(f, var, tower, s):
+    """f(var - s*@z) over the level below: f written in (var, @z) with the
+    top generator read as @z, then var -> var - s*@z by substitute."""
+    sub = tower.prefix(tower.depth - 1)
+    terms = {}
+    for (e,), c in f.drop_unused_vars().terms.items():
+        for j, comp in enumerate(c):
+            if not sub.is_zero(comp):
+                key = (e, j) if var < "@z" else (j, e)
+                terms[key] = sub.add(terms.get(key, sub.zero()), comp)
+    two = MultiPoly(tuple(sorted((var, "@z"))), terms, sub)
+    t_poly = MultiPoly.variable(var, sub)
+    z_poly = MultiPoly.variable("@z", sub)
+    return two.substitute({var: t_poly - s * z_poly})
+
+
+@st.composite
+def norm_cases(draw):
+    """(f, tower, s): a monic squarefree f in x of degree 1 to 3 over
+    Q(sqrt 2), Q(i) or Q(sqrt 2, sqrt 3), and a shift s in {0, 1, 2}."""
+    tower = draw(st.sampled_from([QS, QI, QST]))
+    x = MultiPoly.variable("x", tower)
+    f = x ** draw(st.integers(1, 3))
+    for k in range(f.degree_in("x")):
+        f = f + MultiPoly.constant(draw(field_elements(tower))) * x**k
+    return squarefree_part(f, "x"), tower, draw(st.integers(0, 2))
+
+
+# Trager's norm Res_z(m, f(x - s*z)) depends on f(x - s*z) only modulo the
+# monic m: f(x - s*theta) lowered, the operand _factor_norm builds by shift,
+# has the norm of the one substitute builds, and a z-degree below deg m
+@settings(max_examples=60, deadline=None)
+@given(norm_cases())
+def test_norm_operand_by_shift_has_the_substituted_norm(case):
+    f, tower, s = case
+    sub = tower.prefix(tower.depth - 1)
+    theta = FieldElement.generator(tower)
+    ours = factor._lower(f.shift("x", -s * theta), "x", sub)
+    ref = reference_norm_operand(f, "x", tower, s)
+    assert ours.tower == ref.tower == sub
+    assert ours.degree_in("@z") < tower.level_degree(tower.depth)
+    m_poly = minimal_polynomial(tower)
+    norm, ref_norm = (resultant(m_poly, g, "@z") for g in (ours, ref))
+    assert norm.vars == ref_norm.vars and norm.tower == ref_norm.tower
+    assert norm.terms == ref_norm.terms and not norm.is_zero()
 
 
 def reference_roots_in_extension(f, tower):
@@ -716,6 +762,28 @@ def test_degree_rule_keeps_a_rational_cubic_whole_over_sqrt2(monkeypatch):
     assert p == cubic and p.tower == tower
     # factored once over Q, and no norm over Q(a): gcd(3, 2) = 1
     assert norms == [0]
+
+
+def test_norm_shift_starts_at_one_for_a_factor_from_the_level_below(monkeypatch):
+    tower = Tower().adjoin("a", (-2, 0, 1))
+    norms = []
+    real = factor.resultant
+
+    def spy(f, g, var):
+        norms.append(g.to_string() if var == "@z" else None)
+        return real(f, g, var)
+
+    monkeypatch.setattr(factor, "resultant", spy)
+    # over Q the s = 0 norm would be (x^2 - 3)^2; the first norm taken is of
+    # (x - a)^2 - 3, the squarefree x^4 - 10*x^2 + 1, irreducible over Q
+    (p,) = factor._lift_factors([parse_poly("x^2 - 3")], "x", tower, 0)
+    assert p.to_string() == "x^2 - 3" and norms == ["-2*@z*x + x^2 - 1"]
+    # a coefficient at the top level: the first norm, at s = 0, is x^4 - 2
+    norms.clear()
+    f = parse_poly("x^2").lift_to(tower) - MultiPoly.constant(
+        FieldElement.generator(tower)
+    )
+    assert _factor_squarefree(f, "x", tower) == [f] and norms == ["-@z + x^2"]
 
 
 def test_a_rational_quadratic_lifted_to_sqrt2_splits():
