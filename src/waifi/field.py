@@ -407,29 +407,33 @@ class Tower:
         name = self.levels[depth - 1][0]
         parts = []
         for i in range(len(a) - 1, -1, -1):
-            c = a[i]
-            if self.is_zero(c, depth - 1):
-                continue
-            cq = self.as_rational(c, depth - 1)
-            if i == 0:
-                cs = self.fmt(c, depth - 1)
-                if cq is None:
-                    cs = "(" + cs + ")"
-                parts.append(cs)
-                continue
-            mono = name if i == 1 else f"{name}^{i}"
-            if cq == 1:
-                parts.append(mono)
-            elif cq == -1:
-                parts.append("-" + mono)
-            elif cq is not None:
-                parts.append(f"{cq}*{mono}")
-            else:
-                parts.append(f"({self.fmt(c, depth - 1)})*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+            if not self.is_zero(a[i], depth - 1):
+                mono = "" if i == 0 else name if i == 1 else f"{name}^{i}"
+                parts.append(self.fmt_term(a[i], mono, depth - 1))
+        return join_terms(parts, "")
+
+    def fmt_term(self, c, mono, depth=None):
+        """One term: the nonzero raw value c times the monomial string mono
+        (empty for 1), a coefficient outside Q in parentheses."""
+        q = self.as_rational(c, depth)
+        if q is None:
+            s = "(" + self.fmt(c, depth) + ")"
+            return s + "*" + mono if mono else s
+        if not mono:
+            return str(q)
+        if q == 1:
+            return mono
+        return "-" + mono if q == -1 else f"{q}*{mono}"
+
+
+def join_terms(parts, space):
+    """Join term strings with signs, space on each side of the sign: a term
+    that starts with "-" is subtracted."""
+    out = parts[0]
+    for p in parts[1:]:
+        sign, p = ("-", p[1:]) if p.startswith("-") else ("+", p)
+        out += space + sign + space + p
+    return out
 
 
 #: the trivial tower Q, shared default
@@ -475,45 +479,36 @@ class FieldElement:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def _apply(self, other, op, reflected=False):
+        """op (a raw Tower operation) on self and other, coerced into one
+        tower; the operands swap for a reflected operator."""
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return FieldElement(a.tower, a.tower.add(a.v, b.v))
+        x, y = (b.v, a.v) if reflected else (a.v, b.v)
+        return FieldElement(a.tower, op(a.tower, x, y))
+
+    def __add__(self, other):
+        return self._apply(other, Tower.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(a.tower, a.tower.sub(a.v, b.v))
+        return self._apply(other, Tower.sub)
 
     def __rsub__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(a.tower, a.tower.sub(b.v, a.v))
+        return self._apply(other, Tower.sub, True)
 
     def __mul__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(a.tower, a.tower.mul(a.v, b.v))
+        return self._apply(other, Tower.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(a.tower, a.tower.div(a.v, b.v))
+        return self._apply(other, Tower.div)
 
     def __rtruediv__(self, other):
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return FieldElement(a.tower, a.tower.div(b.v, a.v))
+        return self._apply(other, Tower.div, True)
 
     def __neg__(self):
         return FieldElement(self.tower, self.tower.neg(self.v))

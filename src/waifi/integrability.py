@@ -317,8 +317,8 @@ def _z_divides(omega):
 
 
 def _check_line_invariant(res):
-    if not _z_divides(res.one_form):
-        raise AnalysisFailure(LINE_NOT_INVARIANT, "Z=0 is not invariant")
+    """A dicritical plane point off Z = 0 is a base point of no pencil
+    H - lambda Z^n."""
     conf = res.dicritical_configuration
     for rid in conf.roots():
         if conf.point(rid).coordinate[2] != 0:
@@ -419,32 +419,35 @@ def decide(V, routes, max_depth=MAX_DEPTH, max_tower_degree=MAX_TOWER_DEGREE):
     in this order:
 
     1. The form is reduced, A and B must share no curve of zeros, and the
-       points at infinity are found.
-    2. When Z divides A and B, the reduction walks the points at infinity
-       alone, from the tower they were found in; S, R, the curves and each
-       route's certificate follow, each certificate verified twice (the
-       residual and the cofactor relation).  If any route certifies, those
-       are the results: no affine point can then be dicritical, so the
-       reduction of every point gives the same configuration, unless it
-       first exceeds the tower cap or the depth on an affine point.
-    3. Otherwise, or when step 2 ends in a WaifiError, the decision starts
-       again from all points: the affine points are found over the tower
-       of step 1 and the reduction walks every point in canonical order.
-       Its reasons, errors, point ids and generator names are those of a
-       decision that never tried step 2.
+       points at infinity are found.  When Z does not divide A and B, every
+       route gets line-not-invariant at once: Z = 0 would be a member of
+       the pencil, so it would be invariant.  No point is reduced.
+    2. The reduction walks the points at infinity alone, from the tower
+       they were found in; S, R, the curves and each route's certificate
+       follow, each certificate verified twice (the residual and the
+       cofactor relation).  If any route certifies, those are the results:
+       no affine point can then be dicritical, so the reduction of every
+       point gives the same configuration, unless it first exceeds the
+       tower cap or the depth on an affine point.
+    3. When no route certifies, or step 2 ends in a WaifiError, the
+       decision starts again from all points: the affine points are found
+       over the tower of step 1 and the reduction walks every point in
+       canonical order.  Its reasons, errors, point ids and generator
+       names are those of a decision that never tried step 2.
     """
     if not isinstance(V, AffineVectorField):
         raise TypeError("expected an AffineVectorField")
     omega = projectivize(V)
     start = points_at_infinity(omega, max_tower_degree)
-    if _z_divides(start.one_form):
-        try:
-            res = reduce_form(omega, max_depth, start=start, affine=False)
-            out = _decide_from(V, res, routes)
-        except WaifiError:
-            out = []
-        if any(cert is not None for cert, _ in out):
-            return out
+    if not _z_divides(start.one_form):
+        return [(None, LINE_NOT_INVARIANT)] * len(routes)
+    try:
+        res = reduce_form(omega, max_depth, start=start, affine=False)
+        out = _decide_from(V, res, routes)
+    except WaifiError:
+        out = []
+    if any(cert is not None for cert, _ in out):
+        return out
     return _decide_from(V, reduce_form(omega, max_depth, start=start), routes)
 
 

@@ -1,17 +1,17 @@
 """Exact linear algebra over the rationals and over extension towers.
 
-Rational matrices go through fraction-free (Bareiss) elimination on integer
-rescalings of the rows, and the reduced echelon form clears the entries above
-each pivot on those integer rows too (row k becomes pivot * row k - entry *
-pivot row, divided by its content), so Fractions are made only once, when
-each row is divided by its pivot at the end.  Matrices with genuine
-algebraic entries use ordinary exact Gaussian elimination in the tower.
-Everything returns FieldElement results, never floats.
+The reduced echelon form of a rational matrix comes from fraction-free
+(Bareiss) elimination on integer rescalings of the rows, which also clears
+the entries above each pivot on those integer rows (row k becomes pivot *
+row k - entry * pivot row, divided by its content), so Fractions are made
+only once, when each row is divided by its pivot at the end.  Matrices with
+genuine algebraic entries, and every determinant, use ordinary exact
+Gaussian elimination in the tower.  Everything returns FieldElement
+results, never floats.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .field import FieldElement, QQ_TOWER, ratio
@@ -28,33 +28,25 @@ def _unwrap(rows):
 
 
 def _int_rows(raw):
-    """Scale each row of a Fraction matrix to coprime integers.
-
-    Returns the rows and the product of the scale factors, so that the
-    determinant of the integer rows is that of raw times the product.
-    """
+    """Scale each row of a rational matrix to coprime integers."""
     out = []
-    scale = Fraction(1)
     for row in raw:
         den = lcm(*[x.denominator for x in row])
         ints = [int(x * den) for x in row]
         g = gcd(*ints) or 1
         out.append([v // g for v in ints])
-        scale *= Fraction(den, g)
-    return out, scale
+    return out
 
 
 def _bareiss(m):
     """Fraction-free (Bareiss) elimination of an integer matrix, in place.
 
-    Returns (pivot columns, sign, last pivot): the first len(pivots) rows of
-    m become an integer echelon form, and for a nonsingular square matrix
-    the last pivot is sign times the determinant.
+    Returns the pivot columns: the first len(pivots) rows of m become an
+    integer echelon form.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     prev = 1
-    sign = 1
     pivots = []
     r = 0
     for c in range(ncols):
@@ -67,9 +59,7 @@ def _bareiss(m):
                 break
         if p is None:
             continue
-        if p != r:
-            m[r], m[p] = m[p], m[r]
-            sign = -sign
+        m[r], m[p] = m[p], m[r]
         piv = m[r][c]
         for i in range(r + 1, nrows):
             for j in range(c + 1, ncols):
@@ -78,7 +68,7 @@ def _bareiss(m):
         prev = piv
         pivots.append(c)
         r += 1
-    return pivots, sign, prev
+    return pivots
 
 
 def _tower_echelon(raw, tower):
@@ -123,8 +113,8 @@ def _rref(rows):
     if not raw or not raw[0]:
         return [], [], tower
     if tower.depth == 0:
-        m, _ = _int_rows(raw)
-        pivots, _, _ = _bareiss(m)
+        m = _int_rows(raw)
+        pivots = _bareiss(m)
         m = m[: len(pivots)]
         # eliminate above the pivots on integers, each row kept primitive
         for i in range(len(pivots) - 1, -1, -1):
@@ -189,21 +179,13 @@ def solve(rows, rhs):
 
 
 def det(rows):
-    """Exact determinant of a square matrix of FieldElement entries."""
+    """Exact determinant of a square matrix of FieldElement entries: the
+    signed product of the pivots of its elimination over its tower."""
     raw, tower = _unwrap(rows)
     n = len(raw)
-    if n == 0:
-        return FieldElement(tower, tower.one())
     if any(len(r) != n for r in raw):
         raise ValueError("matrix is not square")
-    if tower.depth == 0:
-        ints, scale = _int_rows(raw)
-        pivots, sign, last = _bareiss(ints)
-        if len(pivots) < n:
-            return FieldElement(tower, tower.zero())
-        return FieldElement(tower, tower.lift_rational(sign * last / scale))
-    ech, pivots, sign, prod = _tower_echelon(raw, tower)
+    _, pivots, sign, prod = _tower_echelon(raw, tower)
     if len(pivots) < n:
         return FieldElement(tower, tower.zero())
-    v = prod if sign == 1 else tower.neg(prod)
-    return FieldElement(tower, v)
+    return FieldElement(tower, prod if sign == 1 else tower.neg(prod))

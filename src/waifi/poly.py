@@ -23,7 +23,7 @@ from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
 from .errors import WaifiError
-from .field import FieldElement, QQ_TOWER, ratio
+from .field import FieldElement, QQ_TOWER, join_terms, ratio
 
 ALLOWED_VARS = ("x", "y", "z", "X", "Y", "Z")
 
@@ -79,32 +79,27 @@ class MultiPoly:
             v = tower.element(c).v
             if not tower.is_zero(v):
                 terms[tuple(exps)] = v
-        p = MultiPoly(vars, terms, tower)
-        if vars != tuple(sorted(vars)):
-            p = p._reorder(tuple(sorted(vars)))
-        return p
-
-    def _reorder(self, new_vars):
-        idx = [self.vars.index(v) for v in new_vars]
-        terms = {tuple(e[i] for i in idx): c for e, c in self.terms.items()}
-        return MultiPoly(new_vars, terms, self.tower)
+        return MultiPoly(vars, terms, tower)._on_vars(tuple(sorted(vars)))
 
     # -- alignment ---------------------------------------------------------
 
-    def with_vars(self, vars):
-        """Embed into the polynomial ring on a superset of variables."""
-        vars = tuple(sorted(set(vars) | set(self.vars)))
+    def _on_vars(self, vars):
+        """The same polynomial on the variable tuple vars, in that order: a
+        variable of vars missing from self.vars gets exponent 0, and one of
+        self.vars left out of vars must not occur."""
         if vars == self.vars:
             return self
-        pos = {v: i for i, v in enumerate(vars)}
-        n = len(vars)
+        n = len(self.vars)
+        idx = [self.vars.index(v) if v in self.vars else n for v in vars]
         terms = {}
         for e, c in self.terms.items():
-            ne = [0] * n
-            for v, k in zip(self.vars, e):
-                ne[pos[v]] = k
-            terms[tuple(ne)] = c
+            e += (0,)  # what position n reads
+            terms[tuple([e[i] for i in idx])] = c
         return MultiPoly(vars, terms, self.tower)
+
+    def with_vars(self, vars):
+        """Embed into the polynomial ring on a superset of variables."""
+        return self._on_vars(tuple(sorted(set(vars) | set(self.vars))))
 
     def lift_to(self, tower):
         if tower == self.tower:
@@ -267,12 +262,7 @@ class MultiPoly:
         return tuple(out)
 
     def drop_unused_vars(self):
-        eff = self.effective_vars()
-        if eff == self.vars:
-            return self
-        keep = [self.vars.index(v) for v in eff]
-        terms = {tuple(e[i] for i in keep): c for e, c in self.terms.items()}
-        return MultiPoly(eff, terms, self.tower)
+        return self._on_vars(self.effective_vars())
 
     # -- calculus and substitution ----------------------------------------
 
@@ -280,20 +270,13 @@ class MultiPoly:
         if var not in self.vars:
             return MultiPoly.zero(self.vars, self.tower)
         i = self.vars.index(var)
-        tw = self.tower
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            v = tw.scalar_mul(e[i], c)
-            if ne in terms:
-                v = tw.add(terms[ne], v)
-            if not tw.is_zero(v):
-                terms[ne] = v
-            elif ne in terms:
-                del terms[ne]
-        return MultiPoly(self.vars, terms, tw)
+        # distinct monomials have distinct nonzero derivatives
+        terms = {
+            e[:i] + (e[i] - 1,) + e[i + 1 :]: self.tower.scalar_mul(e[i], c)
+            for e, c in self.terms.items()
+            if e[i]
+        }
+        return MultiPoly(self.vars, terms, self.tower)
 
     def substitute(self, mapping):
         """Simultaneous substitution var -> polynomial / field element.
@@ -462,10 +445,7 @@ class MultiPoly:
         new = tuple(mapping.get(v, v) for v in self.vars)
         if len(set(new)) != len(new):
             raise ValueError("renaming collides")
-        order = tuple(sorted(new))
-        idx = [new.index(v) for v in order]
-        terms = {tuple(e[i] for i in idx): c for e, c in self.terms.items()}
-        return MultiPoly(order, terms, self.tower)
+        return MultiPoly(new, self.terms, self.tower)._on_vars(tuple(sorted(new)))
 
     # -- division, gcd, resultant -----------------------------------------
 
@@ -516,35 +496,13 @@ class MultiPoly:
     def to_string(self):
         if not self.terms:
             return "0"
-        tw = self.tower
-        items = sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
         parts = []
-        for e, c in items:
+        for e, c in sorted(self.terms.items(), reverse=True):
             mono = "*".join(
-                v if k == 1 else f"{v}^{k}"
-                for v, k in zip(self.vars, e)
-                if k > 0
+                v if k == 1 else f"{v}^{k}" for v, k in zip(self.vars, e) if k
             )
-            q = tw.as_rational(c)
-            if q is None:
-                cs = "(" + tw.fmt(c) + ")"
-                s = cs + ("*" + mono if mono else "")
-            elif not mono:
-                s = str(q)
-            elif q == 1:
-                s = mono
-            elif q == -1:
-                s = "-" + mono
-            else:
-                s = f"{q}*{mono}"
-            parts.append(s)
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+            parts.append(self.tower.fmt_term(c, mono))
+        return join_terms(parts, " ")
 
 
 # -- gcd ------------------------------------------------------------------
@@ -605,9 +563,7 @@ def to_zz(p, names):
     integer ring on the generators `names` (lex order on them, in any
     order, holding every variable that occurs in p) and den > 0 the least
     common denominator, so p = h/den."""
-    p = p.with_vars(names)
-    if p.vars != names:
-        p = p._reorder(names)
+    p = p._on_vars(names)
     den = lcm(*(c.denominator for c in p.terms.values()))
     rep = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
     return _zz_ring(names).from_dict(rep), den

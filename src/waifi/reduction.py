@@ -267,30 +267,25 @@ def dicritical_points(res):
 def maximal_free_pairs(conf):
     """The maximal points R_1..R_r of a dicritical configuration and the
     maximal free points M_1..M_r under them; raises StructureMismatch when
-    the shape is wrong."""
+    the shape is wrong.
+
+    M_i is the last free point under R_i.  The shape is right exactly when
+    the M_i are distinct and none of them lies under another free point:
+    every maximal free point is then some M_i, since it is the last free
+    point under any maximal point above it."""
     R = conf.maximal_points()
     free = set(conf.free_points())
-    maximal_free = [
-        pid
-        for pid in conf.order
-        if pid in free
-        and not any(q != pid and pid in conf.ancestors(q) for q in free)
-    ]
-    if len(maximal_free) != len(R):
-        raise StructureMismatch(
-            f"{len(maximal_free)} maximal free points for {len(R)} dicritical ones"
-        )
     M = []
     for rid in R:
-        best = None
-        for pid in conf.ancestors(rid):
-            if pid in free:
-                best = pid
-        if best is None or best not in maximal_free:
-            raise StructureMismatch(f"no maximal free point under {rid}")
-        M.append(best)
+        under = [pid for pid in conf.ancestors(rid) if pid in free]
+        if not under:
+            raise StructureMismatch(f"no free point under {rid}")
+        M.append(under[-1])
     if len(set(M)) != len(M):
         raise StructureMismatch("two dicritical points over one free point")
+    below_free = {pid for q in free for pid in conf.ancestors(q)[:-1]}
+    if below_free.intersection(M):
+        raise StructureMismatch("a last free point lies under another free point")
     return R, M
 
 

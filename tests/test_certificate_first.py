@@ -5,10 +5,12 @@ The oracle is the decision from every point, with no attempt at infinity:
 the curves and each route's certificate.  decide must give the same
 certificate (display factors, exponents, degree, R and route, and raw
 factors of the same degrees with the same product) or the same reason or
-error on every field.  One difference is deliberate: where the reference
+error on every field.  Two differences are deliberate: where the reference
 exceeds the tower cap or the depth on affine points, decide may certify
 from the points at infinity, and then the printed integral is checked in
-sympy instead.
+sympy instead; and a field whose line at infinity is not invariant gets
+line-not-invariant from decide before any point is reduced, where the
+reference may first exceed a budget.
 """
 
 import random
@@ -26,6 +28,7 @@ from waifi.integrability import (
     _certify,
     _check_line_invariant,
     _decide_from,
+    _z_divides,
     assemble_S,
     compute_R,
     decide,
@@ -43,6 +46,8 @@ def reference_decide(V, routes, max_depth=64, max_tower_degree=16):
     """The decision from the reduction of every singular point."""
     res = reduce(projectivize(V), max_depth=max_depth, max_tower_degree=max_tower_degree)
     try:
+        if not _z_divides(res.one_form):
+            raise AnalysisFailure(LINE_NOT_INVARIANT, "Z=0 is not invariant")
         _check_line_invariant(res)
         try:
             family = assemble_S(res)
@@ -115,10 +120,15 @@ def assert_same_decision(V, routes=ROUTES, **kw):
     ours = outcome(decide, V, routes, **kw)
     reference = outcome(reference_decide, V, routes, **kw)
     if reference[0] in BUDGETS and isinstance(ours, list):
-        # the one deliberate difference: affine points beyond the tower cap
-        # or the depth are never built when the points at infinity certify
-        for cert, reason in ours:
-            assert reason is None and sympy_residual(V, cert[0]) == 0
+        # the deliberate differences: points beyond the tower cap or the
+        # depth are never built when the points at infinity certify, or
+        # when the line at infinity is not invariant
+        if ours[0][1] == LINE_NOT_INVARIANT:
+            assert ours == [(None, LINE_NOT_INVARIANT)] * len(routes)
+            assert not _z_divides(projectivize(V).reduced())
+        else:
+            for cert, reason in ours:
+                assert reason is None and sympy_residual(V, cert[0]) == 0
     else:
         assert ours == reference
     return ours
@@ -225,3 +235,18 @@ def test_affine_dicritical_point_keeps_line_not_invariant():
     assert _decide_from(V, res, ["darboux"]) == [(None, R_NOT_RANK_ONE)]
     # ... but an affine point is dicritical, and that reason comes first
     assert decide(V, ["darboux"]) == [(None, LINE_NOT_INVARIANT)]
+
+
+def test_line_not_invariant_comes_before_any_point_is_reduced(monkeypatch):
+    # x*q_3 - y*p_3 = 0: Z does not divide A and B.  Reducing every point
+    # needs a tower of degree 42, beyond the default cap of 16
+    V = field("x^3 + y^2 - 3", "x^2*y + x - 5")
+    assert not _z_divides(projectivize(V).reduced())
+    with pytest.raises(ExtensionDegreeExceeded):
+        reference_decide(V, ROUTES)
+    monkeypatch.setattr("waifi.integrability.reduce_form", None)
+    for cap in (16, 1):
+        assert decide(V, ROUTES, max_tower_degree=cap) == [
+            (None, LINE_NOT_INVARIANT)
+        ] * 2
+    assert_same_decision(V)

@@ -297,6 +297,22 @@ def test_tower_budget_exit_code(tmp_path, capsys):
     assert err == "error: tower degree 4 exceeds cap 2\n"
 
 
+@pytest.mark.parametrize("cap", [[], ["--max-tower-degree", "1"]])
+def test_line_not_invariant_is_a_verdict_under_any_tower_cap(tmp_path, capsys, cap):
+    # its affine points need a tower of degree 42, but the line at infinity
+    # is not invariant, and that verdict comes before any point is reduced
+    spec = write(tmp_path, "p = x^3 + y^2 - 3\nq = x^2*y + x - 5\n")
+    code, out, err = run(capsys, ["integrate", spec, *cap])
+    assert (code, out, err) == (
+        2,
+        "no WAI polynomial first integral (line-not-invariant)\n",
+        "",
+    )
+    code, out, _ = run(capsys, ["integrate", spec, "--json", *cap])
+    assert code == 2
+    assert json.loads(out)["reason"] == "line-not-invariant"
+
+
 def test_wai_field_certifies_within_a_small_tower_cap(tmp_path, capsys):
     # H = x^5 - x - y^2: its four simple affine singular points need a tower
     # of degree 8, but the certificate comes from the points at infinity

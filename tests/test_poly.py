@@ -620,3 +620,15 @@ def test_gcd_edge_cases():
     assert poly_gcd(parse_poly("3"), f) == parse_poly("1")
     assert poly_gcd(parse_poly("x + 1"), parse_poly("y + 2")) == parse_poly("1")
     assert poly_gcd(f, parse_poly("x*z - z")) == parse_poly("x - 1")
+
+
+def test_printer_on_a_coefficient_from_a_lower_level():
+    # Q(a)(b) with a^2 = 2 and b^2 = 3: the coefficient of b is a + 1, a
+    # value of the level below, printed in parentheses
+    qa = Tower().adjoin("a", (-2, 0, 1))
+    tower = qa.adjoin("b", (qa.lift_rational(-3), qa.zero(), qa.one()))
+    value = FieldElement(tower, (qa.zero(), (1, 1)))
+    assert str(value) == "(a+1)*b"
+    assert str(-value) == "(-a-1)*b"
+    x = MultiPoly.variable("x", tower)
+    assert (value * x - 3).to_string() == "((a+1)*b)*x - 3"

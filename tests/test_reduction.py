@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 from waifi.blowup import DICRITICAL, ORDINARY, SIMPLE, V1, V2, blow_up_curve
 from waifi.field import FieldElement, QQ_TOWER, Tower
 from waifi.poly import MultiPoly, parse_poly
+from waifi.infnear import Configuration, InfNearPoint
 from waifi.reduction import (
     INFINITY_LINE,
     _child_axes,
     StructureMismatch,
     dicritical_points,
     max_free_points,
+    maximal_free_pairs,
     points_at_infinity,
     reduce,
 )
@@ -178,8 +180,6 @@ def test_max_free_points_mismatch_raises():
     # free/dicritical correspondence breaks down
     from types import SimpleNamespace
 
-    from waifi.infnear import Configuration, InfNearPoint
-
     def pt(pid, parent, prox):
         return InfNearPoint(
             pid,
@@ -196,3 +196,66 @@ def test_max_free_points_mismatch_raises():
     res = SimpleNamespace(dicritical_configuration=dconf)
     with pytest.raises(StructureMismatch):
         max_free_points(res)
+
+
+def reference_maximal_free_pairs(conf):
+    """The rule maximal_free_pairs replaced: list the maximal free points,
+    check that there are as many as maximal points, and take under each
+    maximal point its last free point, which must be one of them and not
+    shared."""
+    R = conf.maximal_points()
+    free = set(conf.free_points())
+    maximal_free = [
+        pid
+        for pid in conf.order
+        if pid in free
+        and not any(q != pid and pid in conf.ancestors(q) for q in free)
+    ]
+    if len(maximal_free) != len(R):
+        raise StructureMismatch("count")
+    M = []
+    for rid in R:
+        best = None
+        for pid in conf.ancestors(rid):
+            if pid in free:
+                best = pid
+        if best is None or best not in maximal_free:
+            raise StructureMismatch("not maximal")
+        M.append(best)
+    if len(set(M)) != len(M):
+        raise StructureMismatch("shared")
+    return R, M
+
+
+@st.composite
+def configurations(draw):
+    """Forests of up to 10 points: each point above the plane is proximate
+    to its parent and, when drawn satellite, to one ancestor below it."""
+    points, chains = [], []
+    for pid in range(draw(st.integers(1, 10))):
+        parent = None if pid == 0 else draw(st.sampled_from([None, *range(pid)]))
+        chain = [] if parent is None else chains[parent] + [parent]
+        prox = set() if parent is None else {parent}
+        if len(chain) > 1 and draw(st.booleans()):
+            prox.add(draw(st.sampled_from(chain[:-1])))
+        branch = None if parent is None else "V1"
+        points.append(
+            InfNearPoint(pid, parent, branch, None, len(chain), frozenset(prox))
+        )
+        chains.append(chain)
+    return Configuration(points)
+
+
+def outcome(rule, conf):
+    try:
+        return rule(conf)
+    except StructureMismatch:
+        return StructureMismatch
+
+
+@settings(max_examples=400, deadline=None)
+@given(configurations())
+def test_maximal_free_pairs_matches_the_counting_rule(conf):
+    assert outcome(maximal_free_pairs, conf) == outcome(
+        reference_maximal_free_pairs, conf
+    )
