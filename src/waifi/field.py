@@ -399,11 +399,9 @@ class Tower:
 
     def fmt(self, a, depth=None):
         """Render a raw value as a readable expression in the generators."""
-        if depth is None:
-            depth = self.depth
-        q = self.as_rational(a, depth)
-        if q is not None:
-            return str(q)
+        a, depth = self.shortest(a, depth)
+        if depth == 0:
+            return str(a)
         name = self.levels[depth - 1][0]
         parts = []
         for i in range(len(a) - 1, -1, -1):

@@ -10,13 +10,13 @@ and verifies the product is a first integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from . import linalg
 from .blowup import common_power
 from .errors import WaifiError
 from .field import MAX_TOWER_DEGREE
-from .infnear import Cluster, PairingVector, e_vector, multiplicity_system
+from .infnear import Cluster, PairingVector, e_vector, multiplicity_system, pairing
 from .linsys import EmptySystem, linear_system
 from .poly import MultiPoly
 from .reduction import (
@@ -140,50 +140,54 @@ def _primitive_positive(raw, reason, what):
     made positive; AnalysisFailure(reason) otherwise."""
     if None in raw:
         raise AnalysisFailure(reason, f"non-rational {what}")
-    denom = lcm(*[q.denominator for q in raw])
-    ints = [int(q * denom) for q in raw]
+    ints = linalg.primitive(raw)
     if ints[0] < 0:
         ints = [-n for n in ints]
     if any(n <= 0 for n in ints):
         raise AnalysisFailure(reason, f"{what} has nonpositive components")
-    g = gcd(*ints)
-    return [n // g for n in ints]
+    return ints
 
 
 def _rationals(vec):
     return [x.tower.as_rational(x.v) for x in vec]
 
 
+def _proximity_system(family):
+    """(w, rows): w_0 = (1; 0) and w_j = (0; h_j) for j = 1..r, with h_j the
+    multiplicity system of the chain of points under the maximal point R_j,
+    and the r x (r + 1) rows (<c_i, w_0>, ..., <c_i, w_r>).
+
+    <e_P, v> = 0 is the proximity equality v_P = sum of v_Q over the points
+    Q proximate to P, one for each non-maximal P.  h_j is 1 at R_j, 0 at the
+    other maximal points and obeys every proximity equality, so the w_k span
+    exactly the vectors that pair to 0 with every e_P.
+    """
+    conf = family.configuration
+    chains = [conf.subconfiguration(conf.ancestors(rid)) for rid in family.maximal]
+    w = [PairingVector.make(conf, 1, {})] + [
+        PairingVector.make(conf, 0, multiplicity_system(sub, conf)) for sub in chains
+    ]
+    return w, [[pairing(c, wk) for wk in w] for c in family.c_vectors]
+
+
 def compute_R(family):
     """The positive integer generator of the orthogonal complement of S.
 
-    <e_P, R> = 0 is the proximity equality R_P = sum of R_Q over the points
-    Q proximate to P, one for each non-maximal P.  Its solutions are
-    R = (v0; sum_j t_j h_j), with h_j the multiplicity system of the chain
-    of points under the maximal point R_j: h_j is 1 at R_j, 0 at the other
-    maximal points and obeys every proximity equality.  So only the r
-    conditions <c_i, R> = 0 in the r + 1 unknowns (v0, t_1..t_r) are
-    solved.  The e-rows are independent (each has -1 at its point and +1
-    only at points above it), so rank S = #e-rows + rank of the small
-    system, and S is dependent exactly when the small system has rank < r.
+    R pairs to 0 with every e_P, so R = sum x_k w_k over the w_k of
+    _proximity_system, and only the r conditions <c_i, R> = 0 on the x_k
+    are solved.  The e-rows are independent (each has -1 at its point and +1
+    only at points above it), so S is dependent exactly when the small
+    system has rank < r.
     """
     conf = family.configuration
-    hs = [
-        multiplicity_system(conf.subconfiguration(conf.ancestors(rid)), conf)
-        for rid in family.maximal
-    ]
-    rows = [
-        [c.v0] + [-sum(c.components[p] * h[p] for p in conf.order) for h in hs]
-        for c in family.c_vectors
-    ]
+    w, rows = _proximity_system(family)
     vecs = linalg.nullspace(rows)
-    if 1 + len(hs) - len(vecs) < len(rows):
+    if len(w) - len(vecs) < len(rows):
         raise AnalysisFailure(S_DEPENDENT, "the family S is linearly dependent")
     if len(vecs) != 1:
         raise AnalysisFailure(R_NOT_RANK_ONE, f"solution space has dim {len(vecs)}")
-    v0, *ts = _rationals(vecs[0])
-    comps = [sum(t * h[p] for t, h in zip(ts, hs)) for p in conf.order]
-    ints = _primitive_positive([v0] + comps, R_NON_INTEGRAL, "R")
+    raw = sum((v.scale(x) for x, v in zip(_rationals(vecs[0]), w)), w[0].scale(0))
+    ints = _primitive_positive(raw.as_list(), R_NON_INTEGRAL, "R")
     R = PairingVector.make(conf, ints[0], dict(zip(conf.order, ints[1:])))
     n = R.v0
     inf_sum = sum(R.components[p] for p in conf.order if p in family.infinity)
@@ -220,9 +224,11 @@ def extract_curves(family, R):
         if len(others) != 1:
             raise AnalysisFailure(CURVE_NOT_UNIQUE, "pencil does not contain Z^n")
         return [others[0].monic()]
+    # h_i is zero off the chain under M_i, where it puts no condition
     curves = []
-    for h, d in zip(family.h_systems, family.d_values):
-        K = Cluster(conf, {pid: h[pid] for pid in conf.order})
+    for mid, h, d in zip(family.free_maximal, family.h_systems, family.d_values):
+        chain = conf.ancestors(mid)
+        K = Cluster(conf.subconfiguration(chain), {pid: h[pid] for pid in chain})
         try:
             basis = linear_system(d, K)
         except EmptySystem:
@@ -236,22 +242,30 @@ def extract_curves(family, R):
 
 
 def exponents_pairing(family, R):
-    """Solve R = sum n_i c_i + sum b_P e_P in the basis S."""
-    cols = [s.as_list() for s in family.vectors]
-    rhs = R.as_list()
-    rows = [[col[k] for col in cols] for k in range(len(rhs))]
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
+    """Solve R = sum n_i c_i + sum b_P e_P in the basis S.
+
+    The e_P span the vectors that pair to 0 with every w_k of
+    _proximity_system, so the n_i solve sum n_i <c_i, w_k> = <R, w_k>, the
+    transpose of compute_R's rows: the kernel of (transpose | -<R, w>) is
+    empty or, S being independent, one vector ending in 1.  Then b_P, parents
+    first, is the sum of b_Q over the points Q that P is proximate to, minus
+    the P-component of R - sum n_i c_i.
+    """
+    w, rows = _proximity_system(family)
+    aug = [list(col) + [-pairing(R, v)] for col, v in zip(zip(*rows), w)]
+    vecs = linalg.nullspace(aug)
+    if not vecs:
         raise AnalysisFailure(EXPONENTS_INVALID, "R is not in the span of S")
-    vals = []
-    for x in sol:
-        q = x.tower.as_rational(x.v)
-        if q is None or q.denominator != 1:
-            raise AnalysisFailure(EXPONENTS_INVALID, "non-integer coefficient")
-        vals.append(int(q))
-    r = len(family.c_vectors)
-    n_i = vals[:r]
-    b_P = dict(zip(family.e_vectors, vals[r:]))
+    *n_i, _ = _rationals(vecs[0])
+    rest = sum((c.scale(-n) for n, c in zip(n_i, family.c_vectors)), R)
+    b_P = {}
+    for pid in family.e_vectors:  # by increasing pid, so parents first
+        prox = family.configuration.point(pid).proximate_to
+        b_P[pid] = sum(b_P[q] for q in prox) - rest.components[pid]
+    if any(q.denominator != 1 for q in n_i + list(b_P.values())):
+        raise AnalysisFailure(EXPONENTS_INVALID, "non-integer coefficient")
+    n_i = [int(n) for n in n_i]
+    b_P = {pid: int(b) for pid, b in b_P.items()}
     if any(n <= 0 for n in n_i):
         raise AnalysisFailure(EXPONENTS_INVALID, "exponents must be positive")
     if any(b < 0 for b in b_P.values()):
@@ -362,10 +376,7 @@ def _certify(V, front, route):
         n_i = exponents_darboux(cofactors)
     if sum(ni * F.total_degree() for ni, F in zip(n_i, curves)) != n:
         raise AnalysisFailure(DEGREE_CHECKS_FAILED, "exponent degrees do not sum to n")
-    g = 0
-    for ni in n_i:
-        g = gcd(g, ni)
-    if g != 1:
+    if gcd(*n_i) != 1:
         raise AnalysisFailure(EXPONENTS_INVALID, "exponents are not coprime")
     H = MultiPoly.constant(1, ("x", "y"))
     for f, ni in zip(factors, n_i):

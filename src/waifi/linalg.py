@@ -27,15 +27,15 @@ def _unwrap(rows):
     return [[tower.element(x).v for x in row] for row in rows], tower
 
 
-def _int_rows(raw):
-    """Scale each row of a rational matrix to coprime integers."""
-    out = []
-    for row in raw:
-        den = lcm(*[x.denominator for x in row])
-        ints = [int(x * den) for x in row]
-        g = gcd(*ints) or 1
-        out.append([v // g for v in ints])
-    return out
+def primitive(vec):
+    """The primitive integer vector on the line of a vector of rationals
+    (ints or Fractions), with the signs of its entries: the entries times
+    the lcm of their denominators, divided by their gcd.  The zero vector
+    stays zero."""
+    den = lcm(*[x.denominator for x in vec])
+    ints = [int(x * den) for x in vec]
+    g = gcd(*ints) or 1
+    return [v // g for v in ints]
 
 
 def _bareiss(m):
@@ -113,7 +113,7 @@ def _rref(rows):
     if not raw or not raw[0]:
         return [], [], tower
     if tower.depth == 0:
-        m = _int_rows(raw)
+        m = [primitive(row) for row in raw]
         pivots = _bareiss(m)
         m = m[: len(pivots)]
         # eliminate above the pivots on integers, each row kept primitive
@@ -123,8 +123,7 @@ def _rref(rows):
                 f = m[k][c]
                 if f:
                     row = [m[i][c] * x - f * y for x, y in zip(m[k], m[i])]
-                    g = gcd(*row)
-                    m[k] = [x // g for x in row]
+                    m[k] = primitive(row)
         ech = [[ratio(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
         return ech, pivots, tower
     ech, pivots, _, _ = _tower_echelon(raw, tower)
@@ -158,24 +157,6 @@ def nullspace(rows):
             vec[pc] = tower.neg(ech[i][fc])
         basis.append([FieldElement(tower, x) for x in vec])
     return basis
-
-
-def solve(rows, rhs):
-    """One exact solution of A x = b, or None if inconsistent.
-
-    rows: matrix entries, rhs: vector; both FieldElement/int/Fraction.
-    """
-    if not rows:
-        return []
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0])
-    ech, pivots, tower = _rref(aug)
-    if ncols in pivots:
-        return None
-    x = [tower.zero()] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = ech[i][-1]
-    return [FieldElement(tower, v) for v in x]
 
 
 def det(rows):

@@ -5,10 +5,14 @@ Three references are kept here as they were before the shortcuts:
 - `reference_compute_R`: R as the nullspace of the whole matrix of S, whose
   rank decides `S-dependent` and `R-not-rank-one`.  `compute_R` solves only
   the r x (r + 1) system left by the proximity equalities.
+- `reference_exponents_pairing`: R = sum n_i c_i + sum b_P e_P solved on
+  the whole (#points + 1) x #points system of S by sympy.
+  `exponents_pairing` solves the transpose of compute_R's system for the
+  n_i and back-substitutes the b_P.
 - `reference_reduced`: the form divided by gcd(gcd(A, B), C), two gcds.
   `ProjectiveOneForm.reduced` takes the one gcd of A and B.
-- sympy's `Matrix.rref` and `Matrix.nullspace`, for the integer
-  back-elimination of `linalg`.
+- sympy's `Matrix.nullspace`, for the integer back-elimination of
+  `linalg`.
 - `reference_factor_squarefree`: Trager's norm down the whole tower.
   `factor._factor_squarefree` factors over the shortest prefix that holds
   the coefficients and lifts the factors level by level.
@@ -20,8 +24,8 @@ Three references are kept here as they were before the shortcuts:
   `poly.resultant` takes sympy's integer resultant over the rationals, and
   a scalar Euclid resultant and Newton interpolation over a tower.
 
-Each must give the same R (or the same reason and message), the same
-reduced form, the same nullspace or solution, the same monic factors,
+Each must give the same R and exponents (or the same reason and message),
+the same reduced form, the same nullspace, the same monic factors,
 roots and generator names, and the same resultant down to its leaf types.
 """
 
@@ -43,9 +47,10 @@ from waifi.factor import (
     squarefree_part,
 )
 from waifi.field import ExtensionDegreeExceeded, FieldElement, QQ_TOWER, Tower
-from waifi.infnear import Configuration, InfNearPoint, PairingVector, e_vector
+from waifi.infnear import Cluster, Configuration, InfNearPoint, PairingVector, e_vector
 from waifi.integrability import (
     DEGREE_CHECKS_FAILED,
+    EXPONENTS_INVALID,
     R_NON_INTEGRAL,
     R_NOT_RANK_ONE,
     S_DEPENDENT,
@@ -54,8 +59,9 @@ from waifi.integrability import (
     assemble_S,
     assemble_S_from,
     compute_R,
+    exponents_pairing,
 )
-from waifi.linsys import pencil_vector_field
+from waifi.linsys import EmptySystem, linear_system, pencil_vector_field
 from waifi.poly import MultiPoly, parse_poly, poly_gcd, resultant
 from waifi.reduction import StructureMismatch, reduce
 from waifi.vfield import AffineVectorField, ProjectiveOneForm, projectivize
@@ -99,6 +105,34 @@ def reference_compute_R(family):
     return R
 
 
+def reference_exponents_pairing(family, R):
+    """R = sum n_i c_i + sum b_P e_P solved on the whole system of S, one
+    row per coordinate and one column per vector of S, by sympy's reduced
+    echelon form of the augmented matrix."""
+    cols = [s.as_list() for s in family.vectors]
+    rhs = R.as_list()
+    m = len(cols)
+    aug, pivots = to_sympy(
+        [[col[k] for col in cols] + [rhs[k]] for k in range(len(rhs))]
+    ).rref()
+    if m in pivots:
+        raise AnalysisFailure(EXPONENTS_INVALID, "R is not in the span of S")
+    sol = [Fraction(0)] * m
+    for i, c in enumerate(pivots):
+        sol[c] = sympy_fractions([aug[i, m]])[0]
+    if any(q.denominator != 1 for q in sol):
+        raise AnalysisFailure(EXPONENTS_INVALID, "non-integer coefficient")
+    vals = [int(q) for q in sol]
+    r = len(family.c_vectors)
+    n_i = vals[:r]
+    b_P = dict(zip(family.e_vectors, vals[r:]))
+    if any(n <= 0 for n in n_i):
+        raise AnalysisFailure(EXPONENTS_INVALID, "exponents must be positive")
+    if any(b < 0 for b in b_P.values()):
+        raise AnalysisFailure(EXPONENTS_INVALID, "negative e-coefficients")
+    return n_i, b_P
+
+
 def R_outcome(compute, family):
     try:
         return [str(x) for x in compute(family).as_list()]
@@ -106,10 +140,49 @@ def R_outcome(compute, family):
         return exc.reason, str(exc)
 
 
+def exponents_outcome(solve, family, R):
+    try:
+        n_i, b_P = solve(family, R)
+    except AnalysisFailure as exc:
+        return exc.reason, str(exc)
+    assert all(type(x) is int for x in n_i + list(b_P.values()))
+    return n_i, list(b_P.items())
+
+
+def assert_same_exponents(family, R):
+    ours = exponents_outcome(exponents_pairing, family, R)
+    assert ours == exponents_outcome(reference_exponents_pairing, family, R)
+    return ours
+
+
 def assert_same_R(family):
+    """The same R or failure as the reference, and where there is an R, the
+    same exponents or failure as the reference pairing route."""
     ours = R_outcome(compute_R, family)
     assert ours == R_outcome(reference_compute_R, family)
+    if isinstance(ours, list):
+        assert_same_exponents(family, compute_R(family))
     return ours
+
+
+def system_outcome(m, K):
+    try:
+        basis = linear_system(m, K)
+    except (EmptySystem, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return basis, [b.to_string() for b in basis]
+
+
+def assert_curves_on_their_chains(family):
+    """For r > 1, each curve's linear system on the chain under M_i, where
+    h_i is nonzero, equals the one on the whole configuration."""
+    conf = family.configuration
+    if len(family.maximal) < 2:
+        return
+    for mid, h, d in zip(family.free_maximal, family.h_systems, family.d_values):
+        chain = conf.ancestors(mid)
+        on_chain = Cluster(conf.subconfiguration(chain), {p: h[p] for p in chain})
+        assert system_outcome(d, on_chain) == system_outcome(d, Cluster(conf, h))
 
 
 def field_family(V, affine=True):
@@ -127,6 +200,8 @@ def test_R_of_planted_fields(H, affine):
     family = field_family(AffineVectorField(-H.diff("y"), H.diff("x")), affine)
     assume(family is not None)
     assert isinstance(assert_same_R(family), list)
+    event(f"r = {len(family.maximal)}")
+    assert_curves_on_their_chains(family)
 
 
 # the full reductions of perturbations 0 and 4 take seconds each, and those
@@ -155,6 +230,9 @@ def test_R_of_the_degree_ten_anchor():
     family = field_family(AffineVectorField(b, -a))
     assert len(family.maximal) == 3
     assert assert_same_R(family)[:2] == ["10", "6"]
+    n_i, _ = assert_same_exponents(family, compute_R(family))
+    assert n_i == [1, 1, 2]
+    assert_curves_on_their_chains(family)
 
 
 @st.composite
@@ -240,6 +318,42 @@ def two_roots_with_equal_c_vectors():
 @example(two_roots_with_equal_c_vectors())
 def test_R_of_synthetic_configurations(family):
     assert_same_R(family)
+
+
+ANY_COEFFICIENT = st.sampled_from([-1, 0, 1, 2, Fraction(1, 2)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    synthetic_families(),
+    st.one_of(
+        st.tuples(st.lists(ANY_COEFFICIENT, min_size=9, max_size=9), st.booleans()),
+        st.tuples(st.lists(st.integers(1, 2), min_size=9, max_size=9), st.just(False)),
+    ),
+)
+def test_exponents_of_any_vector_over_an_independent_S(family, case):
+    # exponents_pairing needs only S independent: a combination of S with
+    # the drawn coefficients reaches each reason, and adding (1; 0) to it
+    # mostly leaves the span (R stays in it, by the Noether identity that
+    # compute_R checks); a combination with n_i > 0 and b_P >= 0 gives back
+    # its coefficients
+    coeffs, shift = case
+    assume(family.maximal)
+    try:
+        compute_R(family)
+    except AnalysisFailure as exc:
+        assume(exc.reason != S_DEPENDENT)
+    conf = family.configuration
+    v = PairingVector.make(conf, int(shift), {})
+    for s, c in zip(family.vectors, coeffs):
+        v = v + s.scale(c)
+    ours = assert_same_exponents(family, v)
+    r, used = len(family.c_vectors), coeffs[: len(family.vectors)]
+    n_i, b_P = used[:r], used[r:]
+    whole = all(type(x) is int for x in used)
+    if whole and not shift and min(n_i) > 0 and min(b_P, default=0) >= 0:
+        assert ours == (n_i, list(zip(family.e_vectors, b_P)))
+    event(ours[1] if isinstance(ours[0], str) else "exponents")
 
 
 def test_two_roots_with_equal_c_vectors_are_dependent():
@@ -385,31 +499,6 @@ def test_nullspace_matches_sympy(rows):
     ours = [as_fractions(v) for v in ours]
     theirs = [sympy_fractions(v) for v in to_sympy(rows).nullspace()]
     assert ours == theirs
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.booleans().flatmap(rank_deficient),
-    st.lists(st.integers(-3, 3), min_size=8, max_size=8),
-    st.booleans(),
-)
-def test_solve_matches_sympy_rref(rows, seed_vec, consistent):
-    m = len(rows[0])
-    if consistent:
-        x0 = [Fraction(v) for v in seed_vec[:m]]
-        rhs = [sum((a * b for a, b in zip(r, x0)), Fraction(0)) for r in rows]
-    else:
-        rhs = [Fraction(v) for v in seed_vec[: len(rows)]]
-        rhs += [Fraction(1)] * (len(rows) - len(rhs))
-    ours = linalg.solve([[fe(x) for x in r] for r in rows], [fe(b) for b in rhs])
-    aug, pivots = to_sympy([r + [b] for r, b in zip(rows, rhs)]).rref()
-    if m in pivots:
-        assert ours is None
-        return
-    expect = [Fraction(0)] * m
-    for i, c in enumerate(pivots):
-        expect[c] = sympy_fractions([aug[i, m]])[0]
-    assert as_fractions(ours) == expect
 
 
 # -- resultants ------------------------------------------------------------

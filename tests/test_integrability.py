@@ -270,9 +270,10 @@ def test_poincare_degree_matches_darboux_certificate():
     ],
 )
 def test_certificate_work_is_pinned(V, routes, monkeypatch):
-    # counts, not times: compute_R hands nullspace at most r rows, a route
-    # takes each curve's cofactor once, reduced() takes one gcd and
-    # points_at_infinity none
+    # counts, not times: compute_R hands nullspace at most r rows and the
+    # pairing route at most r + 1, for r > 1 each curve's linear system gets
+    # the chain under its M_i, a route takes each curve's cofactor once,
+    # reduced() takes one gcd and points_at_infinity none
     from waifi import integrability, linalg, reduction, vfield
 
     calls = []
@@ -289,6 +290,7 @@ def test_certificate_work_is_pinned(V, routes, monkeypatch):
     spy(linalg, "nullspace")
     spy(integrability, "compute_R")
     spy(integrability, "cofactor")
+    spy(integrability, "linear_system")
     spy(vfield, "poly_gcd")
     spy(reduction, "poly_gcd")
     results = integrability.decide(V, routes)
@@ -301,6 +303,13 @@ def test_certificate_work_is_pinned(V, routes, monkeypatch):
     ((family,),) = made("compute_R")
     ((rows,),) = made("nullspace", "compute_R")
     assert len(rows) <= len(family.maximal) < len(family.vectors)
+    if "pairing" in routes:
+        ((rows,),) = made("nullspace", "exponents_pairing")
+        assert len(rows) <= len(family.maximal) + 1
+    conf = family.configuration
+    sizes = [len(K.configuration) for _, K in made("linear_system")]
+    if len(family.maximal) > 1:
+        assert sizes == [len(conf.ancestors(m)) for m in family.free_maximal]
     assert len(made("cofactor")) == len(routes) * len(factors)
     assert len(made("poly_gcd", "reduced")) == 1
     assert made("poly_gcd", "points_at_infinity") == []

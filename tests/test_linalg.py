@@ -4,7 +4,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from waifi.field import FieldElement, QQ_TOWER, Tower
-from waifi.linalg import det, nullspace, solve
+from waifi.linalg import det, nullspace
 
 
 def fe(x, tower=QQ_TOWER):
@@ -27,30 +27,10 @@ def test_rank_and_nullspace():
         assert s.is_zero()
 
 
-def test_solve_unique():
-    rows = rows_of([[1, 1], [1, -1]])
-    sol = solve(rows, [fe(3), fe(1)])
-    assert sol == [fe(2), fe(1)]
-
-
-def test_solve_inconsistent():
-    rows = rows_of([[1, 1], [2, 2]])
-    assert solve(rows, [fe(1), fe(3)]) is None
-
-
 def test_det_examples():
     assert det(rows_of([[1, 2], [3, 4]])) == fe(-2)
     assert det(rows_of([[2, 0, 0], [0, 3, 0], [0, 0, 4]])) == fe(24)
     assert det(rows_of([[1, 2], [2, 4]])).is_zero()
-
-
-def test_extension_field_solve():
-    t = Tower().adjoin("i", (Fraction(1), Fraction(0), Fraction(1)))
-    i = FieldElement.generator(t)
-    one = FieldElement.rational(1, t)
-    # (1+i) x = 2i  =>  x = 2i/(1+i) = 1+i
-    sol = solve([[one + i]], [i * 2])
-    assert sol == [one + i]
 
 
 def test_nullspace_over_extension():

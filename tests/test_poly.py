@@ -632,3 +632,7 @@ def test_printer_on_a_coefficient_from_a_lower_level():
     assert str(-value) == "(-a-1)*b"
     x = MultiPoly.variable("x", tower)
     assert (value * x - 3).to_string() == "((a+1)*b)*x - 3"
+    # a, a value of the level below, takes one pair of parentheses, not two
+    a = FieldElement(tower, ((0, 1), qa.zero()))
+    assert str(a) == "a"
+    assert (x**2 - value * x + a).to_string() == "x^2 + ((-a-1)*b)*x + (a)"
