@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from math import inf, isqrt
 
 from .errors import WaifiError
-from .field import FieldElement
 from .poly import MultiPoly
 
 V1 = "V1"
@@ -149,24 +148,22 @@ def strict_transform(p, center, branch, vars, e):
     return None if out is None else out.shift(other, center)
 
 
-def blow_up_form(omega, center, branch, dicritical=None):
-    """Strict transform of omega under one blow-up (see _axes).
+def blow_up_form(omega, branch, dicritical):
+    """Strict transform of omega under one blow-up of the origin (see
+    _axes, with centre 0).
 
     Both components are divided by the maximal common power e of the divisor
-    variable; e must be m (non-dicritical) or m+1 (dicritical).  dicritical
-    is classify(omega) == DICRITICAL when the caller holds it; otherwise it
-    is computed from char_poly.
+    variable; e must be m (non-dicritical) or m+1 (dicritical), with
+    dicritical = classify(omega) == DICRITICAL.  The V1 chart at a point
+    lambda of the divisor is this transform shifted by v -> v + lambda.
     """
     m = multiplicity(omega)
     vars = omega.vars
     axes = divisor, other = _axes(branch, vars)
-    tower = omega.a.tower
-    if isinstance(center, FieldElement):
-        tower = tower.join(center.tower)
-    # b can be over a deeper tower than a and the centre
-    a, b = omega.a.lift_to(tower), omega.b.lift_to(tower.join(omega.b.tower))
-    # a du + b dv pulls back to (a + (v + center) b) du + u b dv on V1 and
-    # v a du + ((u + center) a + b) dv on V2; the shift comes last
+    # b can be over a deeper tower than a
+    a, b = omega.a, omega.b.lift_to(omega.a.tower.join(omega.b.tower))
+    # a du + b dv pulls back to (a + v b) du + u b dv on V1 and
+    # v a du + (u a + b) dv on V2
     if branch == V1:
         na = _remap(a, vars, axes) + _remap(b, vars, axes, other)
         nb = _remap(b, vars, axes, divisor)
@@ -174,16 +171,12 @@ def blow_up_form(omega, center, branch, dicritical=None):
         na = _remap(a, vars, axes, divisor)
         nb = _remap(a, vars, axes, other) + _remap(b, vars, axes)
     e = common_power([na, nb], divisor)
-    if dicritical is None:
-        dicritical = char_poly(omega).is_zero()
     expected = m + 1 if dicritical else m
     if e != expected:
         raise DivisibilityViolation(
             f"removed exceptional power {e}, expected {expected}"
         )
-    na = div_power(na, divisor, e).shift(other, center)
-    nb = div_power(nb, divisor, e).shift(other, center)
-    return LocalOneForm(na, nb, vars)
+    return LocalOneForm(div_power(na, divisor, e), div_power(nb, divisor, e), vars)
 
 
 def blow_up_curve(equation, center, branch, vars):

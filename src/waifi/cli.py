@@ -260,6 +260,12 @@ _PARSER = build_parser()
 
 
 def main(argv=None):
+    # exact integers are read and printed whole, past the interpreter's
+    # int/str digit limit; the caller's limit comes back on return
+    limit = None
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         args = _PARSER.parse_args(argv)
         # a budget below its minimum is meaningless: a usage error, no work
@@ -271,6 +277,9 @@ def main(argv=None):
     except (WaifiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ and verifies the product is a first integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .blowup import common_power
@@ -137,12 +137,16 @@ def assemble_S(res):
 def _primitive_positive(raw, reason, what):
     """The primitive integer multiple of a vector of rationals (None for an
     entry that is not rational) whose entries all have one strict sign,
-    made positive; AnalysisFailure(reason) otherwise."""
+    made positive; AnalysisFailure(reason) otherwise.  The entries are
+    scaled by the lcm of their denominators and divided by their gcd."""
     if None in raw:
         raise AnalysisFailure(reason, f"non-rational {what}")
-    ints = linalg.primitive(raw)
+    den = lcm(*[x.denominator for x in raw])
+    ints = [int(x * den) for x in raw]
+    g = gcd(*ints) or 1
     if ints[0] < 0:
-        ints = [-n for n in ints]
+        g = -g
+    ints = [n // g for n in ints]
     if any(n <= 0 for n in ints):
         raise AnalysisFailure(reason, f"{what} has nonpositive components")
     return ints

@@ -27,6 +27,10 @@ from .field import FieldElement, QQ_TOWER, join_terms, ratio
 
 ALLOWED_VARS = ("x", "y", "z", "X", "Y", "Z")
 
+#: parentheses nested deeper than this are a syntax error, whatever the
+#: caller's stack depth (each level costs the parser four frames)
+MAX_NESTING = 100
+
 
 class PolySyntaxError(WaifiError, ValueError):
     """Raised by parse_poly with line/column information."""
@@ -713,6 +717,8 @@ def parse_poly(text):
     factor := primary ['^' int]
     primary:= coeff | var | '(' expr ')'
     coeff  := int ['/' int]
+
+    Parentheses nest at most MAX_NESTING deep.
     """
     return _Parser(text).parse()
 
@@ -721,6 +727,7 @@ class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _loc(self, pos=None):
         pos = self.pos if pos is None else pos
@@ -789,11 +796,15 @@ class _Parser:
     def _primary(self):
         ch = self._peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                self._error("parentheses nested too deeply")
+            self.depth += 1
             self.pos += 1
             inner = self._expr()
             if self._peek() != ")":
                 self._error("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return inner
         if ch.isdigit():
             num = self._int()

@@ -164,12 +164,12 @@ def _divisor_singularities(form, cls, tower):
     u, v = form.vars
     dicritical = cls == DICRITICAL
     children = []
-    strict2 = blow_up_form(form, 0, V2, dicritical)
+    strict2 = blow_up_form(form, V2, dicritical)
     if strict2.a.coefficient((0, 0)).is_zero() and strict2.b.coefficient(
         (0, 0)
     ).is_zero():
         children.append((V2, 0, strict2))
-    strict1 = blow_up_form(form, 0, V1, dicritical)
+    strict1 = blow_up_form(form, V1, dicritical)
     na0 = strict1.a.restrict(u, 0).with_vars((v,))
     nb0 = strict1.b.restrict(u, 0).with_vars((v,))
     g = poly_gcd(na0, nb0)

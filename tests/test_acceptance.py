@@ -368,11 +368,13 @@ def test_acceptance_6c_blow_up_divisibility_random_forms():
             continue
         if multiplicity(om) < 1:
             continue
-        for branch, lam in ((V1, 0), (V1, 1), (V1, -1), (V2, 0)):
+        for branch in (V1, V2):
             # the exceptional power removed must be m, or m + 1 at a
-            # dicritical point; anything else raises DivisibilityViolation
+            # dicritical point; anything else raises DivisibilityViolation.
+            # A V1 chart at lambda != 0 is this transform shifted, which
+            # removes no power of the divisor.
             try:
-                out = blow_up_form(om, lam, branch)
+                out = blow_up_form(om, branch, char_poly(om).is_zero())
             except DivisibilityViolation as exc:
                 pytest.fail(f"divisibility violated for {a}, {b}: {exc}")
             assert not (out.a.is_zero() and out.b.is_zero())

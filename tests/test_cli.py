@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 
 import pytest
@@ -286,6 +287,34 @@ def test_stdin_reads_like_a_file(tmp_path, capsys, monkeypatch, data, message):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
     for path in ("-", str(spec)):
         assert run(capsys, ["integrate", path]) == (1, "", f"error: {message}\n")
+
+
+def test_deep_nesting_is_one_error_line(tmp_path, capsys):
+    deep = "(" * 1000 + "x" + ")" * 1000
+    spec = write(tmp_path, f"p = {deep}\nq = y\n")
+    code, out, err = run(capsys, ["integrate", spec])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: line 1: parentheses nested too deeply (line 1, column 101)\n"
+    )
+
+
+def test_integers_past_the_str_digit_limit(tmp_path, capsys):
+    # the interpreter refuses int/str conversions of more than 4300 digits
+    # by default; main lifts that limit for its run and restores it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    spec = write(tmp_path, f"p = {'7' * 5000}*x\nq = 1\n")
+    code, out, err = run(capsys, ["integrate", spec])
+    assert (code, err) == (2, "")
+    spec = write(tmp_path, "p = -(2^20000)\nq = 1\n", name="power.txt")
+    code, out, err = run(capsys, ["integrate", spec])
+    assert (code, err) == (0, "")
+    # H = x + 2^20000 y, whose coefficient has 6021 digits
+    first, last = out.splitlines()
+    assert first.startswith("H = (x + 39802") and first.endswith("09376*y)")
+    assert len(first) == len("H = (x + *y)") + 6021
+    assert last == "degree = 1"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_tower_budget_exit_code(tmp_path, capsys):

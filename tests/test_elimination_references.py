@@ -11,8 +11,8 @@ Three references are kept here as they were before the shortcuts:
   n_i and back-substitutes the b_P.
 - `reference_reduced`: the form divided by gcd(gcd(A, B), C), two gcds.
   `ProjectiveOneForm.reduced` takes the one gcd of A and B.
-- sympy's `Matrix.nullspace`, for the integer back-elimination of
-  `linalg`.
+- sympy's nullspace over Q and over Q(sqrt 2), and its determinant over
+  Q(sqrt 2), for the one Gauss-Jordan elimination of `linalg`.
 - `reference_factor_squarefree`: Trager's norm down the whole tower.
   `factor._factor_squarefree` factors over the shortest prefix that holds
   the coefficients and lifts the factors level by level.
@@ -34,6 +34,7 @@ from math import gcd, lcm
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import assume, event, example, given, settings, strategies as st
 from test_certificate_first import perturbation, planted_hamiltonians
 from test_poly import QI, QS, QST, as_univariate, field_elements
@@ -465,25 +466,47 @@ def sympy_fractions(vec):
     return [Fraction(int(x.p), int(x.q)) for x in vec]
 
 
+ROOT2 = sympy.QQ.algebraic_field(sympy.sqrt(2))
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+ENTRIES = {
+    "integer": st.integers(-4, 4).map(fe),
+    "rational": small.map(fe),
+    # a + b s in Q(s), s^2 = 2
+    "sqrt2": st.tuples(small, small).map(
+        lambda ab: FieldElement.rational(ab[0], QS)
+        + FieldElement.rational(ab[1], QS) * FieldElement.generator(QS)
+    ),
+}
+
+
+def to_root2(x):
+    """An element a + b s of QS as an element of sympy's Q(sqrt 2)."""
+    a, b = (sympy.Rational(q.numerator, q.denominator) for q in map(Fraction, x.v))
+    return ROOT2.from_sympy(a + b * sympy.sqrt(2))
+
+
+def root2_matrix(rows):
+    return DomainMatrix(
+        [[to_root2(x) for x in r] for r in rows], (len(rows), len(rows[0])), ROOT2
+    )
+
+
 @st.composite
-def rank_deficient(draw, rational):
+def rank_deficient(draw, kind):
     """An n x m product of n x k and k x m matrices, k < min(n, m), with
-    zero rows mixed in."""
+    zero rows mixed in, with integer, rational or Q(sqrt 2) entries."""
     n, m = draw(st.integers(2, 6)), draw(st.integers(2, 6))
     k = draw(st.integers(0, min(n, m) - 1))
-    entry = (
-        st.fractions(min_value=-3, max_value=3, max_denominator=4)
-        if rational
-        else st.integers(-4, 4).map(Fraction)
-    )
+    entry = ENTRIES[kind]
+    zero = FieldElement.rational(0, QS if kind == "sqrt2" else QQ_TOWER)
     left = [[draw(entry) for _ in range(k)] for _ in range(n)]
     right = [[draw(entry) for _ in range(m)] for _ in range(k)]
     rows = [
-        [sum((a * right[t][j] for t, a in enumerate(row)), Fraction(0)) for j in range(m)]
+        [sum((a * right[t][j] for t, a in enumerate(row)), zero) for j in range(m)]
         for row in left
     ]
     for _ in range(draw(st.integers(0, 2))):
-        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * m)
+        rows.insert(draw(st.integers(0, len(rows))), [zero] * m)
     return rows
 
 
@@ -492,13 +515,38 @@ def to_sympy(rows):
                          for r in rows])
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.booleans().flatmap(rank_deficient))
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(ENTRIES)).flatmap(rank_deficient))
 def test_nullspace_matches_sympy(rows):
-    ours = linalg.nullspace([[fe(x) for x in r] for r in rows])
-    ours = [as_fractions(v) for v in ours]
-    theirs = [sympy_fractions(v) for v in to_sympy(rows).nullspace()]
-    assert ours == theirs
+    ours = linalg.nullspace(rows)
+    if rows[0][0].tower == QS:
+        # sympy's basis over Q(sqrt 2), each vector divided by its entry in
+        # its free column, as in Matrix.nullspace
+        theirs = root2_matrix(rows).nullspace(divide_last=True).to_list()
+        assert [[to_root2(x) for x in v] for v in ours] == theirs
+    else:
+        ours = [as_fractions(v) for v in ours]
+        theirs = to_sympy([as_fractions(r) for r in rows]).nullspace()
+        assert ours == [sympy_fractions(v) for v in theirs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(ENTRIES["sqrt2"], min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+    st.booleans(),
+)
+def test_det_matches_sympy_over_sqrt2(rows, repeat):
+    singular = repeat and len(rows) > 1
+    if singular:
+        rows = rows[:-1] + [rows[0]]
+    ours = linalg.det(rows)
+    assert ours.tower == QS
+    assert to_root2(ours) == root2_matrix(rows).det()
+    assert ours.is_zero() or not singular
 
 
 # -- resultants ------------------------------------------------------------

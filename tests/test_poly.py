@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from waifi.field import FieldElement, QQ_TOWER, Tower
 from waifi.poly import (
+    MAX_NESTING,
     MultiPoly,
     PolySyntaxError,
     UnknownVariable,
@@ -59,6 +60,23 @@ def test_parse_end_of_input_column(text, column):
     with pytest.raises(PolySyntaxError, match="unexpected end of input") as exc:
         parse_poly(text)
     assert (exc.value.line, exc.value.column) == (1, column)
+
+
+def nested(n, inner="x"):
+    return "(" * n + inner + ")" * n
+
+
+def test_parse_nesting_limit():
+    # the limit is a constant, not the caller's stack: deep nesting is a
+    # syntax error at the first parenthesis past it
+    assert parse_poly(nested(50)) == parse_poly("x")
+    assert parse_poly(nested(MAX_NESTING, "-x")) == -parse_poly("x")
+    for n in (MAX_NESTING + 1, 1000, 10000):
+        with pytest.raises(PolySyntaxError, match="nested too deeply") as exc:
+            parse_poly(nested(n))
+        assert (exc.value.line, exc.value.column) == (1, MAX_NESTING + 1)
+    # the depth is the nesting, not the number of parentheses
+    assert parse_poly(" + ".join([nested(MAX_NESTING)] * 3)) == parse_poly("3*x")
 
 
 def test_roundtrip_random():
