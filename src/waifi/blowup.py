@@ -10,6 +10,7 @@ equation, the V2 chart keeps the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import inf, isqrt
 
 from .errors import WaifiError
@@ -206,13 +207,18 @@ def _ratio_in_positive_rationals(T, Delta):
     Delta != 0 have a ratio in Q+ (exact test)."""
     if Delta.is_zero():
         raise ValueError("Delta must be nonzero here")
-    s = (T * T) / Delta - 2
-    sq = s.is_rational()
-    if sq is None:
+    # T^2/Delta is a rational r exactly when the rational coordinates of T^2
+    # are r times those of Delta: no tower inverse is needed
+    square = T * T
+    tower = square.tower.join(Delta.tower)
+    t, d = square.lift_to(tower).sort_key(), Delta.lift_to(tower).sort_key()
+    k = next(i for i, c in enumerate(d) if c != 0)
+    if any(a * d[k] != t[k] * c for a, c in zip(t, d)):
         return False
+    s = Fraction(t[k], d[k]) - 2
     # ratio + 1/ratio = s; real positive ratio needs s >= 2, rational ratio
     # needs the discriminant s^2 - 4 to be a rational square
-    return sq >= 2 and _is_rational_square(sq * sq - 4)
+    return s >= 2 and _is_rational_square(s * s - 4)
 
 
 def classify(omega):

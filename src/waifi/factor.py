@@ -11,6 +11,8 @@ there.  Over K_k it is factored through its norm (_factor_norm): resultants
 against the top minimal polynomial push the problem one level down, the
 shifted norm is factored recursively, and gcds pull the factors back up.
 Both directions are Taylor shifts by a multiple of the top generator.  The
+pull-back deflates: each gcd is taken with the part of the polynomial that
+no earlier factor took, and the last factor is that part itself.  The
 factors are then lifted to the tower one level at a time.  At level j, a
 factor of degree d irreducible over K_(j-1) stays irreducible when
 e = [K_j : K_(j-1)] is coprime to d: a root generates a degree-d extension
@@ -147,13 +149,16 @@ def _factor_norm(f, var, tower):
         s += 1
         if s > 40:
             raise NoSquarefreeShift("no squarefree norm shift found")
-    sub_factors = _factor_squarefree(norm.monic(), var, sub)
-    out = []
+    # each factor N_i of the norm is the norm of one factor g_i of f:
+    # g_i = gcd(rest, N_i(var + s*theta)) for the part rest of f that the
+    # earlier factors left, and the last factor is the rest itself
+    *sub_factors, _ = _factor_squarefree(norm.monic(), var, sub)
+    out, rest = [], f
     for nf in sub_factors:
-        g = poly_gcd(f, nf.shift(var, s * theta))
-        if not g.is_constant():
-            out.append(g.monic())
-    return out
+        g = poly_gcd(rest, nf.shift(var, s * theta))
+        out.append(g)
+        rest = rest.divide_exact(g)
+    return out + [rest.monic()]
 
 
 def _lower(f, var, sub):
@@ -182,7 +187,12 @@ def roots_in_extension(f, tower):
         return [], tower
     (var,) = eff
     f = f.drop_unused_vars().lift_to(tower)
-    factors = _factor_squarefree(squarefree_part(f, var), var, tower)
+    if any(tower.as_rational(c) is None for c in f.terms.values()):
+        f = squarefree_part(f, var)
+    else:
+        # over Q the factorisation drops multiplicities itself
+        f = f.monic()
+    factors = _factor_squarefree(f, var, tower)
     roots = []
     while True:
         nonlinear = []

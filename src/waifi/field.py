@@ -11,6 +11,13 @@ rational has one leaf.  At depth j a raw value is a tuple of depth-(j-1)
 values whose length equals the degree of the j-th minimal polynomial; it
 lies in the prefix K_(j-1) when its entries 1.. are zero.
 
+A tower builds the zero value of each depth once, and a value is zero when
+it equals that tuple.  A product is one loop at every depth: a schoolbook
+product, then a reduction by the monic minimal polynomial.  Over leaves
+its inner operations are the plain int/Fraction operators, with one
+normalisation per output coefficient; above, they are the tower's own
+operations one level down.
+
 Inversion of a zero divisor (possible only when a stored modulus is secretly
 reducible) raises SplitRequired carrying the discovered factorisation, in the
 style of dynamic evaluation.
@@ -19,6 +26,7 @@ style of dynamic evaluation.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add as _add, mul as _mul, sub as _sub
 from typing import Optional
 
 from .errors import WaifiError
@@ -69,16 +77,20 @@ class Tower:
     is plain Q.
     """
 
-    __slots__ = ("levels", "max_degree", "_degree", "depth")
+    __slots__ = ("levels", "max_degree", "_degree", "depth", "_zeros")
 
     def __init__(self, levels=(), max_degree=MAX_TOWER_DEGREE):
         self.levels = tuple(levels)
         self.max_degree = max_degree
         self.depth = len(self.levels)
         d = 1
+        # _zeros[j] is the zero raw value of depth j
+        zeros = [_ZERO]
         for _, mp in self.levels:
             d *= len(mp) - 1
+            zeros.append((zeros[-1],) * (len(mp) - 1))
         self._degree = d
+        self._zeros = tuple(zeros)
 
     # -- structure ---------------------------------------------------------
 
@@ -153,10 +165,7 @@ class Tower:
         return v
 
     def _zero_at(self, depth):
-        if depth == 0:
-            return _ZERO
-        pad = (self._zero_at(depth - 1),) * (self.level_degree(depth) - 1)
-        return (self._zero_at(depth - 1),) + pad
+        return self._zeros[depth]
 
     def generator(self):
         """Raw value of the generator of the top level."""
@@ -184,6 +193,11 @@ class Tower:
         if depth == 0:
             r = a + b
             return r if type(r) is int or r.denominator != 1 else r.numerator
+        if depth == 1:
+            return tuple(
+                r if type(r) is int or r.denominator != 1 else r.numerator
+                for r in map(_add, a, b)
+            )
         return tuple(self.add(x, y, depth - 1) for x, y in zip(a, b))
 
     def sub(self, a, b, depth=None):
@@ -192,6 +206,11 @@ class Tower:
         if depth == 0:
             r = a - b
             return r if type(r) is int or r.denominator != 1 else r.numerator
+        if depth == 1:
+            return tuple(
+                r if type(r) is int or r.denominator != 1 else r.numerator
+                for r in map(_sub, a, b)
+            )
         return tuple(self.sub(x, y, depth - 1) for x, y in zip(a, b))
 
     def neg(self, a, depth=None):
@@ -207,28 +226,35 @@ class Tower:
         if depth == 0:
             r = a * b
             return r if type(r) is int or r.denominator != 1 else r.numerator
+        lo = depth - 1
+        zero = self._zeros[lo]
+        if lo:
+            add = lambda x, y: self.add(x, y, lo)
+            sub = lambda x, y: self.sub(x, y, lo)
+            mul = lambda x, y: self.mul(x, y, lo)
+        else:
+            # leaves: plain operators, one normalisation per coefficient
+            add, sub, mul = _add, _sub, _mul
         n = len(a)
-        sub = depth - 1
-        prod = [self._zero_at(sub) for _ in range(2 * n - 1)]
+        prod = [zero] * (2 * n - 1)
+        nonzero_b = [(j, y) for j, y in enumerate(b) if y != zero]
         for i, x in enumerate(a):
-            if self.is_zero(x, sub):
-                continue
-            for j, y in enumerate(b):
-                if self.is_zero(y, sub):
-                    continue
-                prod[i + j] = self.add(prod[i + j], self.mul(x, y, sub), sub)
-        mp = self.levels[depth - 1][1]
-        # reduce modulo the (monic) minimal polynomial
+            if x != zero:
+                for j, y in nonzero_b:
+                    prod[i + j] = add(prod[i + j], mul(x, y))
+        # reduce modulo the monic minimal polynomial of degree n
+        mp = [(k, m) for k, m in enumerate(self.levels[lo][1][:n]) if m != zero]
         for i in range(2 * n - 2, n - 1, -1):
             c = prod[i]
-            if self.is_zero(c, sub):
-                continue
-            prod[i] = self._zero_at(sub)
-            for k in range(len(mp) - 1):
-                prod[i - (len(mp) - 1) + k] = self.sub(
-                    prod[i - (len(mp) - 1) + k], self.mul(c, mp[k], sub), sub
-                )
-        return tuple(prod[:n])
+            if c != zero:
+                for k, m in mp:
+                    prod[i - n + k] = sub(prod[i - n + k], mul(c, m))
+        if lo:
+            return tuple(prod[:n])
+        return tuple(
+            r if type(r) is int or r.denominator != 1 else r.numerator
+            for r in prod[:n]
+        )
 
     def scalar_mul(self, q, a, depth=None):
         if depth is None:
@@ -239,11 +265,8 @@ class Tower:
         return tuple(self.scalar_mul(q, x, depth - 1) for x in a)
 
     def is_zero(self, a, depth=None):
-        if depth is None:
-            depth = self.depth
-        if depth == 0:
-            return a == 0
-        return all(self.is_zero(x, depth - 1) for x in a)
+        # raw values are tuples: one comparison with the zero of the depth
+        return a == self._zeros[self.depth if depth is None else depth]
 
     def inv(self, a, depth=None):
         if depth is None:
@@ -348,7 +371,7 @@ class Tower:
         K_k (k >= floor) that holds it.  A value of depth j lies in K_(j-1)
         when its entries 1.. are zero, and then its entry 0 is that value."""
         k = self.depth if depth is None else depth
-        while k > floor and all(self.is_zero(x, k - 1) for x in a[1:]):
+        while k > floor and a[1:] == self._zeros[k][1:]:
             a, k = a[0], k - 1
         return a, k
 

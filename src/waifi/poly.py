@@ -463,8 +463,10 @@ class MultiPoly:
         if not self.terms:
             return self
         _, c = self.leading()
-        inv = self.tower.inv(c)
         tw = self.tower
+        if tw.as_rational(c) == 1:
+            return self
+        inv = tw.inv(c)
         return MultiPoly(
             self.vars, {e: tw.mul(inv, v) for e, v in self.terms.items()}, tw
         )
@@ -806,7 +808,7 @@ class _Parser:
             self.pos += 1
             self.depth -= 1
             return inner
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             num = self._int()
             if self._peek() == "/":
                 self.pos += 1
@@ -833,8 +835,13 @@ class _Parser:
     def _int(self):
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits only: str.isdigit also takes "²" and "٣"
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if start == self.pos:
             self._error("expected an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            # past the interpreter's int/str digit limit, which cli.main lifts
+            self._error("integer has too many digits", pos=start)

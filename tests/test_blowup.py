@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from waifi.blowup import (
     DICRITICAL,
@@ -12,6 +13,7 @@ from waifi.blowup import (
     SIMPLE,
     V1,
     V2,
+    _ratio_in_positive_rationals,
     blow_up_curve,
     blow_up_form,
     char_poly,
@@ -375,3 +377,71 @@ def test_blow_up_form_matches_substitution(case):
         assert mine.vars == theirs.vars
         assert mine.tower.is_prefix_of(theirs.tower)
         assert mine.lift_to(theirs.tower).terms == theirs.terms
+
+
+# -- the eigenvalue-ratio test --------------------------------------------
+
+
+def reference_ratio_in_positive_rationals(T, Delta):
+    """The test as it was: through the quotient T^2/Delta in the tower."""
+    s = (T * T) / Delta - 2
+    q = s.is_rational()
+    if q is None or q < 2:
+        return False
+    disc = q * q - 4
+    n, d = disc.numerator, disc.denominator
+    return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
+
+
+QI = Tower().adjoin("i", (1, 0, 1))  # i^2 = -1
+QS3 = QS.adjoin("t", ((-3, 0), (0, 0), (1, 0)))  # t^2 = 3 over Q(s)
+nonzero_small = small.filter(bool)
+
+
+def tower_elements(tower, depth=None):
+    depth = tower.depth if depth is None else depth
+    if depth == 0:
+        return small.map(QQ_TOWER.lift_rational)
+    return st.tuples(*[tower_elements(tower, depth - 1)] * tower.level_degree(depth))
+
+
+@st.composite
+def trace_det_pairs(draw):
+    """(T, Delta): a random pair; or Delta = T^2/r for a rational r, which
+    makes the ratio test's quotient rational with Delta irrational as soon
+    as T is; or that Delta moved off the line of T^2 along the top
+    generator, so that only the first coordinates keep the ratio r."""
+    tower = draw(st.sampled_from([QQ_TOWER, QS, QI, QS3]))
+    T = FieldElement(tower, draw(tower_elements(tower)))
+    kind = draw(st.sampled_from(["random", "rational", "moved"]))
+    if kind == "random" or T.is_zero():
+        Delta = FieldElement(tower, draw(tower_elements(tower)))
+    else:
+        # r = (q + 1)^2/q gives eigenvalues of ratio q
+        q = draw(small.filter(lambda q: q > 0))
+        r = draw(st.sampled_from([(q + 1) ** 2 / q, q, -q]))
+        Delta = T * T / r
+        if kind == "moved" and tower.depth:
+            Delta = Delta + draw(nonzero_small) * FieldElement.generator(tower)
+    assume(not Delta.is_zero())
+    return T, Delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_det_pairs())
+def test_ratio_test_matches_division_form(pair):
+    T, Delta = pair
+    assert _ratio_in_positive_rationals(T, Delta) == (
+        reference_ratio_in_positive_rationals(T, Delta)
+    )
+
+
+def test_ratio_test_with_irrational_delta():
+    r2 = FieldElement.generator(QS)
+    # T = 3 r2, Delta = 2 r2: T^2/Delta = 9 r2 is irrational
+    assert not _ratio_in_positive_rationals(3 * r2, 2 * r2)
+    # T^2/Delta = 9/2 = 2 + (2 + 1/2): the eigenvalues have ratio 2
+    T = 3 + 3 * r2
+    assert _ratio_in_positive_rationals(T, T * T * Fraction(2, 9))
+    # the same Delta moved along r2: T^2/Delta is irrational
+    assert not _ratio_in_positive_rationals(T, T * T * Fraction(2, 9) + r2)

@@ -458,3 +458,17 @@ def test_split_required_exit_code(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, ["reduce", spec])
     assert (code, out) == (1, "")
     assert err == "error: modulus at level 1 factors\n"
+
+
+def test_non_ascii_digits_are_one_error_line(tmp_path, capsys):
+    # str.isdigit accepts the superscript two and the Arabic-Indic three;
+    # integers are ASCII digits, so both are syntax errors at their position
+    cases = {
+        "p = x^²\nq = y\n": "expected an integer (line 1, column 3)",
+        "p = ٣*x\nq = y\n": "unexpected character '٣' (line 1, column 1)",
+    }
+    for text, message in cases.items():
+        spec = write(tmp_path, text)
+        code, out, err = run(capsys, ["integrate", spec])
+        assert (code, out) == (1, "")
+        assert err == f"error: line 1: {message}\n"

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from waifi import factor
 from waifi.factor import (
@@ -11,7 +11,7 @@ from waifi.factor import (
     roots_in_extension,
     univ_factor,
 )
-from waifi.field import QQ_TOWER, Tower
+from waifi.field import FieldElement, QQ_TOWER, Tower
 from waifi.poly import MultiPoly, parse_poly, poly_gcd, resultant
 from waifi.reduction import reduce
 from waifi.vfield import AffineVectorField, homogenize, projectivize
@@ -252,3 +252,122 @@ def test_deep_tower_field_factors_small_norms(monkeypatch):
     res = reduce(projectivize(AffineVectorField(-H.diff("y"), H.diff("x"))))
     assert res.tower.degree() == 16 and res.tower.depth == 4
     assert degrees and max(degrees) <= 16
+
+
+# -- Trager pull-backs by deflation ---------------------------------------
+
+
+def reference_factor_norm(f, var, tower):
+    """_factor_norm as it was: every factor of the norm pulled back by a
+    gcd with f itself."""
+    if f.degree_in(var) <= 1:
+        return [f]
+    sub = tower.prefix(tower.depth - 1)
+    mp = tower.levels[-1][1]
+    coeffs = {(i,): c for i, c in enumerate(mp) if not sub.is_zero(c)}
+    m_poly = MultiPoly((factor._ZVAR,), coeffs, sub)
+    theta = FieldElement.generator(tower)
+    f = f.drop_unused_vars()
+    s = 0 if any(tower.shortest(c)[1] == tower.depth for c in f.terms.values()) else 1
+    while True:
+        shifted = factor._lower(f.shift(var, -s * theta), var, sub)
+        norm = resultant(m_poly, shifted, factor._ZVAR)
+        if norm.degree_in(var) == f.degree_in(var) * (len(mp) - 1):
+            if poly_gcd(norm, norm.diff(var)).is_constant():
+                break
+        s += 1
+    out = []
+    for nf in factor._factor_squarefree(norm.monic(), var, sub):
+        g = poly_gcd(f, nf.shift(var, s * theta))
+        if not g.is_constant():
+            out.append(g.monic())
+    return out
+
+
+Q_SQRT2 = Tower().adjoin("a", (-2, 0, 1))
+Q_I = Tower().adjoin("i", (1, 0, 1))
+Q_SQRT2_SQRT3 = Q_SQRT2.adjoin("b", ((-3, 0), (0, 0), (1, 0)))
+small_leaves = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=3).map(
+    QQ_TOWER.lift_rational
+)
+
+
+def tower_values(depth):
+    if depth == 0:
+        return small_leaves
+    return st.tuples(tower_values(depth - 1), tower_values(depth - 1))
+
+
+def conjugate(tower, v, depth, level):
+    """v under the automorphism that negates the generator of `level`: each
+    level of these towers adjoins a square root of a rational."""
+    if depth == level:
+        return (v[0], tower.neg(v[1], depth - 1))
+    return tuple(conjugate(tower, c, depth - 1, level) for c in v)
+
+
+@st.composite
+def conjugate_products(draw):
+    """(f, tower): a squarefree monic product in x of monic factors of degree
+    1 or 2 over the tower, each with or without some of its conjugates."""
+    tower = draw(st.sampled_from([Q_SQRT2, Q_I, Q_SQRT2_SQRT3]))
+    x = MultiPoly.variable("x", tower)
+    f = MultiPoly.constant(1, ("x",), tower)
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 2))
+        cs = [draw(tower_values(tower.depth)) for _ in range(d)]
+        for level in draw(st.sets(st.integers(0, tower.depth))):
+            if level:
+                cs += [conjugate(tower, c, tower.depth, level) for c in cs[-d:]]
+        for k in range(0, len(cs), d):
+            terms = {(i,): FieldElement(tower, c) for i, c in enumerate(cs[k : k + d])}
+            f = f * (x**d + MultiPoly.from_coeff_dict(("x",), terms, tower))
+    assume(poly_gcd(f, f.diff("x")).is_constant())
+    return f, tower
+
+
+@settings(max_examples=80, deadline=None)
+@given(conjugate_products())
+@example((parse_poly("x^2 - 2").lift_to(Q_SQRT2), Q_SQRT2))
+@example((parse_poly("x^4 - 2").lift_to(Q_SQRT2), Q_SQRT2))
+@example((parse_poly("x^4 - 10*x^2 + 1").lift_to(Q_SQRT2_SQRT3), Q_SQRT2_SQRT3))
+def test_factor_norm_deflates_in_reference_order(case):
+    f, tower = case
+    ours, pull_backs = factor_norm_and_pull_backs(f, tower)
+    theirs = reference_factor_norm(f, "x", tower)
+    assert [p.to_string() for p in ours] == [p.to_string() for p in theirs]
+    assert ours == theirs
+    # one gcd for each factor but the last, each with what the factors
+    # before it left of f
+    assert len(pull_backs) <= len(ours) - 1
+    degrees = [p.degree_in("x") for p in ours]
+    left = [f.degree_in("x") - sum(degrees[:i]) for i in range(len(pull_backs))]
+    assert pull_backs == left
+
+
+def factor_norm_and_pull_backs(f, tower):
+    """_factor_norm(f) over tower, and the degree of the first operand of
+    each of its gcds over tower: the pull-backs (the gcds of the norm lie
+    below the top level)."""
+    degrees = []
+
+    def spy(a, b):
+        if a.tower == tower:
+            degrees.append(a.degree_in("x"))
+        return poly_gcd(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factor, "poly_gcd", spy)
+        return factor._factor_norm(f, "x", tower), degrees
+
+
+def test_irreducible_norm_takes_no_pull_back():
+    # x^2 - a over Q(a), a^2 = 2, has the norm x^4 - 2, irreducible over Q
+    x = MultiPoly.variable("x", Q_SQRT2)
+    f = x**2 - FieldElement.generator(Q_SQRT2)
+    assert factor_norm_and_pull_backs(f, Q_SQRT2) == ([f], [])
+    # x^4 - 10x^2 + 1 has the four roots +-a +-b in Q(a, b): three
+    # pull-backs, from what is left of degree 4, 3 and 2
+    f = parse_poly("x^4 - 10*x^2 + 1").lift_to(Q_SQRT2_SQRT3)
+    factors, degrees = factor_norm_and_pull_backs(f, Q_SQRT2_SQRT3)
+    assert [p.total_degree() for p in factors] == [1] * 4 and degrees == [4, 3, 2]

@@ -132,35 +132,144 @@ def test_field_axioms_in_qi(a, b, c, d):
 # -- leaf types ------------------------------------------------------------
 
 
-class FractionTower(Tower):
-    """Tower arithmetic with every leaf a Fraction, as it was before leaves
-    became ints where they can: the reference for integer leaves."""
+class FractionTower:
+    """Tower arithmetic with every leaf a Fraction, sharing no code with
+    Tower: the reference for its leaves and values.  A value of depth j is
+    a tuple of depth-(j-1) values, one per power of the j-th generator.
+    Products are schoolbook products reduced by the minimal polynomial,
+    inverses come from the extended Euclidean algorithm over the level
+    below, and values print as Tower.fmt documents them."""
 
-    __slots__ = ()
+    def __init__(self, levels):
+        self.levels = levels
+        self.depth = len(levels)
 
-    def _at_zero(self, depth):
-        return (self.depth if depth is None else depth) == 0
+    def _d(self, depth):
+        return self.depth if depth is None else depth
 
-    def _zero_at(self, depth):
-        return Fraction(0) if depth == 0 else super()._zero_at(depth)
+    def zero(self, depth):
+        if depth == 0:
+            return Fraction(0)
+        return (self.zero(depth - 1),) * (len(self.levels[depth - 1][1]) - 1)
 
-    def lift_rational(self, q, depth=None):
-        return self._pad(Fraction(q), 0, self.depth if depth is None else depth)
+    def one(self, depth):
+        if depth == 0:
+            return Fraction(1)
+        return (self.one(depth - 1),) + self.zero(depth)[1:]
+
+    def is_zero(self, a, depth=None):
+        depth = self._d(depth)
+        if depth == 0:
+            return a == 0
+        return all(self.is_zero(x, depth - 1) for x in a)
 
     def add(self, a, b, depth=None):
-        return a + b if self._at_zero(depth) else super().add(a, b, depth)
+        depth = self._d(depth)
+        if depth == 0:
+            return a + b
+        return tuple(self.add(x, y, depth - 1) for x, y in zip(a, b))
+
+    def neg(self, a, depth=None):
+        depth = self._d(depth)
+        if depth == 0:
+            return -a
+        return tuple(self.neg(x, depth - 1) for x in a)
 
     def sub(self, a, b, depth=None):
-        return a - b if self._at_zero(depth) else super().sub(a, b, depth)
-
-    def mul(self, a, b, depth=None):
-        return a * b if self._at_zero(depth) else super().mul(a, b, depth)
+        return self.add(a, self.neg(b, depth), depth)
 
     def scalar_mul(self, q, a, depth=None):
-        return q * a if self._at_zero(depth) else super().scalar_mul(q, a, depth)
+        depth = self._d(depth)
+        if depth == 0:
+            return q * a
+        return tuple(self.scalar_mul(q, x, depth - 1) for x in a)
+
+    # dense polynomials (lists, low to high) over the values of one depth
+
+    def _trim(self, p, depth):
+        p = list(p)
+        while p and self.is_zero(p[-1], depth):
+            p.pop()
+        return p
+
+    def _pmul(self, p, q, depth):
+        out = [self.zero(depth)] * max(0, len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] = self.add(out[i + j], self.mul(x, y, depth), depth)
+        return out
+
+    def _psub(self, p, q, depth):
+        n = max(len(p), len(q))
+        z = self.zero(depth)
+        p, q = list(p) + [z] * (n - len(p)), list(q) + [z] * (n - len(q))
+        return [self.sub(x, y, depth) for x, y in zip(p, q)]
+
+    def _pdivmod(self, p, q, depth):
+        q = self._trim(q, depth)
+        inv = self.inv(q[-1], depth)
+        rem = self._trim(p, depth)
+        quot = [self.zero(depth)] * max(0, len(rem) - len(q) + 1)
+        while len(rem) >= len(q):
+            k = len(rem) - len(q)
+            c = self.mul(rem[-1], inv, depth)
+            quot[k] = c
+            shifted = [self.zero(depth)] * k + [self.mul(c, y, depth) for y in q]
+            rem = self._trim(self._psub(rem, shifted, depth), depth)
+        return quot, rem
+
+    def mul(self, a, b, depth=None):
+        depth = self._d(depth)
+        if depth == 0:
+            return a * b
+        mp = self.levels[depth - 1][1]
+        _, rem = self._pdivmod(self._pmul(a, b, depth - 1), mp, depth - 1)
+        return tuple(rem) + self.zero(depth)[len(rem) :]
 
     def inv(self, a, depth=None):
-        return 1 / a if self._at_zero(depth) else super().inv(a, depth)
+        depth = self._d(depth)
+        if depth == 0:
+            return 1 / a
+        lo = depth - 1
+        # s0*a = r0 and s1*a = r1 modulo the minimal polynomial
+        r0, r1 = list(self.levels[depth - 1][1]), self._trim(a, lo)
+        s0, s1 = [], [self.one(lo)]
+        while r1:
+            q, r = self._pdivmod(r0, r1, lo)
+            r0, r1 = r1, r
+            s0, s1 = s1, self._trim(self._psub(s0, self._pmul(q, s1, lo), lo), lo)
+        assert len(r0) == 1, "the minimal polynomial is irreducible"
+        c = self.inv(r0[0], lo)
+        out = [self.mul(c, x, lo) for x in s0]
+        return tuple(out) + self.zero(depth)[len(out) :]
+
+    def div(self, a, b, depth=None):
+        return self.mul(a, self.inv(b, depth), depth)
+
+    def fmt(self, a, depth=None):
+        depth = self._d(depth)
+        while depth and all(self.is_zero(x, depth - 1) for x in a[1:]):
+            a, depth = a[0], depth - 1
+        if depth == 0:
+            return str(a)
+        name = self.levels[depth - 1][0]
+        out = ""
+        for i in range(len(a) - 1, -1, -1):
+            if self.is_zero(a[i], depth - 1):
+                continue
+            mono = "" if i == 0 else name if i == 1 else f"{name}^{i}"
+            c = self.fmt(a[i], depth - 1)
+            if mono and c in ("1", "-1"):
+                term = c[:-1] + mono
+            elif any(ch.isalpha() for ch in c):
+                term = f"({c})*{mono}" if mono else f"({c})"
+            else:
+                term = f"{c}*{mono}" if mono else c
+            if out:
+                out += "-" + term[1:] if term.startswith("-") else "+" + term
+            else:
+                out = term
+        return out
 
 
 def leaves(v, depth):
@@ -174,11 +283,15 @@ def as_leaves(v, depth, kind):
     return tuple(as_leaves(c, depth - 1, kind) for c in v)
 
 
-# Q, Q(a) with a^2 = 2, and Q(a, b) with b^3 = a + 1/2 over Q(a)
+# Q, Q(a) with a^2 = 2, Q(a, b) with b^3 = a + 1/2 over Q(a), and
+# Q(a, b, c) with c^2 = b over Q(a, b): c has degree 12 over Q, since
+# 4c^12 - 4c^6 - 7 is irreducible
 _0 = (Fraction(0), Fraction(0))
+_1 = (Fraction(1), Fraction(0))
 LEVELS = (
     ("a", (Fraction(-2), Fraction(0), Fraction(1))),
-    ("b", ((Fraction(-1, 2), Fraction(-1)), _0, _0, (Fraction(1), Fraction(0)))),
+    ("b", ((Fraction(-1, 2), Fraction(-1)), _0, _0, _1)),
+    ("c", ((_0, (Fraction(-1), Fraction(0)), _0), (_0, _0, _0), (_1, _0, _0))),
 )
 
 
@@ -195,11 +308,11 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 
 @st.composite
-def raw_values(draw, depth):
+def raw_values(draw, depth, leaf=rationals):
     if depth == 0:
-        return draw(rationals)
+        return draw(leaf)
     (_, mp) = LEVELS[depth - 1]
-    return tuple(draw(raw_values(depth - 1)) for _ in range(len(mp) - 1))
+    return tuple(draw(raw_values(depth - 1, leaf)) for _ in range(len(mp) - 1))
 
 
 # each operation as f(tower, x, y, q) on raw values x, y and a rational q
@@ -214,9 +327,29 @@ OPS = {
 }
 
 
-@settings(max_examples=200, deadline=None)
+def pad(ref, v, depth):
+    """The reference value v of depth `depth` at the reference's full depth."""
+    for d in range(depth + 1, ref.depth + 1):
+        v = (v,) + ref.zero(d)[1:]
+    return v
+
+
+def test_reference_tower_relations():
+    # the reference knows a^2 = 2, b^3 = a + 1/2 and c^2 = b
+    ref = FractionTower(LEVELS)
+    a = pad(ref, (Fraction(0), Fraction(1)), 1)
+    b = pad(ref, (_0, _1, _0), 2)
+    c = (ref.zero(2), ref.one(2))
+    assert ref.mul(a, a) == pad(ref, Fraction(2), 0)
+    assert ref.mul(b, ref.mul(b, b)) == ref.add(a, pad(ref, Fraction(1, 2), 0))
+    assert ref.mul(c, c) == b
+    assert ref.mul(c, ref.inv(c)) == ref.one(3)
+    assert ref.fmt(ref.sub(c, a)) == "c+(-a)"
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    st.integers(0, 2).flatmap(
+    st.integers(0, 3).flatmap(
         lambda d: st.tuples(st.just(d), raw_values(d), raw_values(d), rationals)
     ),
     st.sampled_from(sorted(OPS)),
@@ -234,4 +367,44 @@ def test_leaves_are_ints_or_proper_fractions(case, op):
         assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
     assert ours == theirs
     assert tower.fmt(ours) == ref.fmt(theirs)
-    assert str(FieldElement(tower, ours)) == str(FieldElement(ref, theirs))
+    assert str(FieldElement(tower, ours)) == ref.fmt(theirs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda d: st.tuples(
+            st.just(d), raw_values(d, st.sampled_from([0, 0, 0, 1, Fraction(-1, 3)]))
+        )
+    )
+)
+def test_is_zero_on_zero_and_nonzero_patterns(case):
+    # mostly-zero leaves: the zero value, one nonzero leaf at any position,
+    # and everything between
+    depth, x = case
+    tower, ref = tower_pair(depth)
+    v = as_leaves(x, depth, QQ_TOWER.lift_rational)
+    assert tower.is_zero(v) == ref.is_zero(as_leaves(x, depth, Fraction))
+    assert tower.is_zero(tower.sub(v, v))
+    assert tower.is_zero(tower.zero()) and not tower.is_zero(tower.one())
+
+
+def test_is_zero_of_each_single_leaf():
+    # a value of each depth with one nonzero leaf, at each position
+    tower, ref = tower_pair(3)
+    for k in range(4):
+        for i in range(len(leaves(ref.zero(k), k))):
+            unit = with_leaf(ref.zero(k), k, i, Fraction(1, 2))
+            assert not tower.is_zero(as_leaves(unit, k, QQ_TOWER.lift_rational), k)
+
+
+def with_leaf(v, depth, i, leaf):
+    """v with its i-th leaf (in depth-first order) replaced by leaf."""
+    flat = leaves(v, depth)
+    flat[i] = leaf
+    it = iter(flat)
+
+    def build(w, d):
+        return next(it) if d == 0 else tuple(build(c, d - 1) for c in w)
+
+    return build(v, depth)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -77,6 +78,25 @@ def test_parse_nesting_limit():
         assert (exc.value.line, exc.value.column) == (1, MAX_NESTING + 1)
     # the depth is the nesting, not the number of parentheses
     assert parse_poly(" + ".join([nested(MAX_NESTING)] * 3)) == parse_poly("3*x")
+
+
+def test_parse_ascii_digits_only():
+    for text, column in (("x^\u00b2", 3), ("\u0663*x", 1), ("2/\u0663", 3)):
+        with pytest.raises(PolySyntaxError) as exc:
+            parse_poly(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
+
+
+def test_parse_past_the_str_digit_limit():
+    # outside cli.main the interpreter's int/str digit limit (4300 by
+    # default) holds: a longer literal is a syntax error, not a ValueError
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits:
+        pytest.skip("no int/str digit limit in this interpreter")
+    assert parse_poly("7" * digits + "*x").total_degree() == 1
+    with pytest.raises(PolySyntaxError, match="too many digits") as exc:
+        parse_poly("x + " + "7" * (digits + 1) + "*x")
+    assert (exc.value.line, exc.value.column) == (1, 5)
 
 
 def test_roundtrip_random():
