@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Inputs are UTF-8 files of `key = value` lines: `p`/`q` for an affine vector
-field, `A`/`B`/`C` for a homogeneous 1-form, `F1`/`F2` for a pencil.  Exit
+Inputs are UTF-8 files of `key = value` lines, after one optional byte-order
+mark: `p`/`q` for an affine vector field, `A`/`B`/`C` for a homogeneous
+1-form, `F1`/`F2` for a pencil.  Each subcommand reads the keys of one of its
+models, and any other key is an error.  Exit
 codes: 0 success, 2 clean "no WAI integral" (reason in the report), 1 a
 WaifiError or an unreadable input file.  Any other exception is a bug and
 propagates.
@@ -36,14 +38,26 @@ class RoutesDisagree(WaifiError, RuntimeError):
     """integrate --method both: the pairing and Darboux routes differ."""
 
 
-def _read_spec(path):
+#: the keys of each input model
+FIELD_KEYS = ("p", "q")
+FORM_KEYS = ("A", "B", "C")
+PENCIL_KEYS = ("F1", "F2")
+
+
+def _read_spec(args):
+    """The polynomials of args.input by key, from the keys of one of the
+    models args.models: an unknown key or keys of two models is an
+    InputError."""
+    path = args.input
     data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"input is not UTF-8: byte {exc.start} ({exc.reason})")
+    allowed = [key for keys in args.models for key in keys]
+    reads = " or ".join(", ".join(keys) for keys in args.models)
     entries = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -53,10 +67,20 @@ def _read_spec(path):
         key = key.strip()
         if key in entries:
             raise InputError(f"line {lineno}: duplicate key {key!r}")
+        if key not in allowed:
+            raise InputError(
+                f"line {lineno}: unknown key {key!r} ({args.command} reads {reads})"
+            )
         try:
             entries[key] = parse_poly(value.strip())
         except PolySyntaxError as exc:
             raise InputError(f"line {lineno}: {exc}")
+    used = [", ".join(k for k in keys if k in entries) for keys in args.models]
+    used = [keys for keys in used if keys]
+    if len(used) > 1:
+        raise InputError(
+            f"keys {' and '.join(used)} are two inputs ({args.command} reads {reads})"
+        )
     return entries
 
 
@@ -107,7 +131,7 @@ def _human_points(conf, classification=None, dicritical=(), infinity=()):
 
 def _reduce_input(args):
     """The reduction of the field or 1-form read from args.input."""
-    form = _one_form(_read_spec(args.input))
+    form = _one_form(_read_spec(args))
     return reduce_form(
         form, max_depth=args.max_depth, max_tower_degree=args.max_tower_degree
     )
@@ -139,7 +163,7 @@ def _cmd_dicritical(args):
 
 
 def _cmd_integrate(args):
-    V = _vector_field(_read_spec(args.input))
+    V = _vector_field(_read_spec(args))
     kw = {"max_depth": args.max_depth, "max_tower_degree": args.max_tower_degree}
     if args.method != "both":
         ((cert, reason),) = decide(V, [args.method], **kw)
@@ -192,7 +216,7 @@ def _cmd_poincare(args):
 
 
 def _cmd_pencil(args):
-    entries = _read_spec(args.input)
+    entries = _read_spec(args)
     if "F1" not in entries or "F2" not in entries:
         raise InputError("pencil input needs keys F1 and F2")
     bp = pencil_base_points(
@@ -223,35 +247,36 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, *models):
         p.add_argument("input", help="input file of key = polynomial lines, or -")
         p.add_argument("--json", action="store_true", help="machine output")
         p.add_argument("--max-depth", type=int, default=MAX_DEPTH)
         p.add_argument("--max-tower-degree", type=int, default=MAX_TOWER_DEGREE)
+        p.set_defaults(models=models)
 
     p = sub.add_parser("reduce", help="reduction of singularities")
-    common(p)
+    common(p, FIELD_KEYS, FORM_KEYS)
     p.add_argument("--dot", help="write the proximity graph in DOT format")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("dicritical", help="dicritical configuration")
-    common(p)
+    common(p, FIELD_KEYS, FORM_KEYS)
     p.set_defaults(func=_cmd_dicritical)
 
     p = sub.add_parser("integrate", help="decide WAI integrability")
-    common(p)
+    common(p, FIELD_KEYS)
     p.add_argument(
         "--method", choices=("pairing", "darboux", "both"), default="darboux"
     )
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("poincare", help="degree of the minimal integral")
-    common(p)
+    common(p, FIELD_KEYS, FORM_KEYS)
     p.add_argument("--bound", action="store_true", help="bound over placements")
     p.set_defaults(func=_cmd_poincare)
 
     p = sub.add_parser("pencil-basepoints", help="base points of a pencil")
-    common(p)
+    common(p, PENCIL_KEYS)
     p.set_defaults(func=_cmd_pencil)
     return parser
 

@@ -424,7 +424,7 @@ class Tower:
         """Render a raw value as a readable expression in the generators."""
         a, depth = self.shortest(a, depth)
         if depth == 0:
-            return str(a)
+            return _rational_str(a)
         name = self.levels[depth - 1][0]
         parts = []
         for i in range(len(a) - 1, -1, -1):
@@ -441,10 +441,30 @@ class Tower:
             s = "(" + self.fmt(c, depth) + ")"
             return s + "*" + mono if mono else s
         if not mono:
-            return str(q)
+            return _rational_str(q)
         if q == 1:
             return mono
-        return "-" + mono if q == -1 else f"{q}*{mono}"
+        return "-" + mono if q == -1 else f"{_rational_str(q)}*{mono}"
+
+
+def _rational_str(q):
+    """str(q) for an int or a Fraction, whole past the interpreter's int/str
+    digit limit, which stays as the caller set it."""
+    try:
+        return str(q)
+    except ValueError:
+        pass
+    if type(q) is Fraction:
+        return f"{_rational_str(q.numerator)}/{_rational_str(q.denominator)}"
+    # blocks of 500 digits, below the smallest limit the interpreter accepts
+    head, blocks = abs(q), []
+    while head >= _BLOCK:
+        head, r = divmod(head, _BLOCK)
+        blocks.append(f"{r:0500d}")
+    return "-" * (q < 0) + str(head) + "".join(reversed(blocks))
+
+
+_BLOCK = 10**500
 
 
 def join_terms(parts, space):

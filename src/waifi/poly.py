@@ -13,6 +13,7 @@ over the rationals, scalar Euclid and Newton interpolation over a tower.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -30,6 +31,10 @@ ALLOWED_VARS = ("x", "y", "z", "X", "Y", "Z")
 #: parentheses nested deeper than this are a syntax error, whatever the
 #: caller's stack depth (each level costs the parser four frames)
 MAX_NESTING = 100
+
+#: a power or product of total degree above this is a syntax error, raised
+#: before it is expanded; constants may have any size
+MAX_DEGREE = 1000
 
 
 class PolySyntaxError(WaifiError, ValueError):
@@ -102,7 +107,10 @@ class MultiPoly:
         return MultiPoly(vars, terms, self.tower)
 
     def with_vars(self, vars):
-        """Embed into the polynomial ring on a superset of variables."""
+        """Embed into the polynomial ring on a superset of variables: self
+        when its ring already holds every variable of vars."""
+        if all(v in self.vars for v in vars):
+            return self
         return self._on_vars(tuple(sorted(set(vars) | set(self.vars))))
 
     def lift_to(self, tower):
@@ -122,8 +130,7 @@ class MultiPoly:
             f, g = f.lift_to(tower), g.lift_to(tower)
         if f.vars != g.vars:
             allv = tuple(sorted(set(f.vars) | set(g.vars)))
-            f = f.with_vars(allv)
-            g = g.with_vars(allv)
+            f, g = f._on_vars(allv), g._on_vars(allv)
         return f, g
 
     # -- arithmetic --------------------------------------------------------
@@ -132,18 +139,7 @@ class MultiPoly:
         f, g = MultiPoly._pair(self, other)
         if f is None:
             return NotImplemented
-        tw = f.tower
-        terms = dict(f.terms)
-        for e, c in g.terms.items():
-            if e in terms:
-                s = tw.add(terms[e], c)
-                if tw.is_zero(s):
-                    del terms[e]
-                else:
-                    terms[e] = s
-            else:
-                terms[e] = c
-        return MultiPoly(f.vars, terms, tw)
+        return MultiPoly(f.vars, _add_into(dict(f.terms), g.terms, f.tower), f.tower)
 
     __radd__ = __add__
 
@@ -164,35 +160,15 @@ class MultiPoly:
         f, g = MultiPoly._pair(self, other)
         if f is None:
             return NotImplemented
-        tw = f.tower
-        terms = {}
-        for e1, c1 in f.terms.items():
-            for e2, c2 in g.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                p = tw.mul(c1, c2)
-                if e in terms:
-                    s = tw.add(terms[e], p)
-                    if tw.is_zero(s):
-                        del terms[e]
-                    else:
-                        terms[e] = s
-                elif not tw.is_zero(p):
-                    terms[e] = p
-        return MultiPoly(f.vars, terms, tw)
+        return MultiPoly(f.vars, _times(f.terms, g.terms, f.tower), f.tower)
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(1, self.vars, self.tower)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        tw = self.tower
+        return MultiPoly(self.vars, _power(self.terms, e, tw, len(self.vars)), tw)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -479,18 +455,28 @@ class MultiPoly:
         tw = f.tower
         ge, gc = g.leading()
         ginv = tw.inv(gc)
-        quot = MultiPoly.zero(f.vars, tw)
-        rem = f
-        while not rem.is_zero():
-            re, rc = rem.leading()
+        rest = [(e, c) for e, c in g.terms.items() if e != ge]
+        # one working remainder, changed in place; each step cancels its
+        # leading term and adds a quotient term of a smaller exponent
+        quot, rem = {}, dict(f.terms)
+        while rem:
+            re = max(rem)
             de = tuple(a - b for a, b in zip(re, ge))
             if any(d < 0 for d in de):
                 return None
-            c = tw.mul(rc, ginv)
-            t = MultiPoly(f.vars, {de: c}, tw)
-            quot = quot + t
-            rem = rem - t * g
-        return quot
+            c = quot[de] = tw.mul(rem.pop(re), ginv)
+            for e, gce in rest:
+                e = tuple(map(add, de, e))
+                t = tw.mul(c, gce)
+                if e in rem:
+                    t = tw.sub(rem[e], t)
+                    if tw.is_zero(t):
+                        del rem[e]
+                        continue
+                    rem[e] = t
+                else:
+                    rem[e] = tw.neg(t)
+        return MultiPoly(f.vars, quot, tw)
 
     # -- printing ----------------------------------------------------------
 
@@ -509,6 +495,61 @@ class MultiPoly:
             )
             parts.append(self.tower.fmt_term(c, mono))
         return join_terms(parts, " ")
+
+
+# -- term-dict kernels ------------------------------------------------------
+# Dicts {exponent tuple: nonzero raw value of the tower}, all on one variable
+# layout: the arithmetic of MultiPoly and of the parser.
+
+
+def _add_into(acc, terms, tower):
+    """acc += terms in place; returns acc."""
+    for e, c in terms.items():
+        if e in acc:
+            s = tower.add(acc[e], c)
+            if tower.is_zero(s):
+                del acc[e]
+            else:
+                acc[e] = s
+        else:
+            acc[e] = c
+    return acc
+
+
+def _times(f, g, tower):
+    """The product of two term dicts."""
+    terms = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            p = tower.mul(c1, c2)
+            if e in terms:
+                s = tower.add(terms[e], p)
+                if tower.is_zero(s):
+                    del terms[e]
+                else:
+                    terms[e] = s
+            elif not tower.is_zero(p):
+                terms[e] = p
+    return terms
+
+
+def _power(f, k, tower, nvars):
+    """The k-th power of a term dict on nvars variables, by squaring; one
+    term over Q in one step."""
+    if k == 0:
+        return {(0,) * nvars: tower.one()}
+    if len(f) == 1 and tower.depth == 0:
+        ((e, c),) = f.items()
+        return {tuple(a * k for a in e): c**k}
+    result = None
+    while k:
+        if k & 1:
+            result = f if result is None else _times(result, f, tower)
+        k >>= 1
+        if k:
+            f = _times(f, f, tower)
+    return result
 
 
 # -- gcd ------------------------------------------------------------------
@@ -720,9 +761,24 @@ def parse_poly(text):
     primary:= coeff | var | '(' expr ')'
     coeff  := int ['/' int]
 
-    Parentheses nest at most MAX_NESTING deep.
+    Parentheses nest at most MAX_NESTING deep, and no power or product may
+    have a total degree above MAX_DEGREE.  The result lives on the sorted
+    variables the text names, whether or not they survive cancellation.
     """
     return _Parser(text).parse()
+
+
+# The parser builds every subexpression as a dict {exponent tuple over
+# ALLOWED_VARS: nonzero depth-0 raw value} and makes one MultiPoly at the end.
+_SPACE = re.compile(r"[ \t\r\n]*")
+# ASCII digits only: str.isdigit and \d also take "²" and "٣"
+_DIGITS = re.compile(r"[0-9]*")
+_ONE_EXP = (0,) * len(ALLOWED_VARS)
+_VAR_EXP = {v: tuple(int(v == w) for w in ALLOWED_VARS) for v in ALLOWED_VARS}
+
+
+def _degree(terms):
+    return max(map(sum, terms), default=0)
 
 
 class _Parser:
@@ -730,6 +786,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.depth = 0
+        self.names = set()
 
     def _loc(self, pos=None):
         pos = self.pos if pos is None else pos
@@ -741,59 +798,63 @@ class _Parser:
         line, col = self._loc(pos)
         raise cls(message, line, col)
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
-
     def _peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
+        """The next character after whitespace, which is skipped; "" at the
+        end."""
+        pos = self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[pos : pos + 1]
 
     def parse(self):
-        expr = self._expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
+        terms = self._expr()
+        if self._peek():
             self._error(f"unexpected character {self.text[self.pos]!r}")
-        return expr
+        vars = tuple(sorted(self.names))
+        idx = [ALLOWED_VARS.index(v) for v in vars]
+        terms = {tuple([e[i] for i in idx]): c for e, c in terms.items()}
+        return MultiPoly(vars, terms, QQ_TOWER)
 
     def _expr(self):
-        sign = 1
         ch = self._peek()
         if ch and ch in "+-":
             self.pos += 1
-            sign = -1 if ch == "-" else 1
         result = self._term()
-        if sign < 0:
-            result = -result
+        if ch == "-":
+            result = {e: -c for e, c in result.items()}
         while True:
             ch = self._peek()
             if ch == "+":
                 self.pos += 1
-                result = result + self._term()
+                _add_into(result, self._term(), QQ_TOWER)
             elif ch == "-":
                 self.pos += 1
-                result = result - self._term()
+                term = {e: -c for e, c in self._term().items()}
+                _add_into(result, term, QQ_TOWER)
             else:
                 return result
 
     def _term(self):
         result = self._factor()
         while self._peek() == "*":
+            at = self.pos
             self.pos += 1
-            result = result * self._factor()
+            factor = self._factor()
+            self._check_degree(_degree(result) + _degree(factor), at)
+            result = _times(result, factor, QQ_TOWER)
         return result
 
     def _factor(self):
         base = self._primary()
         if self._peek() == "^":
+            at = self.pos
             self.pos += 1
-            e = self._int()
-            if e < 0:
-                self._error("negative exponent")
-            base = base ** e
+            k = self._int()
+            self._check_degree(_degree(base) * k, at)
+            base = _power(base, k, QQ_TOWER, len(ALLOWED_VARS))
         return base
+
+    def _check_degree(self, degree, pos):
+        if degree > MAX_DEGREE:
+            self._error(f"total degree {degree} exceeds cap {MAX_DEGREE}", pos=pos)
 
     def _primary(self):
         ch = self._peek()
@@ -815,8 +876,8 @@ class _Parser:
                 den = self._int()
                 if den == 0:
                     self._error("zero denominator")
-                return MultiPoly.constant(Fraction(num, den))
-            return MultiPoly.constant(num)
+                num = ratio(num, den)
+            return {_ONE_EXP: num} if num else {}
         if ch.isalpha():
             start = self.pos
             self.pos += 1
@@ -827,17 +888,16 @@ class _Parser:
                 self._error(
                     f"unknown variable {name!r}", UnknownVariable, start
                 )
-            return MultiPoly.variable(name)
+            self.names.add(name)
+            return {_VAR_EXP[name]: 1}
         if ch == "":
             self._error("unexpected end of input")
         self._error(f"unexpected character {ch!r}")
 
     def _int(self):
-        self._skip_ws()
+        self._peek()
         start = self.pos
-        # ASCII digits only: str.isdigit also takes "²" and "٣"
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
+        self.pos = _DIGITS.match(self.text, start).end()
         if start == self.pos:
             self._error("expected an integer")
         try:

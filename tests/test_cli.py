@@ -472,3 +472,67 @@ def test_non_ascii_digits_are_one_error_line(tmp_path, capsys):
         code, out, err = run(capsys, ["integrate", spec])
         assert (code, out) == (1, "")
         assert err == f"error: line 1: {message}\n"
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
+    bom = b"\xef\xbb\xbf"
+    spec = tmp_path / "bom.txt"
+    spec.write_bytes(bom + b"p = 5*y^4\nq = -2*x\n")
+    code, out, err = run(capsys, ["integrate", str(spec)])
+    assert (code, out, err) == (0, "H = (x^2 + y^5)\ndegree = 5\n", "")
+    # one mark only: a second is part of the first key
+    spec.write_bytes(bom + bom + b"p = 5*y^4\nq = -2*x\n")
+    code, out, err = run(capsys, ["integrate", str(spec)])
+    assert (code, out) == (1, "")
+    assert err == "error: line 1: unknown key '\\ufeffp' (integrate reads p, q)\n"
+    # a byte offset counts the mark, like any other byte of the file
+    spec.write_bytes(bom + b"p = x\xff\nq = y\n")
+    code, out, err = run(capsys, ["integrate", str(spec)])
+    assert (code, out) == (1, "")
+    assert err == "error: input is not UTF-8: byte 8 (invalid start byte)\n"
+
+
+FIELD = "p = 5*y^4\nq = -2*x\n"
+FORM = "A = 2*X*Z^4\nB = 5*Y^4*Z\nC = -2*X^2*Z^3 - 5*Y^5\n"
+PENCIL = "F1 = X^2*Z^3 + Y^5\nF2 = Z^5\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("integrate", FIELD + FORM, "line 3: unknown key 'A' (integrate reads p, q)"),
+        ("integrate", FIELD + "r = 2\n", "line 3: unknown key 'r' (integrate reads p, q)"),
+        (
+            "reduce",
+            FIELD + FORM,
+            "keys p, q and A, B, C are two inputs (reduce reads p, q or A, B, C)",
+        ),
+        (
+            "poincare",
+            "C = 1\np = x\n",
+            "keys p and C are two inputs (poincare reads p, q or A, B, C)",
+        ),
+        (
+            "dicritical",
+            FORM + "F1 = X\n",
+            "line 4: unknown key 'F1' (dicritical reads p, q or A, B, C)",
+        ),
+        (
+            "pencil-basepoints",
+            PENCIL + FIELD,
+            "line 3: unknown key 'p' (pencil-basepoints reads F1, F2)",
+        ),
+    ],
+)
+def test_one_input_model_per_file(tmp_path, capsys, command, text, message):
+    spec = write(tmp_path, text)
+    assert run(capsys, [command, spec]) == (1, "", f"error: {message}\n")
+
+
+def test_a_power_past_the_degree_cap_is_one_error_line(tmp_path, capsys):
+    spec = write(tmp_path, "p = x^99999999999\nq = y\n")
+    code, out, err = run(capsys, ["integrate", spec])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: line 1: total degree 99999999999 exceeds cap 1000 (line 1, column 2)\n"
+    )

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -9,6 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from waifi.field import FieldElement, QQ_TOWER, Tower
 from waifi.poly import (
+    ALLOWED_VARS,
+    MAX_DEGREE,
     MAX_NESTING,
     MultiPoly,
     PolySyntaxError,
@@ -97,6 +100,50 @@ def test_parse_past_the_str_digit_limit():
     with pytest.raises(PolySyntaxError, match="too many digits") as exc:
         parse_poly("x + " + "7" * (digits + 1) + "*x")
     assert (exc.value.line, exc.value.column) == (1, 5)
+
+
+def test_parse_degree_cap():
+    # a power or product past the cap is a syntax error at its operator,
+    # raised before it is expanded; constants have degree 0 at any size
+    assert parse_poly(f"x^{MAX_DEGREE}").total_degree() == MAX_DEGREE
+    assert parse_poly(f"x^{MAX_DEGREE - 1}*y").total_degree() == MAX_DEGREE
+    assert parse_poly("(x - x)^5000").is_zero()
+    assert parse_poly("1^99999999999*x - (2^20000)") == parse_poly("x") - 2**20000
+    for text, column in (
+        (f"x^{MAX_DEGREE + 1}", 2),
+        ("x^99999999999", 2),
+        (f"y + (x*y)^{MAX_DEGREE // 2 + 1}", 10),
+        (f"x^{MAX_DEGREE} * 2*y", 11),
+        (f"(x^600 + 1)*(y^401)", 12),
+    ):
+        with pytest.raises(PolySyntaxError, match="exceeds cap") as exc:
+            parse_poly(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
+
+
+def test_integers_past_the_str_digit_limit_print_whole():
+    # the printer needs no change to the interpreter's int/str digit limit,
+    # even at the smallest limit the interpreter accepts
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no int/str digit limit in this interpreter")
+    n = 7**6000
+    shown = [
+        MultiPoly.constant(n, ("x",)),
+        MultiPoly.constant(Fraction(-n, 3**9001), ("x",)),
+        parse_poly("x") * -n,
+        FieldElement(QST, ((n, Fraction(1, 10**5000)), (1, 2))),
+    ]
+    try:
+        sys.set_int_max_str_digits(640)
+        printed = [str(v) for v in shown]
+        assert sys.get_int_max_str_digits() == 640
+        sys.set_int_max_str_digits(0)
+        expected = [str(n), str(Fraction(-n, 3**9001)), f"{-n}*x"]
+        expected.append(f"(2*s+1)*t+({Fraction(1, 10**5000)}*s+{n})")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert printed == expected
 
 
 def test_roundtrip_random():
@@ -255,13 +302,13 @@ def coeff_to_sympy(tower, c):
     ) * ROOTS[tower]
 
 
-def value_to_sympy(val):
+def value_to_sympy(val, syms=ALL_SYMS):
     if isinstance(val, MultiPoly):
         expr = sympy.Integer(0)
         for e, c in val.terms.items():
             term = coeff_to_sympy(val.tower, c)
             for v, k in zip(val.vars, e):
-                term *= ALL_SYMS[v] ** k
+                term *= syms[v] ** k
             expr += term
         return expr
     if isinstance(val, FieldElement):
@@ -674,3 +721,289 @@ def test_printer_on_a_coefficient_from_a_lower_level():
     a = FieldElement(tower, ((0, 1), qa.zero()))
     assert str(a) == "a"
     assert (x**2 - value * x + a).to_string() == "x^2 + ((-a-1)*b)*x + (a)"
+
+
+# -- the dict parser and the in-place division against their references ----
+
+
+class ReferenceParser:
+    """The parser the dict parser replaced: every subexpression a MultiPoly,
+    combined by MultiPoly arithmetic, with no degree cap."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+
+    def _loc(self, pos=None):
+        pos = self.pos if pos is None else pos
+        line = self.text.count("\n", 0, pos) + 1
+        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
+        return line, col
+
+    def _error(self, message, cls=PolySyntaxError, pos=None):
+        line, col = self._loc(pos)
+        raise cls(message, line, col)
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
+            self.pos += 1
+
+    def _peek(self):
+        self._skip_ws()
+        if self.pos >= len(self.text):
+            return ""
+        return self.text[self.pos]
+
+    def parse(self):
+        expr = self._expr()
+        self._skip_ws()
+        if self.pos != len(self.text):
+            self._error(f"unexpected character {self.text[self.pos]!r}")
+        return expr
+
+    def _expr(self):
+        sign = 1
+        ch = self._peek()
+        if ch and ch in "+-":
+            self.pos += 1
+            sign = -1 if ch == "-" else 1
+        result = self._term()
+        if sign < 0:
+            result = -result
+        while True:
+            ch = self._peek()
+            if ch == "+":
+                self.pos += 1
+                result = result + self._term()
+            elif ch == "-":
+                self.pos += 1
+                result = result - self._term()
+            else:
+                return result
+
+    def _term(self):
+        result = self._factor()
+        while self._peek() == "*":
+            self.pos += 1
+            result = result * self._factor()
+        return result
+
+    def _factor(self):
+        base = self._primary()
+        if self._peek() == "^":
+            self.pos += 1
+            e = self._int()
+            if e < 0:
+                self._error("negative exponent")
+            base = base**e
+        return base
+
+    def _primary(self):
+        ch = self._peek()
+        if ch == "(":
+            if self.depth == MAX_NESTING:
+                self._error("parentheses nested too deeply")
+            self.depth += 1
+            self.pos += 1
+            inner = self._expr()
+            if self._peek() != ")":
+                self._error("expected ')'")
+            self.pos += 1
+            self.depth -= 1
+            return inner
+        if "0" <= ch <= "9":
+            num = self._int()
+            if self._peek() == "/":
+                self.pos += 1
+                den = self._int()
+                if den == 0:
+                    self._error("zero denominator")
+                return MultiPoly.constant(Fraction(num, den))
+            return MultiPoly.constant(num)
+        if ch.isalpha():
+            start = self.pos
+            self.pos += 1
+            while self.pos < len(self.text) and self.text[self.pos].isalnum():
+                self.pos += 1
+            name = self.text[start : self.pos]
+            if name not in ALLOWED_VARS:
+                self._error(f"unknown variable {name!r}", UnknownVariable, start)
+            return MultiPoly.variable(name)
+        if ch == "":
+            self._error("unexpected end of input")
+        self._error(f"unexpected character {ch!r}")
+
+    def _int(self):
+        self._skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+            self.pos += 1
+        if start == self.pos:
+            self._error("expected an integer")
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            self._error("integer has too many digits", pos=start)
+
+
+@st.composite
+def grammar_texts(draw, depth=2):
+    """(text, bound): a string of the input grammar with whitespace, signs,
+    rationals, powers (zeroth too) and nesting, and a bound on the number of
+    terms of every subexpression.  Every integer is at most 5."""
+    space = st.sampled_from(["", "", " ", "  ", "\n", "\t", "\r\n"])
+
+    def primary(d):
+        kind = draw(st.sampled_from(["int", "ratio", "var", "var", "paren"][: 5 if d else 4]))
+        if kind == "int":
+            return str(draw(st.integers(0, 5))), 1
+        if kind == "ratio":
+            num, den = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+            return f"{num}{draw(space)}/{draw(space)}{den}", 1
+        if kind == "var":
+            return draw(st.sampled_from(ALLOWED_VARS)), 1
+        text, bound = expr(d - 1)
+        return f"({draw(space)}{text}{draw(space)})", bound
+
+    def factor(d):
+        text, bound = primary(d)
+        if draw(st.booleans()):
+            k = draw(st.integers(0, 3))
+            text, bound = f"{text}{draw(space)}^{draw(space)}{k}", bound**k
+        return text, bound
+
+    def term(d):
+        parts = [factor(d) for _ in range(draw(st.integers(1, 3)))]
+        bound = 1
+        for _, b in parts:
+            bound *= b
+        return f"{draw(space)}*{draw(space)}".join(t for t, _ in parts), bound
+
+    def expr(d):
+        text, bound = "", 0
+        for i in range(draw(st.integers(1, 3))):
+            sign = draw(st.sampled_from(["+", "-"] if i else ["", "", "+", "-"]))
+            t, b = term(d)
+            text += f"{draw(space)}{sign}{draw(space)}{t}"
+            bound += b
+        return text, bound
+
+    return expr(depth)
+
+
+def parse_outcome(parse, text):
+    """(vars, terms in dict order, tower, printed) of a parse, or the
+    error's class, message, line and column."""
+    try:
+        p = parse(text)
+    except PolySyntaxError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    return p.vars, list(p.terms.items()), p.tower, p.to_string()
+
+
+@st.composite
+def corrupted_texts(draw):
+    """A grammar string with one character inserted, deleted or replaced.
+    No digit is touched or made adjacent to another and no '^' is written
+    over a character, so no exponent grows past the string's own."""
+    text, bound = draw(grammar_texts())
+    assume(bound <= 40)
+
+    def clear(i):
+        return not (0 <= i < len(text) and text[i].isdigit())
+
+    kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+    if kind == "insert":
+        spots = [i for i in range(len(text) + 1) if clear(i - 1) and clear(i)]
+        assume(spots)
+        i = draw(st.sampled_from(spots))
+        ch = draw(st.sampled_from("+-*/^()x Yw\n#²"))
+        return text[:i] + ch + text[i:]
+    spots = [i for i in range(len(text)) if clear(i - 1) and clear(i) and clear(i + 1)]
+    assume(spots)
+    i = draw(st.sampled_from(spots))
+    ch = "" if kind == "delete" else draw(st.sampled_from("+-*/()x Yw\n#²"))
+    return text[:i] + ch + text[i + 1 :]
+
+
+@settings(max_examples=300, deadline=None)
+@given(grammar_texts())
+@example(("x - x", 2))
+@example(("(x + y)^0", 2))
+@example(("-1/2*X^2*(Z - 2/4)^3 + 0", 4))
+@example(("((x)^2 - (y^1)) * 3/5 - (0)^0", 3))
+def test_dict_parser_matches_the_multipoly_parser(case):
+    text, bound = case
+    assume(bound <= 40)
+    new = parse_outcome(parse_poly, text)
+    assert new == parse_outcome(lambda t: ReferenceParser(t).parse(), text)
+    # MultiPoly's products and powers share the parser's term-dict kernels,
+    # so sympy checks the value too; a coefficient n/d binds tighter than ^
+    syms = {v: sympy.Symbol(v) for v in ALLOWED_VARS}
+    plain = re.sub(r"(\d+) ?/ ?(\d+)", r"(\1/\2)", " ".join(text.split()))
+    expr = sympy.parse_expr(plain.replace("^", "**"), syms)
+    p = parse_poly(text)
+    assert sympy.expand(expr - value_to_sympy(p.with_vars(ALLOWED_VARS), syms)) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_texts())
+@example("x +")
+@example("(x + y")
+@example("x ^ (2)")
+@example("3/0*x")
+@example("x*\n  w^2")
+def test_dict_parser_errors_match_the_multipoly_parser(text):
+    new = parse_outcome(parse_poly, text)
+    assert new == parse_outcome(lambda t: ReferenceParser(t).parse(), text)
+
+
+def reference_divide_exact(f, g):
+    """The division the in-place kernel replaced: the quotient and the
+    remainder rebuilt by MultiPoly arithmetic at every step."""
+    f, g = MultiPoly._pair(f, g)
+    tw = f.tower
+    ge, gc = g.leading()
+    ginv = tw.inv(gc)
+    quot = MultiPoly.zero(f.vars, tw)
+    rem = f
+    while not rem.is_zero():
+        re, rc = rem.leading()
+        de = tuple(a - b for a, b in zip(re, ge))
+        if any(d < 0 for d in de):
+            return None
+        t = MultiPoly(f.vars, {de: tw.mul(rc, ginv)}, tw)
+        quot = quot + t
+        rem = rem - t * g
+    return quot
+
+
+@st.composite
+def division_cases(draw):
+    """(f, g, q): f = q*g, or f = q*g + r for a random r (often no
+    multiple of g), over Q or the depth-2 tower Q(sqrt 2, sqrt 3)."""
+    tower = draw(st.sampled_from([QQ_TOWER, QST]))
+    rings = st.sampled_from([("x",), ("y",), ("x", "y"), ("x", "y", "z")])
+    g = draw(polys(draw(rings), tower))
+    assume(g.total_degree() > 0)
+    q = draw(polys(draw(rings), tower))
+    f = q * g
+    if draw(st.booleans()):
+        f = f + draw(polys(draw(rings), tower))
+        q = None
+    return f, g, q
+
+
+@settings(max_examples=100, deadline=None)
+@given(division_cases())
+def test_divide_exact_matches_repeated_subtraction(case):
+    f, g, q = case
+    got, want = f.divide_exact(g), reference_divide_exact(f, g)
+    if want is None:
+        assert got is None
+        return
+    assert got.vars == want.vars and got.tower == want.tower
+    assert list(got.terms.items()) == list(want.terms.items())
+    if q is not None:
+        assert got == q
