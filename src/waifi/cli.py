@@ -270,7 +270,10 @@ def build_parser():
     )
     p.set_defaults(func=_cmd_integrate)
 
-    p = sub.add_parser("poincare", help="degree of the minimal integral")
+    p = sub.add_parser(
+        "poincare",
+        help="candidate integral degree (the minimal integral's if one exists)",
+    )
     common(p, FIELD_KEYS, FORM_KEYS)
     p.add_argument("--bound", action="store_true", help="bound over placements")
     p.set_defaults(func=_cmd_poincare)

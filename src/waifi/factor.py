@@ -20,7 +20,9 @@ of K_(j-1), so d and e both divide [K_j(root) : K_(j-1)] <= d e, which is
 then d e, and the root has degree d over K_j.  Only the other factors take
 a norm, over K_j alone.  Roots that do not exist yet can be adjoined, growing
 the tower up to its degree cap; after an adjoin only the factors that are
-still nonlinear can split, and only at the new level.
+still nonlinear can split, and only at the new level.  The factor whose root
+theta was adjoined is divided by var - theta, and only its cofactor is
+factored over the new level: a linear cofactor needs no norm.
 """
 
 from __future__ import annotations
@@ -179,9 +181,12 @@ def squarefree_part(f, var):
 
 def roots_in_extension(f, tower):
     """All roots of a univariate polynomial, adjoining new generators when
-    needed: the one place where a tower grows.  Returns (roots, tower);
-    roots are FieldElements of the returned tower, sorted by their
-    coordinate vectors.  A constant has no roots."""
+    needed: the one place where a tower grows.  Each adjoined generator
+    theta is a root of the first nonlinear factor by (degree, text); that
+    factor splits as var - theta times a cofactor, which alone is factored
+    over the new level, and the other nonlinear factors are lifted to it.
+    Returns (roots, tower); roots are FieldElements of the returned tower,
+    sorted by their coordinate vectors.  A constant has no roots."""
     eff = f.effective_vars()
     if not eff:
         return [], tower
@@ -205,7 +210,8 @@ def roots_in_extension(f, tower):
             roots = [r.lift_to(tower) for r in roots]
             roots.sort(key=lambda r: r.sort_key())
             return roots, tower
-        # adjoin a root of the first nonlinear factor; only the nonlinear
+        # adjoin a root theta of the first nonlinear factor pick, which then
+        # splits as (var - theta) times a cofactor; only the nonlinear
         # factors can split further, and only at the new level
         nonlinear.sort(key=lambda p: (p.total_degree(), p.to_string()))
         pick = nonlinear[0]
@@ -214,7 +220,13 @@ def roots_in_extension(f, tower):
         )
         k = tower.depth
         tower = tower.adjoin(tower.fresh_name(), coeffs)
-        factors = _lift_factors(nonlinear, var, tower, k)
+        linear = MultiPoly.variable(var, tower) - FieldElement.generator(tower)
+        cofactor = pick.lift_to(tower).divide_exact(linear)
+        if cofactor is None:
+            raise WaifiError("the adjoined generator is not a root of its factor")
+        # the cofactor is squarefree and monic, and a linear one takes no norm
+        factors = [linear, *_factor_norm(cofactor, var, tower)]
+        factors.extend(_lift_factors(nonlinear[1:], var, tower, k))
 
 
 def affine_common_zeros(f, g, tower):

@@ -477,8 +477,9 @@ def algorithm2(V, **kw):
 
 
 def poincare_degree(conf, infinity):
-    """Degree and exponents of the minimal integral from combinatorial data
-    (the proximity structure of D(X) and the infinity points)."""
+    """Degree and exponents of the candidate integral from combinatorial
+    data (the proximity structure of D(X) and the infinity points): the
+    minimal integral's when the field has a WAI integral."""
     try:
         family = assemble_S_from(conf, frozenset(infinity))
     except StructureMismatch as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import comb, lcm, log2
 from operator import add
 
 from sympy.polys.domains import ZZ
@@ -33,8 +33,16 @@ ALLOWED_VARS = ("x", "y", "z", "X", "Y", "Z")
 MAX_NESTING = 100
 
 #: a power or product of total degree above this is a syntax error, raised
-#: before it is expanded; constants may have any size
+#: before it is expanded
 MAX_DEGREE = 1000
+
+#: a power whose coefficients may need more bits than this is a syntax
+#: error, raised before it is expanded: 2^99999999999 has degree 0
+MAX_POWER_BITS = 100_000
+
+#: a power or product that may have more terms than this is a syntax
+#: error, raised before it is expanded: (x+y+z+X+Y+Z)^1000 has degree 1000
+MAX_TERMS = 10_000
 
 
 class PolySyntaxError(WaifiError, ValueError):
@@ -781,6 +789,28 @@ def _degree(terms):
     return max(map(sum, terms), default=0)
 
 
+def _power_bits(terms, k):
+    """A bound on the bit length of each numerator and denominator of the
+    k-th power of a term dict f.  With f = F/D for the least common
+    denominator D, each coefficient of F^k is at most (t max|F|)^k for the
+    t terms of F."""
+    if not terms:
+        return 0
+    den = lcm(*(c.denominator for c in terms.values()))
+    top = len(terms) * max(int(abs(c) * den) for c in terms.values())
+    return int(k * log2(max(top, den))) + 1
+
+
+def _power_terms(terms, k):
+    """A bound on the number of terms of the k-th power of a term dict: a
+    product of k of its t terms, and a monomial of degree at most k deg f in
+    the variables it uses.  A zeroth power is one term."""
+    if k == 0:
+        return 1
+    nvars = sum(map(any, zip(*terms)))
+    return min(comb(len(terms) + k - 1, k), comb(nvars + k * _degree(terms), nvars))
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
@@ -839,6 +869,7 @@ class _Parser:
             self.pos += 1
             factor = self._factor()
             self._check_degree(_degree(result) + _degree(factor), at)
+            self._check_terms(len(result) * len(factor), at)
             result = _times(result, factor, QQ_TOWER)
         return result
 
@@ -849,12 +880,23 @@ class _Parser:
             self.pos += 1
             k = self._int()
             self._check_degree(_degree(base) * k, at)
+            self._check_terms(_power_terms(base, k), at)
+            bits = _power_bits(base, k)
+            if bits > MAX_POWER_BITS:
+                self._error(
+                    f"coefficient bound {bits} bits exceeds cap {MAX_POWER_BITS}",
+                    pos=at,
+                )
             base = _power(base, k, QQ_TOWER, len(ALLOWED_VARS))
         return base
 
     def _check_degree(self, degree, pos):
         if degree > MAX_DEGREE:
             self._error(f"total degree {degree} exceeds cap {MAX_DEGREE}", pos=pos)
+
+    def _check_terms(self, terms, pos):
+        if terms > MAX_TERMS:
+            self._error(f"term bound {terms} exceeds cap {MAX_TERMS}", pos=pos)
 
     def _primary(self):
         ch = self._peek()

@@ -536,3 +536,18 @@ def test_a_power_past_the_degree_cap_is_one_error_line(tmp_path, capsys):
     assert err == (
         "error: line 1: total degree 99999999999 exceeds cap 1000 (line 1, column 2)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "power, message",
+    [
+        ("2^99999999999", "coefficient bound 100000000000 bits exceeds cap 100000"),
+        ("(x+y+z+X+Y+Z)^1000", "term bound 8459043543951 exceeds cap 10000"),
+    ],
+)
+def test_a_power_past_the_size_caps_is_one_error_line(tmp_path, capsys, power, message):
+    spec = write(tmp_path, f"p = {power}\nq = y\n")
+    code, out, err = run(capsys, ["integrate", spec])
+    assert (code, out) == (1, "")
+    column = power.rindex("^") + 1
+    assert err == f"error: line 1: {message} (line 1, column {column})\n"

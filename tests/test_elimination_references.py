@@ -17,8 +17,9 @@ Three references are kept here as they were before the shortcuts:
   `factor._factor_squarefree` factors over the shortest prefix that holds
   the coefficients and lifts the factors level by level.
 - `reference_roots_in_extension`: the whole squarefree part factored again
-  after every adjoin.  `roots_in_extension` keeps the roots it found and
-  factors again only the nonlinear factors.
+  after every adjoin.  `roots_in_extension` keeps the roots it found,
+  divides the factor whose root it adjoined by x - theta and factors only
+  the cofactor, and lifts the other nonlinear factors.
 - `reference_resultant`: the determinant of the Sylvester matrix
   (`linalg.det`) at integer points, then Lagrange interpolation.
   `poly.resultant` takes sympy's integer resultant over the rationals, and
@@ -877,6 +878,15 @@ def roots_outcome(find, f, tower):
 @example((parse_poly("(x^2 - 2)*(x^2 - 3)*(x - 1)"), Tower()))
 @example((parse_poly("(x^2 - 2)*(x^3 - 2)"), Tower()))
 @example((parse_poly("(x^2 - 2)*(x^3 - 2)"), Tower((), 4)))
+# after the first adjoin the cofactor of x - a is linear; irreducible, so a
+# second adjoin; split into linears; a cubic that splits fully; a cubic that
+# splits partly; and perturbation-4's cubic over Q(w), w^2 + w + 1 = 0
+@example((parse_poly("x^2 + x + 1"), Tower()))
+@example((parse_poly("x^3 - 2"), Tower()))
+@example((parse_poly("x^3 - 3*x + 1"), Tower()))
+@example((parse_poly("x^4 + 1"), Tower()))
+@example((parse_poly("x^4 - 2"), Tower()))
+@example((parse_poly("x^3 + 2*x^2 + 2*x - 1"), Tower().adjoin("w", (1, 1, 1))))
 def test_roots_in_extension_matches_refactoring_everything(f_tower):
     f, tower = f_tower
     ours = roots_outcome(roots_in_extension, f, tower)
@@ -899,6 +909,29 @@ def test_degree_rule_keeps_a_rational_cubic_whole_over_sqrt2(monkeypatch):
     assert p == cubic and p.tower == tower
     # factored once over Q, and no norm over Q(a): gcd(3, 2) = 1
     assert norms == [0]
+
+
+def test_a_quadratic_root_splits_off_its_conjugate_with_no_norm(monkeypatch):
+    norms = []
+    real = factor._factor_norm
+
+    def spy(f, var, K):
+        if f.degree_in(var) > 1:
+            norms.append(K.depth)
+        return real(f, var, K)
+
+    monkeypatch.setattr(factor, "_factor_norm", spy)
+    roots, tower = roots_in_extension(parse_poly("x^2 + x + 1"), Tower())
+    # x^2 + x + 1 = (x - a) (x + a + 1) over Q(a): the one norm is over Q
+    assert [r.v for r in roots] == [(-1, -1), (0, 1)]
+    assert tower.depth == 1 and norms == [0]
+    # perturbation-4's cubic over Q(w): the quadratic cofactor over Q(w)(a)
+    # takes a norm, and its root b leaves a linear cofactor
+    norms.clear()
+    cubic = parse_poly("x^3 + 2*x^2 + 2*x - 1")
+    roots, tower = roots_in_extension(cubic, Tower().adjoin("w", (1, 1, 1)))
+    assert tower.names() == ("w", "a", "b") and len(roots) == 3
+    assert 2 in norms and 3 not in norms
 
 
 def test_norm_shift_starts_at_one_for_a_factor_from_the_level_below(monkeypatch):

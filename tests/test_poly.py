@@ -13,6 +13,8 @@ from waifi.poly import (
     ALLOWED_VARS,
     MAX_DEGREE,
     MAX_NESTING,
+    MAX_POWER_BITS,
+    MAX_TERMS,
     MultiPoly,
     PolySyntaxError,
     UnknownVariable,
@@ -119,6 +121,46 @@ def test_parse_degree_cap():
         with pytest.raises(PolySyntaxError, match="exceeds cap") as exc:
             parse_poly(text)
         assert (exc.value.line, exc.value.column) == (1, column)
+
+
+def test_parse_power_bits_cap():
+    # the bound on a power's coefficients is checked at its '^', before the
+    # power is computed; 2^20000 and any power of 1 are read whole
+    assert parse_poly("-(2^20000)") == MultiPoly.constant(-(2**20000))
+    assert parse_poly("(-1)^99999999999*x") == -parse_poly("x")
+    assert parse_poly("(1/2)^100") == MultiPoly.constant(Fraction(1, 2**100))
+    assert parse_poly(f"2^{MAX_POWER_BITS - 1}") == MultiPoly.constant(
+        2 ** (MAX_POWER_BITS - 1)
+    )
+    for text, column in (
+        ("2^99999999999", 2),
+        (f"x + 2^{MAX_POWER_BITS}", 6),
+        ("3^1000000", 2),
+        (f"(1/2)^{MAX_POWER_BITS}", 6),
+        ("(2^60000*x + 1)^2", 16),
+        ("((2^50000)^1)^2", 14),
+    ):
+        with pytest.raises(PolySyntaxError, match="bits exceeds cap") as exc:
+            parse_poly(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
+
+
+def test_parse_term_cap():
+    # a power is bounded by the products of its terms and by the monomials
+    # of its degree in its variables, a product by t_f * t_g
+    assert len(parse_poly("(x+y+z+X+Y+Z)^12").terms) == 6188
+    assert len(parse_poly("(x*y*z*X*Y*Z)^166").terms) == 1
+    assert len(parse_poly("(x + 1)^1000").terms) == 1001
+    assert parse_poly("(x - x)^5000").is_zero()
+    for text, column in (
+        ("(x+y+z+X+Y+Z)^1000", 14),
+        ("(x+y+z+X+Y+Z)^20", 14),
+        ("(x+y)^100 * (z+X)^100", 11),
+    ):
+        with pytest.raises(PolySyntaxError, match="exceeds cap") as exc:
+            parse_poly(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
+        assert f"cap {MAX_TERMS}" in str(exc.value)
 
 
 def test_integers_past_the_str_digit_limit_print_whole():
