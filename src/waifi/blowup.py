@@ -44,10 +44,6 @@ class LocalOneForm:
     def is_zero(self):
         return self.a.is_zero() and self.b.is_zero()
 
-    def __str__(self):
-        u, v = self.vars
-        return f"({self.a}) d{u} + ({self.b}) d{v}"
-
 
 def multiplicity(omega):
     """Algebraic multiplicity at the origin: the order of the lowest jet."""
@@ -196,8 +192,7 @@ def blow_up_curve(equation, center, branch, vars):
 
 
 def _is_rational_square(q):
-    if q < 0:
-        return False
+    """Whether the rational q >= 0 is the square of a rational."""
     n, d = q.numerator, q.denominator
     return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 

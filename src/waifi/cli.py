@@ -129,12 +129,11 @@ def _human_points(conf, classification=None, dicritical=(), infinity=()):
     return "\n".join(lines)
 
 
-def _reduce_input(args):
-    """The reduction of the field or 1-form read from args.input."""
+def _reduce_input(args, affine=True):
+    """The reduction of the field or 1-form read from args.input; with
+    affine=False only the points at infinity are reduced."""
     form = _one_form(_read_spec(args))
-    return reduce_form(
-        form, max_depth=args.max_depth, max_tower_degree=args.max_tower_degree
-    )
+    return reduce_form(form, args.max_depth, args.max_tower_degree, affine=affine)
 
 
 def _cmd_reduce(args):
@@ -194,7 +193,9 @@ def _cmd_integrate(args):
 
 
 def _cmd_poincare(args):
-    res = _reduce_input(args)
+    # a WAI integral's dicritical points all lie at infinity; --bound places
+    # the line at infinity at every root, affine ones included
+    res = _reduce_input(args, affine=args.bound)
     conf = res.dicritical_configuration
     try:
         if args.bound:

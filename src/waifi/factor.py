@@ -54,7 +54,8 @@ def univ_factor(f):
     """Factor a univariate polynomial over its coefficient field.
 
     Returns a list of (factor, multiplicity) pairs whose product is f.  A
-    non-trivial constant is reported as a leading degree-0 entry.
+    non-trivial constant, what the exact divisions of f by its irreducible
+    parts leave, is reported as a leading degree-0 entry.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -66,29 +67,17 @@ def univ_factor(f):
     var = eff[0]
     f = f.drop_unused_vars()
     if f.tower.depth == 0:
-        unit, factors = _qq_factor(f, var)
-        factors.sort(key=lambda t: (t[0].total_degree(), t[0].to_string()))
-        if unit != 1:
-            return [(MultiPoly.constant(unit), 1)] + factors
-        return factors
-    tower = f.tower
-    lead = f.coefficient((f.degree_in(var),))
-    monic = f * lead.inverse()
-    parts = _factor_squarefree(squarefree_part(monic, var), var, tower)
+        parts = [p for p, _ in _qq_factor(f, var)[1]]
+    else:
+        parts = _factor_squarefree(squarefree_part(f.monic(), var), var, f.tower)
     out = []
-    rem = monic
     for p in sorted(parts, key=lambda q: (q.total_degree(), q.to_string())):
         mult = 0
-        while True:
-            q = rem.divide_exact(p)
-            if q is None:
-                break
-            rem = q
-            mult += 1
+        while (q := f.divide_exact(p)) is not None:
+            f, mult = q, mult + 1
         out.append((p, mult))
-    if not (lead == 1):
-        out = [(MultiPoly.constant(lead), 1)] + out
-    return out
+    unit = f.constant_value()
+    return out if unit == 1 else [(MultiPoly.constant(unit), 1)] + out
 
 
 def _factor_squarefree(f, var, tower):

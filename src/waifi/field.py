@@ -146,7 +146,7 @@ class Tower:
     # -- raw value constructors -------------------------------------------
 
     def zero(self):
-        return self.lift_rational(_ZERO)
+        return self._zeros[self.depth]
 
     def one(self):
         return self.lift_rational(_ONE)
@@ -161,18 +161,15 @@ class Tower:
     def _pad(self, v, lo, hi):
         """A raw value of depth lo as a raw value of depth hi."""
         for j in range(lo + 1, hi + 1):
-            v = (v,) + (self._zero_at(j - 1),) * (self.level_degree(j) - 1)
+            v = (v,) + (self._zeros[j - 1],) * (self.level_degree(j) - 1)
         return v
-
-    def _zero_at(self, depth):
-        return self._zeros[depth]
 
     def generator(self):
         """Raw value of the generator of the top level."""
         j = self.depth
         if not j:
             raise ValueError("the rationals have no generator")
-        coeffs = [self._zero_at(j - 1)] * self.level_degree(j)
+        coeffs = [self._zeros[j - 1]] * self.level_degree(j)
         coeffs[1] = self.lift_rational(_ONE, j - 1)
         return tuple(coeffs)
 
@@ -282,7 +279,7 @@ class Tower:
         mp = list(self.levels[depth - 1][1])
         # extended Euclid of a against the minimal polynomial, over level sub
         r0, r1 = mp, list(a)
-        s0 = [self._zero_at(sub)]
+        s0 = [self._zeros[sub]]
         s1 = [self.lift_rational(_ONE, sub)]
         while True:
             r1 = self._trim(r1, sub)
@@ -301,7 +298,7 @@ class Tower:
         c = self.inv(r0[0], sub)
         out = [self.mul(c, x, sub) for x in s0]
         out = out[: len(a)]
-        out += [self._zero_at(sub)] * (len(a) - len(out))
+        out += [self._zeros[sub]] * (len(a) - len(out))
         return tuple(out)
 
     def div(self, a, b, depth=None):
@@ -317,7 +314,7 @@ class Tower:
 
     def _psub(self, p, q, depth):
         n = max(len(p), len(q))
-        z = self._zero_at(depth)
+        z = self._zeros[depth]
         p = list(p) + [z] * (n - len(p))
         q = list(q) + [z] * (n - len(q))
         return [self.sub(x, y, depth) for x, y in zip(p, q)]
@@ -325,7 +322,7 @@ class Tower:
     def _pmul(self, p, q, depth):
         if not p or not q:
             return []
-        z = self._zero_at(depth)
+        z = self._zeros[depth]
         out = [z] * (len(p) + len(q) - 1)
         for i, x in enumerate(p):
             if self.is_zero(x, depth):
@@ -343,7 +340,7 @@ class Tower:
         lc = q[-1]
         inv_lc = None if self.as_rational(lc, depth) == 1 else self.inv(lc, depth)
         rem = self._trim(p, depth)
-        quot = [self._zero_at(depth)] * max(0, len(rem) - n)
+        quot = [self._zeros[depth]] * max(0, len(rem) - n)
         while len(rem) > n:
             # the leading term cancels: pop it instead of subtracting it
             c = rem.pop()
@@ -520,14 +517,13 @@ class FieldElement:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _apply(self, other, op, reflected=False):
+    def _apply(self, other, op):
         """op (a raw Tower operation) on self and other, coerced into one
-        tower; the operands swap for a reflected operator."""
+        tower."""
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        x, y = (b.v, a.v) if reflected else (a.v, b.v)
-        return FieldElement(a.tower, op(a.tower, x, y))
+        return FieldElement(a.tower, op(a.tower, a.v, b.v))
 
     def __add__(self, other):
         return self._apply(other, Tower.add)
@@ -537,9 +533,6 @@ class FieldElement:
     def __sub__(self, other):
         return self._apply(other, Tower.sub)
 
-    def __rsub__(self, other):
-        return self._apply(other, Tower.sub, True)
-
     def __mul__(self, other):
         return self._apply(other, Tower.mul)
 
@@ -547,9 +540,6 @@ class FieldElement:
 
     def __truediv__(self, other):
         return self._apply(other, Tower.div)
-
-    def __rtruediv__(self, other):
-        return self._apply(other, Tower.div, True)
 
     def __neg__(self):
         return FieldElement(self.tower, self.tower.neg(self.v))
@@ -561,9 +551,6 @@ class FieldElement:
 
     def is_zero(self):
         return self.tower.is_zero(self.v)
-
-    def is_rational(self):
-        return self.tower.as_rational(self.v)
 
     def __eq__(self, other):
         try:

@@ -38,6 +38,7 @@ class InfNearPoint:
 
     @property
     def satellite(self):
+        """Proximate to two points: the paper's term, kept as API."""
         return len(self.proximate_to) == 2
 
 
@@ -93,7 +94,7 @@ class Configuration:
         return [p.pid for p in self if p.parent is None]
 
     def is_infinitely_near(self, pid, qid):
-        """Whether pid lies above qid (or equals it)."""
+        """Whether pid lies above qid (or equals it); the paper's term, kept as API."""
         return qid in self.ancestors(pid)
 
     def maximal_points(self):

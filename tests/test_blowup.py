@@ -385,7 +385,7 @@ def test_blow_up_form_matches_substitution(case):
 def reference_ratio_in_positive_rationals(T, Delta):
     """The test as it was: through the quotient T^2/Delta in the tower."""
     s = (T * T) / Delta - 2
-    q = s.is_rational()
+    q = s.tower.as_rational(s.v)
     if q is None or q < 2:
         return False
     disc = q * q - 4

@@ -529,6 +529,30 @@ def test_one_input_model_per_file(tmp_path, capsys, command, text, message):
     assert run(capsys, [command, spec]) == (1, "", f"error: {message}\n")
 
 
+COMMENTED = "# H = x^2 + y^5\n\np = 5*y^4\n   \n  # next: q\nq = -2*x\n\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, expect",
+    [
+        # blank, blank-looking and comment lines are skipped: the output is
+        # that of the file without them
+        ("integrate", COMMENTED, FIELD),
+        ("pencil-basepoints", "\n# a pencil\n" + PENCIL, PENCIL),
+        ("integrate", "p = 5*y^4\nq -2*x\n", "line 2: expected 'key = polynomial'"),
+        ("integrate", FIELD + "p = y\n", "line 3: duplicate key 'p'"),
+        ("pencil-basepoints", "F1 = X*Z + Y^2\n", "pencil input needs keys F1 and F2"),
+    ],
+)
+def test_skipped_and_malformed_lines(tmp_path, capsys, command, text, expect):
+    got = run(capsys, [command, write(tmp_path, text)])
+    if expect in (FIELD, PENCIL):
+        assert got[0] == 0
+        assert got == run(capsys, [command, write(tmp_path, expect, name="plain.txt")])
+    else:
+        assert got == (1, "", f"error: {expect}\n")
+
+
 def test_a_power_past_the_degree_cap_is_one_error_line(tmp_path, capsys):
     spec = write(tmp_path, "p = x^99999999999\nq = y\n")
     code, out, err = run(capsys, ["integrate", spec])

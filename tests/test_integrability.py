@@ -8,10 +8,12 @@ from test_acceptance import random_wai_product
 from waifi.infnear import Configuration, InfNearPoint, PairingVector
 from waifi.integrability import (
     DEGREE_CHECKS_FAILED,
+    EXPONENTS_INVALID,
     LINE_NOT_INVARIANT,
     NO_ADMISSIBLE_PLACEMENT,
     R_NOT_RANK_ONE,
     S_DEPENDENT,
+    VERIFICATION_FAILED,
     WRONG_FREE_MAXIMAL_COUNT,
     AnalysisFailure,
     SFamily,
@@ -313,3 +315,52 @@ def test_certificate_work_is_pinned(V, routes, monkeypatch):
     assert len(made("cofactor")) == len(routes) * len(factors)
     assert len(made("poly_gcd", "reduced")) == 1
     assert made("poly_gcd", "points_at_infinity") == []
+
+
+@pytest.mark.parametrize(
+    "guard, route, reason, detail",
+    [
+        ("sum", "darboux", DEGREE_CHECKS_FAILED, "exponent degrees do not sum to n"),
+        ("gcd", "darboux", EXPONENTS_INVALID, "exponents are not coprime"),
+        ("cofactors", "pairing", VERIFICATION_FAILED, "cofactor relation fails"),
+    ],
+)
+def test_each_certify_guard_rejects_its_defect(guard, route, reason, detail, monkeypatch):
+    # x^2 + y^5 certifies with n = 5 and exponent 1 on either route; each
+    # patch plants the one defect its guard checks, after the checks before
+    # it pass: exponent 2 (degree 10 != 5); exponent 2 with R doubled
+    # (degrees sum to n = 10, gcd 2); cofactors off by 1, which the pairing
+    # route takes only after the residual
+    from waifi import integrability
+
+    V = field("5*y^4", "-2*x")
+    assert integrability.decide(V, [route])[0][1] is None
+    if guard in ("sum", "gcd"):
+        monkeypatch.setattr(integrability, "exponents_darboux", lambda ks: [2] * len(ks))
+    if guard == "gcd":
+        front_half = integrability._front_half
+
+        def doubled_R(res):
+            family, R, curves, factors = front_half(res)
+            return family, R.scale(2), curves, factors
+
+        monkeypatch.setattr(integrability, "_front_half", doubled_R)
+    if guard == "cofactors":
+        cofactors = integrability._cofactors
+        monkeypatch.setattr(
+            integrability, "_cofactors", lambda V, fs: [k + 1 for k in cofactors(V, fs)]
+        )
+    raised = []
+    certify = integrability._certify
+
+    def spy(*args):
+        try:
+            return certify(*args)
+        except AnalysisFailure as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(integrability, "_certify", spy)
+    assert integrability.decide(V, [route]) == [(None, reason)]
+    # the attempt at infinity and the reduction of every point both fail there
+    assert raised and set(raised) == {f"{reason}: {detail}"}

@@ -105,7 +105,9 @@ def assert_roots_are_common_zeros(conf, polys, count):
     for t in triples:
         assert isinstance(t, tuple)
         assert all(F.evaluate(dict(zip("XYZ", t))).is_zero() for F in polys)
-    assert any(t[2] == 0 and any(c.is_rational() is None for c in t) for t in triples)
+    assert any(
+        t[2] == 0 and any(c.tower.as_rational(c.v) is None for c in t) for t in triples
+    )
     doc = export_proximity_graph(conf)
     assert all(p["coordinate"] is None for p in doc["points"] if p["parent"] is None)
 
