@@ -53,15 +53,17 @@ def multiplicity(omega):
     return min(orders)
 
 
-def char_poly(omega):
+def char_poly(omega, m=None):
     """Characteristic polynomial of the lowest jet.
 
     With omega = p dy - q dx (so p is the second component and q minus the
-    first), this is y p_m - x q_m; identically zero exactly at dicritical
-    singularities.  Multiplying by a variable bumps an exponent, so the two
-    jets are added term by term.
+    first), this is y p_m - x q_m, m the multiplicity (computed when not
+    given); identically zero exactly at dicritical singularities.
+    Multiplying by a variable bumps an exponent, so the two jets are added
+    term by term.
     """
-    m = multiplicity(omega)
+    if m is None:
+        m = multiplicity(omega)
     tower = omega.a.tower.join(omega.b.tower)
     terms = {}
     for p, (di, dj) in ((omega.b, (0, 1)), (omega.a, (1, 0))):
@@ -116,16 +118,17 @@ def _axes(branch, vars):
     raise ValueError("branch must be V1 or V2")
 
 
-def _remap(p, vars, axes, times=None):
+def _remap(p, vars, axes, times=None, less=0):
     """p under the monomial part of the chart map with axes (divisor,
     other), (i, j) -> (i + j, j) on V1 and (i, i + j) on V2 in the exponents
-    of (u, v), multiplied by the chart variable named times (if any); other
-    variables are untouched."""
+    of (u, v), multiplied by the chart variable named times (if any) and
+    divided by divisor^less, which the caller checks; other variables are
+    untouched."""
     divisor, other = axes
     p = p.with_vars(vars)
     d = p.vars.index(divisor)
     o = p.vars.index(other)
-    bump_d = int(times == divisor)
+    bump_d = int(times == divisor) - less
     bump_o = int(times == other)
     terms = {}
     for e, c in p.terms.items():
@@ -145,35 +148,38 @@ def strict_transform(p, center, branch, vars, e):
     return None if out is None else out.shift(other, center)
 
 
-def blow_up_form(omega, branch, dicritical):
+def blow_up_form(omega, branch, dicritical, m=None):
     """Strict transform of omega under one blow-up of the origin (see
     _axes, with centre 0).
 
     Both components are divided by the maximal common power e of the divisor
-    variable; e must be m (non-dicritical) or m+1 (dicritical), with
-    dicritical = classify(omega) == DICRITICAL.  The V1 chart at a point
-    lambda of the divisor is this transform shifted by v -> v + lambda.
+    variable; e must be m (non-dicritical) or m+1 (dicritical), with m the
+    multiplicity (computed when not given) and dicritical =
+    classify(omega) == DICRITICAL.  The V1 chart at a point lambda of the
+    divisor is this transform shifted by v -> v + lambda.
     """
-    m = multiplicity(omega)
+    if m is None:
+        m = multiplicity(omega)
+    e = m + 1 if dicritical else m
     vars = omega.vars
     axes = divisor, other = _axes(branch, vars)
     # b can be over a deeper tower than a
     a, b = omega.a, omega.b.lift_to(omega.a.tower.join(omega.b.tower))
     # a du + b dv pulls back to (a + v b) du + u b dv on V1 and
-    # v a du + (u a + b) dv on V2
+    # v a du + (u a + b) dv on V2; each part comes divided by the expected
+    # power e of the divisor, so the least exponent left must be 0
     if branch == V1:
-        na = _remap(a, vars, axes) + _remap(b, vars, axes, other)
-        nb = _remap(b, vars, axes, divisor)
+        na = _remap(a, vars, axes, None, e) + _remap(b, vars, axes, other, e)
+        nb = _remap(b, vars, axes, divisor, e)
     else:
-        na = _remap(a, vars, axes, divisor)
-        nb = _remap(a, vars, axes, other) + _remap(b, vars, axes)
-    e = common_power([na, nb], divisor)
-    expected = m + 1 if dicritical else m
-    if e != expected:
+        na = _remap(a, vars, axes, divisor, e)
+        nb = _remap(a, vars, axes, other, e) + _remap(b, vars, axes, None, e)
+    removed = e + common_power([na, nb], divisor)
+    if removed != e:
         raise DivisibilityViolation(
-            f"removed exceptional power {e}, expected {expected}"
+            f"removed exceptional power {removed}, expected {e}"
         )
-    return LocalOneForm(div_power(na, divisor, e), div_power(nb, divisor, e), vars)
+    return LocalOneForm(na, nb, vars)
 
 
 def blow_up_curve(equation, center, branch, vars):
@@ -223,7 +229,7 @@ def classify(omega):
     m = multiplicity(omega)
     if m == 0:
         return NONSINGULAR
-    if char_poly(omega).is_zero():
+    if char_poly(omega, m).is_zero():
         return DICRITICAL
     if m != 1:
         return ORDINARY

@@ -94,7 +94,7 @@ def _one_form(entries):
     if {"A", "B", "C"} <= set(entries):
         form = ProjectiveOneForm(entries["A"], entries["B"], entries["C"])
         form.check()
-        return form
+        return form.reduced()
     return projectivize(_vector_field(entries))
 
 

@@ -164,18 +164,17 @@ def multiplicity_system(sub, full):
 
 @dataclass(frozen=True)
 class PairingVector:
-    """(v0; components indexed by a fixed configuration)."""
+    """(v0; components indexed by a fixed configuration): ints, or
+    Fractions once scaled by a rational."""
 
-    v0: Fraction
+    v0: int | Fraction
     components: dict
     index: tuple
 
     @staticmethod
     def make(conf, v0, comps):
         return PairingVector(
-            Fraction(v0),
-            {pid: Fraction(comps.get(pid, 0)) for pid in conf.order},
-            conf.order,
+            v0, {pid: comps.get(pid, 0) for pid in conf.order}, conf.order
         )
 
     def __add__(self, other):
@@ -188,7 +187,6 @@ class PairingVector:
         )
 
     def scale(self, c):
-        c = Fraction(c)
         return PairingVector(
             self.v0 * c,
             {k: v * c for k, v in self.components.items()},
@@ -214,10 +212,10 @@ def e_vector(conf, pid):
     it, 0 elsewhere)."""
     if pid not in conf:
         raise ValueError(f"point {pid} not in configuration")
-    comps = {pid: Fraction(-1)}
+    comps = {pid: -1}
     for q in conf:
         if pid in q.proximate_to:
-            comps[q.pid] = Fraction(1)
+            comps[q.pid] = 1
     return PairingVector.make(conf, 0, comps)
 
 

@@ -10,6 +10,7 @@ and verifies the product is a first integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
@@ -71,6 +72,12 @@ class SFamily:
     def vectors(self):
         """S in its fixed order: c_1..c_r, then the e_P by increasing pid."""
         return self.c_vectors + list(self.e_vectors.values())
+
+    @cached_property
+    def proximity(self):
+        """_proximity_system(self), built once for compute_R and
+        exponents_pairing."""
+        return _proximity_system(self)
 
 
 @dataclass
@@ -184,7 +191,7 @@ def compute_R(family):
     system has rank < r.
     """
     conf = family.configuration
-    w, rows = _proximity_system(family)
+    w, rows = family.proximity
     vecs = linalg.nullspace(rows)
     if len(w) - len(vecs) < len(rows):
         raise AnalysisFailure(S_DEPENDENT, "the family S is linearly dependent")
@@ -209,9 +216,8 @@ def extract_curves(family, R):
     conf = family.configuration
     r = len(family.maximal)
     if r == 1:
-        n = int(R.v0)
-        mults = {pid: int(R.components[pid]) for pid in conf.order}
-        K = Cluster(conf, mults)
+        n = R.v0
+        K = Cluster(conf, R.components)
         try:
             basis = linear_system(n, K)
         except EmptySystem:
@@ -255,7 +261,7 @@ def exponents_pairing(family, R):
     first, is the sum of b_Q over the points Q that P is proximate to, minus
     the P-component of R - sum n_i c_i.
     """
-    w, rows = _proximity_system(family)
+    w, rows = family.proximity
     aug = [list(col) + [-pairing(R, v)] for col, v in zip(zip(*rows), w)]
     vecs = linalg.nullspace(aug)
     if not vecs:
@@ -371,7 +377,7 @@ def _certify(V, front, route):
     or AnalysisFailure.  The Darboux route's cofactors serve the second
     check too; the pairing route takes them only after the residual."""
     family, R, curves, factors = front
-    n = int(R.v0)
+    n = R.v0
     cofactors = None
     if route == "pairing":
         n_i, _ = exponents_pairing(family, R)
@@ -486,7 +492,7 @@ def poincare_degree(conf, infinity):
         raise AnalysisFailure(WRONG_FREE_MAXIMAL_COUNT, str(exc))
     R = compute_R(family)
     n_i, _ = exponents_pairing(family, R)
-    return int(R.v0), n_i
+    return R.v0, n_i
 
 
 def _free_prefix_chains(conf, root):

@@ -20,6 +20,7 @@ from .blowup import (
     V2,
     blow_up_form,
     classify,
+    multiplicity,
 )
 from .errors import WaifiError
 from .factor import (
@@ -163,13 +164,14 @@ def _divisor_singularities(form, cls, tower):
     shifted by v -> v + lambda."""
     u, v = form.vars
     dicritical = cls == DICRITICAL
+    m = multiplicity(form)
     children = []
-    strict2 = blow_up_form(form, V2, dicritical)
+    strict2 = blow_up_form(form, V2, dicritical, m)
     if strict2.a.coefficient((0, 0)).is_zero() and strict2.b.coefficient(
         (0, 0)
     ).is_zero():
         children.append((V2, 0, strict2))
-    strict1 = blow_up_form(form, V1, dicritical)
+    strict1 = blow_up_form(form, V1, dicritical, m)
     na0 = strict1.a.restrict(u, 0).with_vars((v,))
     nb0 = strict1.b.restrict(u, 0).with_vars((v,))
     g = poly_gcd(na0, nb0)
@@ -195,12 +197,11 @@ class PlaneStart:
 
 
 def points_at_infinity(omega, max_tower_degree=MAX_TOWER_DEGREE):
-    """Reduce omega and find its points on Z = 0.
+    """The points on Z = 0 of a reduced form omega (projectivize and
+    ProjectiveOneForm.reduced return one).
 
-    The reduced A and B share at most a power of Z (see
-    ProjectiveOneForm.reduced), so the affine singular points are isolated
-    with no further gcd."""
-    omega = omega.reduced()
+    Its A and B share at most a power of Z (see ProjectiveOneForm.reduced),
+    so the affine singular points are isolated with no further gcd."""
     if omega.A.is_zero() and omega.B.is_zero() and omega.C.is_zero():
         raise NonIsolatedSingularities("zero 1-form")
     f, g = dehomogenize(omega.A), dehomogenize(omega.B)
@@ -213,7 +214,7 @@ def points_at_infinity(omega, max_tower_degree=MAX_TOWER_DEGREE):
 
 def reduce(omega, max_depth=MAX_DEPTH, max_tower_degree=MAX_TOWER_DEGREE,
            start=None, affine=True):
-    """Run the reduction of singularities of a projective 1-form.
+    """Run the reduction of singularities of a reduced projective 1-form.
 
     start, the points_at_infinity of omega found before, is reused instead
     of found again.  The affine points are found over the tower of the

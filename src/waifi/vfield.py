@@ -93,19 +93,28 @@ def dehomogenize(F, one="Z", names=("x", "y")):
 
 
 def projectivize(V):
-    """Extend the affine field to the projective plane as a 1-form.
+    """Extend the affine field to the projective plane as a reduced 1-form.
 
-    With P = Z^d p(X/Z,Y/Z) and Q likewise, returns the form with components
+    p and q are divided by their gcd first, d is the degree of the
+    quotients, and P = Z^d p(X/Z,Y/Z) and Q likewise.  The form
     A = -ZQ, B = ZP, C = XQ - YP (so the affine restriction is p dy - q dx
-    and the line at infinity is invariant).
+    divided by the gcd, and the line at infinity is invariant) is then
+    divided by the power of Z its components share, 0 or 1.  That is its
+    reduced form: a common factor of P and Q would dehomogenise to one of
+    the coprime quotients, or be Z, which does not divide the one of degree
+    d, so A, B and C share at most the Z of gcd(A, B) = Z gcd(P, Q).
     """
-    d = V.degree
+    g = poly_gcd(V.p, V.q)
+    p, q = V.p.divide_exact(g), V.q.divide_exact(g)
+    d = max(p.total_degree(), q.total_degree())
     Z = MultiPoly.variable("Z")
     X = MultiPoly.variable("X")
     Y = MultiPoly.variable("Y")
-    P = homogenize(V.p, d)
-    Q = homogenize(V.q, d)
-    return ProjectiveOneForm(-(Z * Q), Z * P, X * Q - Y * P)
+    P = homogenize(p, d)
+    Q = homogenize(q, d)
+    comps = (-(Z * Q), Z * P, X * Q - Y * P)
+    e = common_power(comps, "Z")
+    return ProjectiveOneForm(*(div_power(c, "Z", e) for c in comps))
 
 
 #: chart name -> (set-to-one variable, local variable names in order)

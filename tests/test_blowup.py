@@ -13,11 +13,15 @@ from waifi.blowup import (
     SIMPLE,
     V1,
     V2,
+    _axes,
     _ratio_in_positive_rationals,
+    _remap,
     blow_up_curve,
     blow_up_form,
     char_poly,
     classify,
+    common_power,
+    div_power,
     multiplicity,
     strict_transform,
 )
@@ -377,6 +381,49 @@ def test_blow_up_form_matches_substitution(case):
         assert mine.vars == theirs.vars
         assert mine.tower.is_prefix_of(theirs.tower)
         assert mine.lift_to(theirs.tower).terms == theirs.terms
+
+
+def reference_remap_blow_up_form(omega, branch, dicritical):
+    """blow_up_form as it was: three _remap polynomials, added, and the
+    sums divided by their common power of the divisor."""
+    m = multiplicity(omega)
+    vars = omega.vars
+    axes = divisor, other = _axes(branch, vars)
+    a, b = omega.a, omega.b.lift_to(omega.a.tower.join(omega.b.tower))
+    if branch == V1:
+        na = _remap(a, vars, axes) + _remap(b, vars, axes, other)
+        nb = _remap(b, vars, axes, divisor)
+    else:
+        na = _remap(a, vars, axes, divisor)
+        nb = _remap(a, vars, axes, other) + _remap(b, vars, axes)
+    e = common_power([na, nb], divisor)
+    expected = m + 1 if dicritical else m
+    if e != expected:
+        raise DivisibilityViolation(
+            f"removed exceptional power {e}, expected {expected}"
+        )
+    return LocalOneForm(div_power(na, divisor, e), div_power(nb, divisor, e), vars)
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_cases())
+def test_one_pass_blow_up_form_matches_remap(case):
+    # forms over Q and Q(sqrt 2), b sometimes deeper than a, dicritical or
+    # not, on both branches and a bad one; each component must keep the
+    # vars, the tower and the terms of the composition
+    omega, _, branch = case
+    dicritical = char_poly(omega).is_zero()
+    ref = outcome(reference_remap_blow_up_form, omega, branch, dicritical)
+    for m in (None, multiplicity(omega)):
+        ours = outcome(blow_up_form, omega, branch, dicritical, m)
+        if isinstance(ours, tuple) or isinstance(ref, tuple):
+            assert ours == ref
+            continue
+        assert ours.vars == ref.vars
+        for mine, theirs in ((ours.a, ref.a), (ours.b, ref.b)):
+            assert mine.vars == theirs.vars
+            assert mine.tower == theirs.tower
+            assert mine.terms == theirs.terms
 
 
 # -- the eigenvalue-ratio test --------------------------------------------

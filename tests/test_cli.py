@@ -92,6 +92,17 @@ def test_reduce_accepts_one_form_input(tmp_path, capsys):
     assert len(doc["singular_points"]) == 18
 
 
+@pytest.mark.parametrize("factor", ["X + Y", "Z^2*(X - 2*Y)"])
+def test_reduce_divides_a_one_form_by_its_common_factor(tmp_path, capsys, factor):
+    # the quintic's form times a factor reduces as the (5y^4, -2x) field
+    comps = ("2*X*Z^4", "5*Y^4*Z", "-2*X^2*Z^3 - 5*Y^5")
+    text = "".join(f"{k} = ({factor})*({c})\n" for k, c in zip("ABC", comps))
+    code, out, _ = run(capsys, ["reduce", write(tmp_path, text), "--json"])
+    field = write(tmp_path, "p = 5*y^4\nq = -2*x\n", name="field.txt")
+    assert code == 0
+    assert out == run(capsys, ["reduce", field, "--json"])[1]
+
+
 def test_reduce_determinism(tmp_path, capsys):
     spec = write(tmp_path, "p = 5*y^4\nq = -2*x\n")
     _, out1, _ = run(capsys, ["reduce", spec, "--json"])

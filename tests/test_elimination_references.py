@@ -1,6 +1,6 @@
 """The certificate path against the eliminations it replaced.
 
-Three references are kept here as they were before the shortcuts:
+These references are kept here as they were before the shortcuts:
 
 - `reference_compute_R`: R as the nullspace of the whole matrix of S, whose
   rank decides `S-dependent` and `R-not-rank-one`.  `compute_R` solves only
@@ -11,6 +11,9 @@ Three references are kept here as they were before the shortcuts:
   n_i and back-substitutes the b_P.
 - `reference_reduced`: the form divided by gcd(gcd(A, B), C), two gcds.
   `ProjectiveOneForm.reduced` takes the one gcd of A and B.
+- `unreduced_projectivize`: -ZQ, ZP, XQ - YP with no gcd, then reduced.
+  `projectivize` divides p and q by their affine gcd and the form by the
+  power of Z its components share.
 - sympy's nullspace over Q and over Q(sqrt 2), and its determinant over
   Q(sqrt 2), for the one Gauss-Jordan elimination of `linalg`.
 - `reference_factor_squarefree`: Trager's norm down the whole tower.
@@ -66,7 +69,7 @@ from waifi.integrability import (
 from waifi.linsys import EmptySystem, linear_system, pencil_vector_field
 from waifi.poly import MultiPoly, parse_poly, poly_gcd, resultant
 from waifi.reduction import StructureMismatch, reduce
-from waifi.vfield import AffineVectorField, ProjectiveOneForm, projectivize
+from waifi.vfield import AffineVectorField, ProjectiveOneForm, homogenize, projectivize
 
 # -- R ----------------------------------------------------------------------
 
@@ -441,6 +444,49 @@ def test_reduced_pencil_forms(F1, F2, F):
     assert_same_reduced(omega)
     assert_same_reduced(times(omega, parse_poly(F)))
     assert pencil_vector_field(F1, F2) == reference_reduced(omega)
+
+
+def unreduced_projectivize(V):
+    """projectivize as it was: A = -ZQ, B = ZP, C = XQ - YP at the degree of
+    the field, with no gcd taken."""
+    d = V.degree
+    X, Y, Z = (MultiPoly.variable(w) for w in "XYZ")
+    P, Q = homogenize(V.p, d), homogenize(V.q, d)
+    return ProjectiveOneForm(-(Z * Q), Z * P, X * Q - Y * P)
+
+
+def assert_projectivize_is_reduced(V):
+    ours, theirs = projectivize(V), unreduced_projectivize(V).reduced()
+    for a, b in zip((ours.A, ours.B, ours.C), (theirs.A, theirs.B, theirs.C)):
+        assert a == b and a.to_string() == b.to_string()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys, small_polys, affine_factors)
+def test_projectivize_is_the_reduced_form(p_terms, q_terms, h):
+    # a common factor h of p and q; p or q may be 0 or constant
+    xy = ("x", "y")
+    p = parse_poly(h) * MultiPoly.from_coeff_dict(xy, p_terms)
+    q = parse_poly(h) * MultiPoly.from_coeff_dict(xy, q_terms)
+    assume(not (p.is_zero() and q.is_zero()))
+    assert_projectivize_is_reduced(AffineVectorField(p, q))
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ("0", "x^2 + 1"),
+        ("0", "(x - y)*(x + 1)"),
+        ("0", "3"),
+        ("2", "-5"),
+        ("x", "y"),  # radial: C = 0
+        ("x*(x^2 + y^2 + 1)", "y*(x^2 + y^2 + 1)"),
+        ("(x - 1)*(x^2 - y)", "(x - 1)*(x*y + 1)"),  # radial top forms
+        ("(y^2 + 1)^2*y", "(y^2 + 1)*x"),
+    ],
+)
+def test_projectivize_is_the_reduced_form_at_the_edges(p, q):
+    assert_projectivize_is_reduced(AffineVectorField(parse_poly(p), parse_poly(q)))
 
 
 def test_reduced_rejects_a_form_off_the_euler_relation():

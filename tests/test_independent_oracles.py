@@ -17,8 +17,8 @@ and are checked in plain sympy:
   or two of them certifies; the printed integral has a zero residual, a
   degree at most the planted one, and the planted H is a polynomial in it.
 
-Wherever `poincare` exits 0 on a certified field it prints the same degree,
-and on every planted field it exits 0 at the default budgets.
+On every certified field `poincare` exits 0 at the budgets `integrate` ran
+with and prints the same degree.
 """
 
 import contextlib
@@ -78,19 +78,22 @@ def printed_integral(out):
     return H, int(degree_line[len("degree = "):])
 
 
-def assert_certified(p, q, code, out):
-    """The certificate of integrate --method both: a zero residual, no
-    integral of lower degree, and the same degree from poincare where it
-    decides.  Returns (H, degree)."""
+def assert_certified(p, q, code, out, *budget):
+    """The certificate of integrate --method both run with the flags
+    budget: a zero residual, no integral of lower degree, and the same
+    degree from poincare, which must decide at the same budgets.  Returns
+    (H, degree)."""
     assert code == 0, out
     H, n = printed_integral(out)
     if H.free_symbols <= {X, Y}:
         assert sympy.expand(p * sympy.diff(H, X) + q * sympy.diff(H, Y)) == 0
         assert sympy.Poly(H, X, Y).total_degree() == n
     assert n == 1 or not has_integral(p, q, n - 1)
-    code, poincare, _ = run("poincare", p, q, *BUDGET)
-    if code == 0:
-        assert poincare.startswith(f"degree = {n}, exponents = ")
+    # a WAI integral has every dicritical point on the line at infinity,
+    # where poincare reads the degree with the walk integrate took
+    code, poincare, err = run("poincare", p, q, *budget)
+    assert (code, err) == (0, ""), poincare + err
+    assert poincare.startswith(f"degree = {n}, exponents = ")
     return H, n
 
 
@@ -128,7 +131,7 @@ def test_random_fields_against_the_integral_search():
             continue
         assert err == "", where
         if code == 0:
-            assert_certified(p, q, code, out)
+            assert_certified(p, q, code, out, *BUDGET)
         else:
             assert code == 2, where
             assert out.startswith("no WAI polynomial first integral ("), where
@@ -203,8 +206,3 @@ def test_planted_curves_with_one_place_at_infinity_certify(H):
     assert G.free_symbols <= {X, Y}
     assert n <= sympy.Poly(H, X, Y).total_degree()
     assert is_polynomial_in(H, G)
-    # a WAI integral has every dicritical point on the line at infinity,
-    # where poincare reads the degree: at the default budgets it decides
-    code, out, err = run("poincare", p, q)
-    assert (code, err) == (0, ""), out + err
-    assert out.startswith(f"degree = {n}, exponents = ")

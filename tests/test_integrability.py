@@ -22,6 +22,7 @@ from waifi.integrability import (
     assemble_S,
     compute_R,
     exponents_darboux,
+    exponents_pairing,
     poincare_bound,
     poincare_degree,
 )
@@ -263,6 +264,20 @@ def test_poincare_degree_matches_darboux_certificate():
         assert n == cert.degree, H.to_string()
 
 
+@pytest.mark.parametrize("V", [main_example_field(), field("5*y^4", "-2*x")])
+def test_pairing_data_are_ints(V):
+    # R, the pairing route's n_i and b_P, and poincare_degree come out as
+    # ints: only compute_R's kernel combination is rational
+    res = reduce(projectivize(V), affine=False)
+    family = assemble_S(res)
+    R = compute_R(family)
+    n_i, b_P = exponents_pairing(family, R)
+    conf = res.dicritical_configuration
+    n, exps = poincare_degree(conf, frozenset(res.infinity_points) & set(conf.order))
+    values = [R.v0, *R.components.values(), *n_i, *b_P.values(), n, *exps]
+    assert {type(x) for x in values} == {int}
+
+
 @pytest.mark.parametrize(
     "V, routes",
     [
@@ -273,9 +288,11 @@ def test_poincare_degree_matches_darboux_certificate():
 )
 def test_certificate_work_is_pinned(V, routes, monkeypatch):
     # counts, not times: compute_R hands nullspace at most r rows and the
-    # pairing route at most r + 1, for r > 1 each curve's linear system gets
-    # the chain under its M_i, a route takes each curve's cofactor once,
-    # reduced() takes one gcd and points_at_infinity none
+    # pairing route at most r + 1, both from one proximity system; for r > 1
+    # each curve's linear system gets the chain under its M_i, a route takes
+    # each curve's cofactor once, and the one gcd before the walk is
+    # projectivize's, of p and q in x and y: none in reduced() or
+    # points_at_infinity
     from waifi import integrability, linalg, reduction, vfield
 
     calls = []
@@ -290,6 +307,7 @@ def test_certificate_work_is_pinned(V, routes, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     spy(linalg, "nullspace")
+    spy(integrability, "_proximity_system")
     spy(integrability, "compute_R")
     spy(integrability, "cofactor")
     spy(integrability, "linear_system")
@@ -313,8 +331,11 @@ def test_certificate_work_is_pinned(V, routes, monkeypatch):
     if len(family.maximal) > 1:
         assert sizes == [len(conf.ancestors(m)) for m in family.free_maximal]
     assert len(made("cofactor")) == len(routes) * len(factors)
-    assert len(made("poly_gcd", "reduced")) == 1
-    assert made("poly_gcd", "points_at_infinity") == []
+    assert made("_proximity_system") == [(family,)]
+    first, *walk = [c for n, c, _ in calls if n == "poly_gcd"]
+    ((p, q),) = made("poly_gcd", "projectivize")
+    assert first == "projectivize" and {*p.vars, *q.vars} <= {"x", "y"}
+    assert set(walk) <= {"_divisor_singularities"}
 
 
 @pytest.mark.parametrize(

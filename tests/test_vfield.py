@@ -77,9 +77,13 @@ def test_projectivize_sympy_expansion_oracle():
             expr += term
         return sympy.expand(expr)
 
-    assert to_sympy(om.A) == sympy.expand(-Z * Q)
-    assert to_sympy(om.B) == sympy.expand(Z * P)
-    assert to_sympy(om.C) == sympy.expand(X * Q - Y * P)
+    comps = [sympy.expand(c) for c in (-Z * Q, Z * P, X * Q - Y * P)]
+    # the top-degree parts x^2 and x*y are radial (x*xy - y*x^2 = 0), so Z
+    # divides C too, and the reduced form is the three divided by Z
+    g = sympy.gcd(sympy.gcd(comps[0], comps[1]), comps[2])
+    assert g == Z
+    for ours, theirs in zip((om.A, om.B, om.C), comps):
+        assert to_sympy(ours) == sympy.expand(sympy.cancel(theirs / g))
 
 
 def test_reduced_removes_common_factor():
