@@ -53,17 +53,14 @@ def multiplicity(omega):
     return min(orders)
 
 
-def char_poly(omega, m=None):
+def char_poly(omega, m):
     """Characteristic polynomial of the lowest jet.
 
     With omega = p dy - q dx (so p is the second component and q minus the
-    first), this is y p_m - x q_m, m the multiplicity (computed when not
-    given); identically zero exactly at dicritical singularities.
-    Multiplying by a variable bumps an exponent, so the two jets are added
-    term by term.
+    first), this is y p_m - x q_m, m the multiplicity; identically zero
+    exactly at dicritical singularities.  Multiplying by a variable bumps an
+    exponent, so the two jets are added term by term.
     """
-    if m is None:
-        m = multiplicity(omega)
     tower = omega.a.tower.join(omega.b.tower)
     terms = {}
     for p, (di, dj) in ((omega.b, (0, 1)), (omega.a, (1, 0))):
@@ -77,15 +74,11 @@ def char_poly(omega, m=None):
 
 
 def div_power(p, var, e):
-    """p divided by var^e, or None when var^e does not divide p."""
+    """p divided by var^e; e is at most common_power([p], var)."""
     if e == 0 or p.is_zero():
         return p
     i = p.vars.index(var)
-    terms = {}
-    for exps, c in p.terms.items():
-        if exps[i] < e:
-            return None
-        terms[exps[:i] + (exps[i] - e,) + exps[i + 1 :]] = c
+    terms = {ex[:i] + (ex[i] - e,) + ex[i + 1 :]: c for ex, c in p.terms.items()}
     return MultiPoly(p.vars, terms, p.tower)
 
 
@@ -118,12 +111,13 @@ def _axes(branch, vars):
     raise ValueError("branch must be V1 or V2")
 
 
-def _remap(p, vars, axes, times=None, less=0):
+def _remap(p, vars, axes, times, less):
     """p under the monomial part of the chart map with axes (divisor,
     other), (i, j) -> (i + j, j) on V1 and (i, i + j) on V2 in the exponents
     of (u, v), multiplied by the chart variable named times (if any) and
-    divided by divisor^less, which the caller checks; other variables are
-    untouched."""
+    divided by divisor^less; other variables are untouched.  The caller
+    checks the division: a negative divisor exponent left means the
+    pull-back was not divisible."""
     divisor, other = axes
     p = p.with_vars(vars)
     d = p.vars.index(divisor)
@@ -144,23 +138,20 @@ def strict_transform(p, center, branch, vars, e):
     divided by the e-th power of the divisor variable; None when the
     pull-back is not divisible by it."""
     axes = divisor, other = _axes(branch, vars)
-    out = div_power(_remap(p, vars, axes), divisor, e)
-    return None if out is None else out.shift(other, center)
+    out = _remap(p, vars, axes, None, e)
+    return None if common_power([out], divisor) < 0 else out.shift(other, center)
 
 
-def blow_up_form(omega, branch, dicritical, m=None):
+def blow_up_form(omega, branch, e):
     """Strict transform of omega under one blow-up of the origin (see
     _axes, with centre 0).
 
-    Both components are divided by the maximal common power e of the divisor
-    variable; e must be m (non-dicritical) or m+1 (dicritical), with m the
-    multiplicity (computed when not given) and dicritical =
-    classify(omega) == DICRITICAL.  The V1 chart at a point lambda of the
-    divisor is this transform shifted by v -> v + lambda.
+    Both components are divided by the maximal common power of the divisor
+    variable, which must be the expected power e: m at a non-dicritical
+    point and m+1 at a dicritical one, m the multiplicity.  The V1 chart at
+    a point lambda of the divisor is this transform shifted by
+    v -> v + lambda.
     """
-    if m is None:
-        m = multiplicity(omega)
-    e = m + 1 if dicritical else m
     vars = omega.vars
     axes = divisor, other = _axes(branch, vars)
     # b can be over a deeper tower than a

@@ -163,15 +163,16 @@ def _divisor_singularities(form, cls, tower):
     of the V1 strict transform.  The V1 chart at lambda is the chart at 0
     shifted by v -> v + lambda."""
     u, v = form.vars
-    dicritical = cls == DICRITICAL
+    # the divisor power a blow-up removes: m, and m+1 at a dicritical point
     m = multiplicity(form)
+    e = m + 1 if cls == DICRITICAL else m
     children = []
-    strict2 = blow_up_form(form, V2, dicritical, m)
+    strict2 = blow_up_form(form, V2, e)
     if strict2.a.coefficient((0, 0)).is_zero() and strict2.b.coefficient(
         (0, 0)
     ).is_zero():
         children.append((V2, 0, strict2))
-    strict1 = blow_up_form(form, V1, dicritical, m)
+    strict1 = blow_up_form(form, V1, e)
     na0 = strict1.a.restrict(u, 0).with_vars((v,))
     nb0 = strict1.b.restrict(u, 0).with_vars((v,))
     g = poly_gcd(na0, nb0)

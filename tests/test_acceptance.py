@@ -366,15 +366,17 @@ def test_acceptance_6c_blow_up_divisibility_random_forms():
         om = LocalOneForm(a, b, vars)
         if om.a.is_zero() and om.b.is_zero():
             continue
-        if multiplicity(om) < 1:
+        m = multiplicity(om)
+        if m < 1:
             continue
+        e = m + 1 if char_poly(om, m).is_zero() else m
         for branch in (V1, V2):
             # the exceptional power removed must be m, or m + 1 at a
             # dicritical point; anything else raises DivisibilityViolation.
             # A V1 chart at lambda != 0 is this transform shifted, which
             # removes no power of the divisor.
             try:
-                out = blow_up_form(om, branch, char_poly(om).is_zero())
+                out = blow_up_form(om, branch, e)
             except DivisibilityViolation as exc:
                 pytest.fail(f"divisibility violated for {a}, {b}: {exc}")
             assert not (out.a.is_zero() and out.b.is_zero())
