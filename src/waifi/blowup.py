@@ -1,10 +1,10 @@
 """Local blow-ups of 1-forms and curves: strict transforms, characteristic
 polynomials and singularity classification.
 
-All local data lives at an origin of a two-variable chart.  Blowing up at a
-divisor coordinate lambda recentres first, so every blow-up is a blow-up at
-the local origin; the V1 chart keeps the first variable as the divisor
-equation, the V2 chart keeps the second.
+All local data lives at an origin of a chart with coordinates UV = (u, v).
+Blowing up at a divisor coordinate lambda recentres first, so every blow-up
+is a blow-up at the local origin; the V1 chart keeps u as the divisor
+equation, the V2 chart keeps v.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from .poly import MultiPoly
 V1 = "V1"
 V2 = "V2"
 
+UV = ("u", "v")  # the local coordinates at every point
+
 NONSINGULAR = "nonsingular"
 SIMPLE = "simple"
 ORDINARY = "ordinary-nondicritical"
@@ -31,15 +33,10 @@ class DivisibilityViolation(WaifiError, RuntimeError):
 
 @dataclass(frozen=True)
 class LocalOneForm:
-    """a d(first) + b d(second) at a chart origin."""
+    """a du + b dv at a chart origin."""
 
     a: MultiPoly
     b: MultiPoly
-    vars: tuple
-
-    def __post_init__(self):
-        if tuple(sorted(self.vars)) != self.vars:
-            raise ValueError("local variables must be given in sorted order")
 
     def is_zero(self):
         return self.a.is_zero() and self.b.is_zero()
@@ -64,13 +61,13 @@ def char_poly(omega, m):
     tower = omega.a.tower.join(omega.b.tower)
     terms = {}
     for p, (di, dj) in ((omega.b, (0, 1)), (omega.a, (1, 0))):
-        p = p.with_vars(omega.vars).lift_to(tower)
+        p = p.with_vars(UV).lift_to(tower)
         for (i, j), c in p.terms.items():
             if i + j == m:
                 e = (i + di, j + dj)
                 terms[e] = tower.add(terms[e], c) if e in terms else c
     terms = {e: c for e, c in terms.items() if not tower.is_zero(c)}
-    return MultiPoly(omega.vars, terms, tower)
+    return MultiPoly(UV, terms, tower)
 
 
 def div_power(p, var, e):
@@ -94,8 +91,8 @@ def common_power(polys, var):
     return e
 
 
-def _axes(branch, vars):
-    """(divisor, other) of one blow-up of the origin of vars = (u, v).
+def _axes(branch):
+    """(divisor, other) of one blow-up of the origin of (u, v).
 
     V1 pulls back along (u, v) -> (u, u (v + center)) and keeps u = 0 as
     the divisor; V2 along (u, v) -> (v (u + center), v) and keeps v = 0.
@@ -103,15 +100,14 @@ def _axes(branch, vars):
     pull-back is the exponent map of _remap followed by the Taylor shift
     other -> other + center.
     """
-    u, v = vars
     if branch == V1:
-        return u, v
+        return UV
     if branch == V2:
-        return v, u
+        return UV[::-1]
     raise ValueError("branch must be V1 or V2")
 
 
-def _remap(p, vars, axes, times, less):
+def _remap(p, axes, times, less):
     """p under the monomial part of the chart map with axes (divisor,
     other), (i, j) -> (i + j, j) on V1 and (i, i + j) on V2 in the exponents
     of (u, v), multiplied by the chart variable named times (if any) and
@@ -119,7 +115,7 @@ def _remap(p, vars, axes, times, less):
     checks the division: a negative divisor exponent left means the
     pull-back was not divisible."""
     divisor, other = axes
-    p = p.with_vars(vars)
+    p = p.with_vars(UV)
     d = p.vars.index(divisor)
     o = p.vars.index(other)
     bump_d = int(times == divisor) - less
@@ -133,12 +129,12 @@ def _remap(p, vars, axes, times, less):
     return MultiPoly(p.vars, terms, p.tower)
 
 
-def strict_transform(p, center, branch, vars, e):
+def strict_transform(p, center, branch, e):
     """The pull-back of p through the chart of branch at center (see _axes)
     divided by the e-th power of the divisor variable; None when the
     pull-back is not divisible by it."""
-    axes = divisor, other = _axes(branch, vars)
-    out = _remap(p, vars, axes, None, e)
+    axes = divisor, other = _axes(branch)
+    out = _remap(p, axes, None, e)
     return None if common_power([out], divisor) < 0 else out.shift(other, center)
 
 
@@ -152,28 +148,27 @@ def blow_up_form(omega, branch, e):
     a point lambda of the divisor is this transform shifted by
     v -> v + lambda.
     """
-    vars = omega.vars
-    axes = divisor, other = _axes(branch, vars)
+    axes = divisor, other = _axes(branch)
     # b can be over a deeper tower than a
     a, b = omega.a, omega.b.lift_to(omega.a.tower.join(omega.b.tower))
     # a du + b dv pulls back to (a + v b) du + u b dv on V1 and
     # v a du + (u a + b) dv on V2; each part comes divided by the expected
     # power e of the divisor, so the least exponent left must be 0
     if branch == V1:
-        na = _remap(a, vars, axes, None, e) + _remap(b, vars, axes, other, e)
-        nb = _remap(b, vars, axes, divisor, e)
+        na = _remap(a, axes, None, e) + _remap(b, axes, other, e)
+        nb = _remap(b, axes, divisor, e)
     else:
-        na = _remap(a, vars, axes, divisor, e)
-        nb = _remap(a, vars, axes, other, e) + _remap(b, vars, axes, None, e)
+        na = _remap(a, axes, divisor, e)
+        nb = _remap(a, axes, other, e) + _remap(b, axes, None, e)
     removed = e + common_power([na, nb], divisor)
     if removed != e:
         raise DivisibilityViolation(
             f"removed exceptional power {removed}, expected {e}"
         )
-    return LocalOneForm(na, nb, vars)
+    return LocalOneForm(na, nb)
 
 
-def blow_up_curve(equation, center, branch, vars):
+def blow_up_curve(equation, center, branch):
     """Strict transform of a local curve under the same blow-up maps.
 
     Divides the pull-back by the divisor variable to the multiplicity of the
@@ -182,7 +177,7 @@ def blow_up_curve(equation, center, branch, vars):
     mult = equation.order()
     if mult is None:
         raise ValueError("zero curve cannot be tracked")
-    out = strict_transform(equation, center, branch, vars, mult)
+    out = strict_transform(equation, center, branch, mult)
     if out is None:
         raise DivisibilityViolation("curve pull-back not divisible to multiplicity")
     return out
@@ -213,21 +208,18 @@ def _ratio_in_positive_rationals(T, Delta):
     return s >= 2 and _is_rational_square(s * s - 4)
 
 
-def classify(omega):
-    """One of nonsingular / simple / ordinary-nondicritical / dicritical."""
-    if omega.is_zero():
-        raise ValueError("zero 1-form")
-    m = multiplicity(omega)
+def classify(omega, m):
+    """One of nonsingular / simple / ordinary-nondicritical / dicritical,
+    m the multiplicity."""
     if m == 0:
         return NONSINGULAR
     if char_poly(omega, m).is_zero():
         return DICRITICAL
     if m != 1:
         return ORDINARY
-    u, v = omega.vars
     # linear part of the dual vector field (p, q) = (b, -a)
-    p1 = omega.b.initial_form(1).with_vars(omega.vars)
-    q1 = (-omega.a).initial_form(1).with_vars(omega.vars)
+    p1 = omega.b.initial_form(1).with_vars(UV)
+    q1 = (-omega.a).initial_form(1).with_vars(UV)
     a11 = p1.coefficient((1, 0))
     a12 = p1.coefficient((0, 1))
     a21 = q1.coefficient((1, 0))

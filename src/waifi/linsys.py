@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blowup import V1, V2, strict_transform
+from .blowup import UV, V1, V2, strict_transform
 from .errors import InputError, WaifiError
 from .factor import plane_common_zeros, roots_in_extension
 from .field import MAX_TOWER_DEGREE, FieldElement, QQ_TOWER, Tower
@@ -20,10 +20,7 @@ from .infnear import Cluster
 from .linalg import nullspace
 from .poly import MultiPoly, poly_gcd
 from .reduction import MAX_DEPTH, walk_resolution
-from .vfield import ProjectiveOneForm, chart_at, dehomogenize
-
-
-UV = ("u", "v")  # the local variables at every point of a cluster
+from .vfield import ProjectiveOneForm, dehomogenize, localize
 
 
 class EmptySystem(ValueError):
@@ -49,19 +46,6 @@ def degree_monomials(m):
     return out
 
 
-def _localize(curves, triple, tower):
-    """Local equations of curves at a plane point, polynomials in (u, v)
-    on its chart (vfield.chart_at)."""
-    one, centre = chart_at(tuple(tower.element(c) for c in triple))
-    out = []
-    for F in curves:
-        local = dehomogenize(F.lift_to(tower), one, UV)
-        for var, c in zip(UV, centre):
-            local = local.shift(var, c)
-        out.append(local.with_vars(UV))
-    return out
-
-
 def _child_transforms(eqs, mu, conf, pid):
     """(child id, the strict transforms of eqs divided by the divisor to the
     power mu, None where not divisible) for each child of pid, recentred at
@@ -69,7 +53,7 @@ def _child_transforms(eqs, mu, conf, pid):
     for cid in conf.children(pid):
         child = conf.point(cid)
         lam = 0 if child.coordinate is None else child.coordinate
-        yield cid, [strict_transform(eq, lam, child.branch, UV, mu) for eq in eqs]
+        yield cid, [strict_transform(eq, lam, child.branch, mu) for eq in eqs]
 
 
 def linear_system(m, K):
@@ -125,7 +109,7 @@ def linear_system(m, K):
         triple = conf.point(rid).coordinate
         if not isinstance(triple, tuple):
             raise ValueError(f"no plane location for root point {rid}")
-        walk(rid, range(U), _localize(curves, triple, tower))
+        walk(rid, range(U), localize(curves, tuple(map(tower.element, triple))))
 
     # with no constraint every monomial is free: the unit vectors over tower
     vectors = nullspace(constraints or [[FieldElement.rational(0, tower)] * U])
@@ -177,7 +161,7 @@ def pencil_base_points(F1, F2, max_depth=MAX_DEPTH, max_tower_degree=MAX_TOWER_D
         dehomogenize(F2),
         Tower((), max_degree=max_tower_degree),
     )
-    roots = [(t, {}, tuple(_localize((F1, F2), t, tower))) for t in triples]
+    roots = [(t, {}, tuple(localize((F1, F2), t))) for t in triples]
     conf, tower, records, _, _ = walk_resolution(
         roots, _generic_multiplicity, _base_point_children, tower, max_depth, "base points"
     )
@@ -224,7 +208,7 @@ def _base_point_children(fg, record, tower):
         centers.insert(0, (V2, FieldElement.rational(0, tower)))
     children = []
     for branch, center in centers:
-        child = tuple(strict_transform(h, center, branch, UV, mP) for h in (f, g))
+        child = tuple(strict_transform(h, center, branch, mP) for h in (f, g))
         children.append((branch, center, child))
     return children, tower
 
@@ -245,7 +229,7 @@ def _verify_generic_member(F1, F2, bp):
         if all(
             _check_member(loc, conf, rid, bp.multiplicities)
             for rid in conf.roots()
-            for loc in _localize([G], conf.point(rid).coordinate, bp.tower)
+            for loc in localize([G], conf.point(rid).coordinate)
         ):
             return
     raise NoGenericMember(f"no member F1 + t*F2 with t = 1..{tries} is generic")

@@ -44,6 +44,11 @@ MAX_POWER_BITS = 100_000
 #: error, raised before it is expanded: (x+y+z+X+Y+Z)^1000 has degree 1000
 MAX_TERMS = 10_000
 
+#: a power whose term bound times coefficient bit bound exceeds this is a
+#: syntax error, raised before it is expanded: (2^7000*x+y+z+X+Y+Z)^13 is
+#: under both caps above, with 8568 terms of up to 91,034 bits
+MAX_POWER_SIZE = 10_000_000
+
 
 class PolySyntaxError(WaifiError, ValueError):
     """Raised by parse_poly with line/column information."""
@@ -822,8 +827,9 @@ class _Parser:
             at = self.pos
             self.pos += 1
             factor = self._factor()
-            self._check_degree(_degree(result) + _degree(factor), at)
-            self._check_terms(len(result) * len(factor), at)
+            degree = _degree(result) + _degree(factor)
+            self._cap("total degree {}", degree, MAX_DEGREE, at)
+            self._cap("term bound {}", len(result) * len(factor), MAX_TERMS, at)
             result = _times(result, factor, QQ_TOWER)
         return result
 
@@ -833,24 +839,21 @@ class _Parser:
             at = self.pos
             self.pos += 1
             k = self._int()
-            self._check_degree(_degree(base) * k, at)
-            self._check_terms(_power_terms(base, k), at)
+            # the degree first: it keeps the term bound's binomials small
+            self._cap("total degree {}", _degree(base) * k, MAX_DEGREE, at)
+            terms = _power_terms(base, k)
+            self._cap("term bound {}", terms, MAX_TERMS, at)
             bits = _power_bits(base, k)
-            if bits > MAX_POWER_BITS:
-                self._error(
-                    f"coefficient bound {bits} bits exceeds cap {MAX_POWER_BITS}",
-                    pos=at,
-                )
+            self._cap("coefficient bound {} bits", bits, MAX_POWER_BITS, at)
+            self._cap("size bound {} bit-terms", terms * bits, MAX_POWER_SIZE, at)
             base = _power(base, k, QQ_TOWER, len(ALLOWED_VARS))
         return base
 
-    def _check_degree(self, degree, pos):
-        if degree > MAX_DEGREE:
-            self._error(f"total degree {degree} exceeds cap {MAX_DEGREE}", pos=pos)
-
-    def _check_terms(self, terms, pos):
-        if terms > MAX_TERMS:
-            self._error(f"term bound {terms} exceeds cap {MAX_TERMS}", pos=pos)
+    def _cap(self, bound, value, cap, pos):
+        """A syntax error at pos when value exceeds cap; bound names the
+        value, with {} where it goes."""
+        if value > cap:
+            self._error(f"{bound.format(value)} exceeds cap {cap}", pos=pos)
 
     def _primary(self):
         ch = self._peek()

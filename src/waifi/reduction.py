@@ -16,6 +16,7 @@ from .blowup import (
     LocalOneForm,
     NONSINGULAR,
     SIMPLE,
+    UV,
     V1,
     V2,
     blow_up_form,
@@ -32,7 +33,7 @@ from .factor import (
 from .field import MAX_TOWER_DEGREE, Tower
 from .infnear import Configuration, InfNearPoint, export_proximity_graph
 from .poly import MultiPoly, poly_gcd
-from .vfield import ProjectiveOneForm, chart_at, dehomogenize, restrict_to_chart
+from .vfield import ProjectiveOneForm, chart_at, dehomogenize, localize
 
 #: the default blow-up depth budget (--max-depth)
 MAX_DEPTH = 64
@@ -79,15 +80,6 @@ class ReductionResult:
                 str(pid): cls for pid, cls in self.classification.items()
             },
         }
-
-
-def _translate(form, shifts):
-    """Recentre form at a plane point: w -> w + c for each nonzero shift."""
-    a, b = form.a, form.b
-    for w, c in shifts.items():
-        if not c.is_zero():
-            a, b = a.shift(w, c), b.shift(w, c)
-    return LocalOneForm(a, b, form.vars)
 
 
 def _child_axes(tracked, label, branch, center):
@@ -149,22 +141,23 @@ def walk_resolution(roots, keep, expand, tower, max_depth, what):
 
 
 def _keep_singular(form):
-    """The class of a point the reduction blows up; None for nonsingular and
-    simple points."""
+    """(class, multiplicity) of a point the reduction blows up; None for
+    nonsingular and simple points."""
     if form.is_zero():
         raise NonIsolatedSingularities("a strict transform vanished")
-    cls = classify(form)
-    return None if cls in (NONSINGULAR, SIMPLE) else cls
+    m = multiplicity(form)
+    cls = classify(form, m)
+    return None if cls in (NONSINGULAR, SIMPLE) else (cls, m)
 
 
-def _divisor_singularities(form, cls, tower):
+def _divisor_singularities(form, record, tower):
     """The singular points on the divisor of one blow-up: the V2 origin,
     the single point outside the V1 chart, then the common roots on u = 0
     of the V1 strict transform.  The V1 chart at lambda is the chart at 0
     shifted by v -> v + lambda."""
-    u, v = form.vars
+    u, v = UV
+    cls, m = record
     # the divisor power a blow-up removes: m, and m+1 at a dicritical point
-    m = multiplicity(form)
     e = m + 1 if cls == DICRITICAL else m
     children = []
     strict2 = blow_up_form(form, V2, e)
@@ -181,7 +174,7 @@ def _divisor_singularities(form, cls, tower):
     lam_roots, tower = roots_in_extension(g, tower)
     for lam in lam_roots:
         a, b = strict1.a.shift(v, lam), strict1.b.shift(v, lam)
-        children.append((V1, lam, LocalOneForm(a, b, form.vars)))
+        children.append((V1, lam, LocalOneForm(a, b)))
     return children, tower
 
 
@@ -230,18 +223,19 @@ def reduce(omega, max_depth=MAX_DEPTH, max_tower_degree=MAX_TOWER_DEGREE,
         points, tower = affine_common_zeros(start.f, start.g, tower)
     triples = plane_triples(start.at_infinity, points, tower)
 
-    located = [(triple, *chart_at(triple)) for triple in triples]
-    charts = {one: restrict_to_chart(omega, one) for one in {c for _, c, _ in located}}
+    comps = (omega.A, omega.B, omega.C)
     roots = []
-    for triple, one, centre in located:
-        loc = _translate(charts[one], dict(zip(charts[one].vars, centre)))
-        # the line at infinity is the axis z = 0 of the X and Y charts
-        tracked = {} if one == "Z" else {INFINITY_LINE: loc.vars.index("z")}
-        roots.append((triple, tracked, loc))
-    sconf, tower, classes, forms, curves = walk_resolution(
+    for triple in triples:
+        # a chart keeps the components of its two local variables; the line
+        # at infinity is the axis v = 0 of the X and Y charts
+        k = "XYZ".index(chart_at(triple)[0])
+        loc = LocalOneForm(*localize(comps[:k] + comps[k + 1 :], triple))
+        roots.append((triple, {} if k == 2 else {INFINITY_LINE: 1}, loc))
+    sconf, tower, records, forms, curves = walk_resolution(
         roots, _keep_singular, _divisor_singularities, tower, max_depth, "reduction"
     )
 
+    classes = {pid: cls for pid, (cls, _) in records.items()}
     dicritical = frozenset(pid for pid, cls in classes.items() if cls == DICRITICAL)
     closure = set()
     for pid in dicritical:

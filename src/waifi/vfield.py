@@ -1,11 +1,11 @@
-"""Affine polynomial vector fields, their projective 1-forms, chart
-restrictions, invariant curves and cofactors."""
+"""Affine polynomial vector fields, their projective 1-forms, local
+equations at plane points, invariant curves and cofactors."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blowup import LocalOneForm, common_power, div_power
+from .blowup import UV, common_power, div_power
 from .errors import InputError
 from .poly import MultiPoly, poly_gcd
 
@@ -117,19 +117,11 @@ def projectivize(V):
     return ProjectiveOneForm(*(div_power(c, "Z", e) for c in comps))
 
 
-#: chart name -> (set-to-one variable, local variable names in order)
-CHARTS = {
-    "X": ("X", ("y", "z")),
-    "Y": ("Y", ("x", "z")),
-    "Z": ("Z", ("x", "y")),
-}
-
-
 def chart_at(triple):
     """The chart of the plane point (x : y : z), Z if z != 0, else Y if
-    y != 0, else X, and the point's coordinates in that chart, in the order
-    of the chart's variables (CHARTS): the other two coordinates divided by
-    the chart's one.  A coordinate divided by 1 stays on its own tower."""
+    y != 0, else X, and the point's coordinates in that chart: the other
+    two coordinates, in X, Y, Z order, divided by the chart's one.  A
+    coordinate divided by 1 stays on its own tower."""
     x, y, z = triple
     k = 2 if not z.is_zero() else 1 if not y.is_zero() else 0
     w = triple[k]
@@ -137,24 +129,27 @@ def chart_at(triple):
     return "XYZ"[k], centre
 
 
-def restrict_to_chart(omega, chart):
-    """Restrict a reduced form to an affine chart; returns a LocalOneForm in
-    the two chart variables.
+def localize(polys, triple):
+    """Local equations at the plane point triple of the forms polys in X,
+    Y, Z: each dehomogenised on the chart of chart_at(triple), its other
+    two variables named u and v in X, Y, Z order and shifted to the point.
+    A poly stays on its own tower where the point's coordinate is 0.
 
-    Its components share no factor, so no gcd is taken: on chart Z, say, a
-    common factor h of A and B divides XA + YB = -ZC, and h shares no
-    factor with C because the form is reduced, so h is a power of Z, which
-    is 1 on the chart.  A common factor of the dehomogenised components
-    would homogenise to such an h.
+    The two components of a reduced 1-form that a chart keeps share no
+    factor, so no gcd is taken: on chart Z, say, a common factor h of A and
+    B divides XA + YB = -ZC, and h shares no factor with C because the form
+    is reduced, so h is a power of Z, which is 1 on the chart.  A common
+    factor of the dehomogenised components would homogenise to such an h.
     """
-    if chart not in CHARTS:
-        raise ValueError("chart must be one of 'X', 'Y', 'Z'")
-    one_var, (u, v) = CHARTS[chart]
-    others = [w for w in ("X", "Y", "Z") if w != one_var]
-    comps = {"X": omega.A, "Y": omega.B, "Z": omega.C}
-    a = dehomogenize(comps[others[0]], one_var, (u, v))
-    b = dehomogenize(comps[others[1]], one_var, (u, v))
-    return LocalOneForm(a.with_vars((u, v)), b.with_vars((u, v)), (u, v))
+    one, centre = chart_at(triple)
+    out = []
+    for F in polys:
+        local = dehomogenize(F, one, UV)
+        for var, c in zip(UV, centre):
+            if not c.is_zero():
+                local = local.shift(var, c)
+        out.append(local.with_vars(UV))
+    return out
 
 
 def cofactor(V, f):

@@ -7,10 +7,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from test_blowup import parse_uv
 
 from waifi.blowup import (
     DivisibilityViolation,
     LocalOneForm,
+    UV,
     V1,
     V2,
     blow_up_form,
@@ -66,8 +68,8 @@ def main_field():
 
 def proportional(lf, a_str, b_str):
     """The local 1-form equals (a, b) up to one common constant factor."""
-    a = parse_poly(a_str).with_vars(lf.vars)
-    b = parse_poly(b_str).with_vars(lf.vars)
+    a = parse_uv(a_str)
+    b = parse_uv(b_str)
     assert lf.a * b == lf.b * a
     ref, got = (a, lf.a) if not a.is_zero() else (b, lf.b)
     ratio = got.divide_exact(ref)
@@ -94,16 +96,16 @@ def test_acceptance_1_reduction_of_quintic_example():
     assert dicritical_points(res) == [13]
 
     # strict-transform forms along the reduction, up to unit factors
-    proportional(res.local_forms[0], "5*y^4*z", "-5*y^5 - 2*z^3")
-    proportional(res.local_forms[1], "-2*z^4", "-5*y^3 - 2*y*z^3")
-    proportional(res.local_forms[2], "-2*z^2", "-5*y^3 - 4*y*z")
-    proportional(res.local_forms[3], "-5*y*z - 6*z^2", "-5*y^2 - 4*y*z")
-    proportional(res.local_forms[4], "10*z - 10*z^2", "-y - 4*y*z")
-    proportional(res.local_forms[13], "z - 46*y^9*z^2", "-y - 4*y^10*z")
-    proportional(res.local_forms[14], "2*x", "5*y^4")
-    proportional(res.local_forms[15], "2*x*y", "2*x^2 + 5*y^3")
-    proportional(res.local_forms[16], "2*x*y", "4*x^2 + 5*y")
-    proportional(res.local_forms[17], "6*x*y + 5*y^2", "4*x^2 + 5*x*y")
+    proportional(res.local_forms[0], "5*u^4*v", "-5*u^5 - 2*v^3")
+    proportional(res.local_forms[1], "-2*v^4", "-5*u^3 - 2*u*v^3")
+    proportional(res.local_forms[2], "-2*v^2", "-5*u^3 - 4*u*v")
+    proportional(res.local_forms[3], "-5*u*v - 6*v^2", "-5*u^2 - 4*u*v")
+    proportional(res.local_forms[4], "10*v - 10*v^2", "-u - 4*u*v")
+    proportional(res.local_forms[13], "v - 46*u^9*v^2", "-u - 4*u^10*v")
+    proportional(res.local_forms[14], "2*u", "5*v^4")
+    proportional(res.local_forms[15], "2*u*v", "2*u^2 + 5*v^3")
+    proportional(res.local_forms[16], "2*u*v", "4*u^2 + 5*v")
+    proportional(res.local_forms[17], "6*u*v + 5*v^2", "4*u^2 + 5*u*v")
     budget.check()
 
 
@@ -352,18 +354,17 @@ def test_acceptance_6b_noether_and_proximity_on_random_pencils():
 
 def test_acceptance_6c_blow_up_divisibility_random_forms():
     rng = random.Random(9)
-    vars = ("y", "z")
 
     def rand_poly():
         terms = {}
         for _ in range(rng.randint(1, 5)):
             terms[(rng.randint(0, 3), rng.randint(0, 3))] = rng.randint(-4, 4)
-        return MultiPoly.from_coeff_dict(vars, {e: c for e, c in terms.items() if c})
+        return MultiPoly.from_coeff_dict(UV, {e: c for e, c in terms.items() if c})
 
     checked = 0
     while checked < 100:
         a, b = rand_poly(), rand_poly()
-        om = LocalOneForm(a, b, vars)
+        om = LocalOneForm(a, b)
         if om.a.is_zero() and om.b.is_zero():
             continue
         m = multiplicity(om)

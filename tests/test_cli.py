@@ -409,9 +409,9 @@ def test_divisibility_violation_exit_code(tmp_path, capsys, monkeypatch):
 
     real = reduction.classify
 
-    def mislabel(form):
+    def mislabel(form, m):
         # an ordinary point called dicritical: its blow-up removes m, not m+1
-        cls = real(form)
+        cls = real(form, m)
         return DICRITICAL if cls == ORDINARY else cls
 
     monkeypatch.setattr(reduction, "classify", mislabel)
@@ -459,7 +459,7 @@ def test_split_required_exit_code(tmp_path, capsys, monkeypatch):
     import waifi.reduction as reduction
     from waifi.field import SplitRequired
 
-    def split(form):
+    def split(form, m):
         # x^2 - 1 = (x - 1)(x + 1) found while inverting at level 1
         one = Fraction(1)
         raise SplitRequired(1, ((-one, one), (one, one)))
@@ -578,6 +578,10 @@ def test_a_power_past_the_degree_cap_is_one_error_line(tmp_path, capsys):
     [
         ("2^99999999999", "coefficient bound 100000000000 bits exceeds cap 100000"),
         ("(x+y+z+X+Y+Z)^1000", "term bound 8459043543951 exceeds cap 10000"),
+        (
+            "(2^7000*x+y+z+X+Y+Z)^13",
+            "size bound 779979312 bit-terms exceeds cap 10000000",
+        ),
     ],
 )
 def test_a_power_past_the_size_caps_is_one_error_line(tmp_path, capsys, power, message):

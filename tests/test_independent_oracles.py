@@ -19,6 +19,11 @@ and are checked in plain sympy:
 
 On every certified field `poincare` exits 0 at the budgets `integrate` ran
 with and prints the same degree.
+
+- Metamorphic invariance: the field mirrored in x = y, (q(y, x), p(y, x)),
+  and the field times -2 get the same exit code and last line of output,
+  and their printed integrals are a*H + b for the integral H of (p, q).
+  The mirror moves points at infinity between the charts X and Y.
 """
 
 import contextlib
@@ -206,3 +211,46 @@ def test_planted_curves_with_one_place_at_infinity_certify(H):
     assert G.free_symbols <= {X, Y}
     assert n <= sympy.Poly(H, X, Y).total_degree()
     assert is_polynomial_in(H, G)
+
+
+# -- metamorphic invariance ---------------------------------------------------
+
+MIRROR = {X: Y, Y: X}
+
+
+def is_affine_in(G, H):
+    """Whether G = a*H + b for rationals a != 0 and b."""
+    g, h = (sympy.Poly(f, X, Y).as_dict() for f in (G, H))
+    e = next(e for e in h if any(e))
+    a = g.get(e, 0) / h[e]
+    return a != 0 and not sympy.expand(G - a * H).free_symbols
+
+
+def assert_invariant(p, q, *budget):
+    """integrate on (p, q), on its mirror and on (-2p, -2q), at the flags
+    budget: the same exit code and last stdout line, and on exit 0 integrals
+    that are affine in each other once the mirror's is mirrored back."""
+    fields = [(p, q), (q.xreplace(MIRROR), p.xreplace(MIRROR)), (-2 * p, -2 * q)]
+    runs = [run("integrate", f, g, *budget) for f, g in fields]
+    code, out, _ = runs[0]
+    where = f"p = {p}, q = {q}"
+    for other, other_out, _ in runs[1:]:
+        assert (other, other_out.splitlines()[-1:]) == (code, out.splitlines()[-1:]), where
+    if code == 0:
+        H = printed_integral(out)[0]
+        mirrored = printed_integral(runs[1][1])[0].xreplace(MIRROR)
+        scaled = printed_integral(runs[2][1])[0]
+        assert is_affine_in(mirrored, H) and is_affine_in(scaled, H), where
+    return code
+
+
+def test_random_fields_are_invariant_under_mirror_and_scaling():
+    rng = random.Random(7)
+    codes = {assert_invariant(*random_field(rng), *BUDGET) for _ in range(100)}
+    assert codes == {0, 1, 2}
+
+
+@settings(max_examples=10, deadline=None)
+@given(planted_integrals())
+def test_planted_fields_are_invariant_under_mirror_and_scaling(H):
+    assert assert_invariant(-sympy.diff(H, Y), sympy.diff(H, X)) == 0

@@ -15,7 +15,6 @@ from waifi.linalg import nullspace
 from waifi.linsys import (
     CommonComponent,
     EmptySystem,
-    _localize,
     degree_monomials,
     linear_system,
     pencil_base_points,
@@ -23,7 +22,7 @@ from waifi.linsys import (
 )
 from waifi.poly import MultiPoly, parse_poly
 from waifi.reduction import reduce
-from waifi.vfield import AffineVectorField, dehomogenize, projectivize
+from waifi.vfield import AffineVectorField, dehomogenize, localize, projectivize
 
 
 def pt(pid, parent, branch, coordinate, prox):
@@ -148,7 +147,7 @@ def test_pencil_first_member_not_generic():
         if conf.point(rid).coordinate[:2] == (0, 0)
     ]
     for t, generic in ((1, False), (2, True)):
-        (loc,) = _localize([F1 + t * F2], conf.point(origin).coordinate, bp.tower)
+        (loc,) = localize([F1 + t * F2], conf.point(origin).coordinate)
         assert (loc.order() == bp.multiplicities[origin]) == generic
 
 
@@ -314,7 +313,7 @@ def reference_linear_system(m, K):
         for cid in conf.children(pid):
             child = conf.point(cid)
             lam = 0 if child.coordinate is None else child.coordinate
-            child_eq = strict_transform(pruned, lam, child.branch, ("u", "v"), mu)
+            child_eq = strict_transform(pruned, lam, child.branch, mu)
             assert child_eq is not None, "not divisible after pruning"
             walk(cid, child_eq)
 

@@ -14,6 +14,7 @@ from waifi.poly import (
     MAX_DEGREE,
     MAX_NESTING,
     MAX_POWER_BITS,
+    MAX_POWER_SIZE,
     MAX_TERMS,
     MultiPoly,
     PolySyntaxError,
@@ -161,6 +162,23 @@ def test_parse_term_cap():
             parse_poly(text)
         assert (exc.value.line, exc.value.column) == (1, column)
         assert f"cap {MAX_TERMS}" in str(exc.value)
+
+
+def test_parse_power_size_cap():
+    # a power under both the term and the bit cap is still refused at its
+    # '^' when terms times bits exceed the size cap; (x + 1)^1000 and
+    # (x+y+z+X+Y+Z)^12 are about 1.0 M and 0.2 M bit-terms
+    assert len(parse_poly("(x + 1)^1000").terms) == 1001
+    assert len(parse_poly("(2^80*x+y+z+X+Y+Z)^13").terms) == 8568
+    for text, column in (
+        ("(2^7000*x+y+z+X+Y+Z)^13", 21),
+        ("x + (2^7000*x+y+z+X+Y+Z)^13 + (2^7000*x+y+z+X+Y+Z)^13", 25),
+        ("(2^1000*x+y+1)^50", 15),
+    ):
+        with pytest.raises(PolySyntaxError, match="bit-terms exceeds cap") as exc:
+            parse_poly(text)
+        assert (exc.value.line, exc.value.column) == (1, column)
+        assert f"cap {MAX_POWER_SIZE}" in str(exc.value)
 
 
 def test_integers_past_the_str_digit_limit_print_whole():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from waifi.blowup import DICRITICAL, ORDINARY, SIMPLE, V1, V2, blow_up_curve
+from waifi.blowup import DICRITICAL, ORDINARY, SIMPLE, UV, V1, V2, blow_up_curve
 from waifi.field import FieldElement, QQ_TOWER, Tower
 from waifi.poly import MultiPoly, parse_poly
 from waifi.infnear import Configuration, InfNearPoint
@@ -77,13 +77,13 @@ def test_infinity_line_is_tracked():
     assert {"E0", "E1"} <= set(res.tracked_curves[2])
 
 
-def reference_track_curves(tracked, label, center, branch, vars):
+def reference_track_curves(tracked, label, center, branch):
     """Curves through the origin of a new chart as polynomials: the divisor
     of the blow-up, under label, then the strict transforms of the tracked
     curves that still pass through it."""
-    out = {label: MultiPoly.variable(vars[0] if branch == V1 else vars[1])}
+    out = {label: MultiPoly.variable(UV[0] if branch == V1 else UV[1])}
     for name, eq in tracked.items():
-        new_eq = blow_up_curve(eq, center, branch, vars)
+        new_eq = blow_up_curve(eq, center, branch)
         o = new_eq.order()
         if o is not None and o >= 1:
             out[name] = new_eq
@@ -108,15 +108,14 @@ steps = st.one_of(
 def test_axis_rule_matches_curve_tracking(start, chain):
     # the axes of a root chart, tracked both ways through a chain of
     # blow-ups at the origins of successive charts
-    vars = ("y", "z")
     axes = {f"L{axis}": axis for axis in start}
-    curves = {name: MultiPoly.variable(vars[axis]) for name, axis in axes.items()}
+    curves = {name: MultiPoly.variable(UV[axis]) for name, axis in axes.items()}
     for k, (branch, center) in enumerate(chain):
-        curves = reference_track_curves(curves, f"E{k}", center, branch, vars)
+        curves = reference_track_curves(curves, f"E{k}", center, branch)
         axes = _child_axes(axes, f"E{k}", branch, center)
         assert set(axes) == set(curves)
         for name, axis in axes.items():
-            assert curves[name] == MultiPoly.variable(vars[axis]).with_vars(vars)
+            assert curves[name] == MultiPoly.variable(UV[axis]).with_vars(UV)
 
 
 def test_cusp_field_structure():
