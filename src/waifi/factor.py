@@ -1,10 +1,10 @@
 """Univariate factorisation and root finding over the rationals and over
 extension towers.
 
-Over the rationals, factorisation and gcds go through sympy's sparse
-integer ring: a polynomial is cleared to integers plus one denominator
-(poly.to_zz), factored over the integers, and the unit is the integer
-content over that denominator, as sympy's own rational factorisation does.
+Over the rationals a polynomial is cleared to integers plus one
+denominator (poly.to_zz) and factored over the integers by Zassenhaus's
+algorithm (waifi.zz.factor); the unit is the signed integer content over
+that denominator.
 Over a proper tower, a squarefree polynomial is first brought down to the
 shortest prefix K_k of the tower that holds its coefficients and factored
 there.  Over K_k it is factored through its norm (_factor_norm): resultants
@@ -30,9 +30,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from . import zz
 from .errors import WaifiError
 from .field import FieldElement
-from .poly import MultiPoly, from_zz, poly_gcd, resultant, to_zz
+from .poly import MultiPoly, poly_gcd, resultant, to_zz
 
 _ZVAR = "@z"
 
@@ -42,12 +43,18 @@ class NoSquarefreeShift(WaifiError, RuntimeError):
 
 
 def _qq_factor(f, var):
-    # sympy factors over the rationals by clearing denominators and
-    # factoring over the integers; doing that here gives the same factors
+    """(unit, [(factor, multiplicity)]) of a univariate f of positive
+    degree over Q: primitive integer factors of positive leading
+    coefficient, in zz.factor's order, and a rational unit."""
     h, den = to_zz(f, (var,))
-    content, factors = h.factor_list()
-    unit = Fraction(int(content), den)
-    return unit, [(from_zz(p, 1, (var,)), m) for p, m in factors]
+    dense = [0] * (max(h)[0] + 1)
+    for (i,), c in h.items():
+        dense[i] = c
+    content, factors = zz.factor(dense)
+    return Fraction(content, den), [
+        (MultiPoly((var,), {(i,): c for i, c in enumerate(p) if c}), m)
+        for p, m in factors
+    ]
 
 
 def univ_factor(f):

@@ -4,25 +4,22 @@ resultants and a small recursive-descent parser for the input grammar.
 Terms are kept in a dict mapping exponent tuples to raw tower values; the
 variable tuple is always sorted, so equal polynomials have equal dicts.
 
-There is one gcd per coefficient domain: rational polynomials go to sympy's
-sparse integer ring, univariate polynomials over a proper tower take
-Euclid's algorithm, and binary forms over a proper tower reduce to Euclid
-through their dehomogenisation.  The resultant splits the same way: sympy's
-over the rationals, scalar Euclid and Newton interpolation over a tower.
+There is one gcd per coefficient domain: rational polynomials are cleared
+to integers and take the heuristic gcd of waifi.zz, univariate polynomials
+over a proper tower take Euclid's algorithm, and binary forms over a proper
+tower reduce to Euclid through their dehomogenisation.  The resultant has
+one path over every tower: scalar subresultant PRS at integer points and
+Newton interpolation, on integer operands over the rationals.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cache
 from math import comb, lcm, log2
 from operator import add
 
-from sympy.polys.domains import ZZ
-from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyRing
-
+from . import zz
 from .errors import WaifiError
 from .field import FieldElement, QQ_TOWER, join_terms, ratio
 
@@ -526,11 +523,11 @@ def poly_gcd(f, g):
     """Exact gcd over the coefficient field, normalised so the lex-leading
     coefficient is 1.  poly_gcd(0, 0) = 0.
 
-    Rational input runs in sympy's integer ring.  Over a proper tower the
-    input must be a pair of univariate polynomials in one variable, which
-    take Euclid's algorithm, or a pair of binary forms, which go through
-    their dehomogenisation; any other pair that shares a variable raises
-    ValueError.
+    Rational input is cleared to integers for waifi.zz.gcd.  Over a proper
+    tower the input must be a pair of univariate polynomials in one
+    variable, which take Euclid's algorithm, or a pair of binary forms,
+    which go through their dehomogenisation; any other pair that shares a
+    variable raises ValueError.
     """
     f, g = MultiPoly._pair(f, g)
     if f.is_zero():
@@ -546,10 +543,10 @@ def poly_gcd(f, g):
         return MultiPoly.constant(1, (), f.tower)
     names = tuple(sorted(set(f.vars) | set(g.vars)))
     if f.tower.depth == 0:
-        # heuristic gcd over the integers; dividing by the lex-leading
-        # coefficient gives the monic gcd over the rationals
-        h = to_zz(f, names)[0].gcd(to_zz(g, names)[0])
-        return from_zz(h, int(h.LC), names)
+        # gcd over the integers; dividing by the lex-leading coefficient
+        # gives the monic gcd over the rationals
+        h = zz.gcd(to_zz(f, names)[0], to_zz(g, names)[0], len(names))
+        return from_zz(h, h[max(h)], names)
     if len(f.effective_vars()) == 1 and f.effective_vars() == g.effective_vars():
         return _euclid_univ_gcd(f, g, shared[0])
     if len(names) == 2 and f.is_homogeneous() and g.is_homogeneous():
@@ -565,28 +562,20 @@ def poly_gcd(f, g):
     raise ValueError("gcd over a tower needs univariate polynomials or binary forms")
 
 
-@cache
-def _zz_ring(names):
-    # built once per generator tuple: every rational gcd and factorisation
-    # asks for a ring, and constructing one is a sizeable part of a small gcd
-    return PolyRing(names, ZZ, lex)
-
-
 def to_zz(p, names):
-    """A rational-coefficient polynomial as (h, den): h in sympy's sparse
-    integer ring on the generators `names` (lex order on them, in any
-    order, holding every variable that occurs in p) and den > 0 the least
-    common denominator, so p = h/den."""
+    """A rational-coefficient polynomial as (h, den): h a dict {exponent
+    tuple on `names`: nonzero int}, for a tuple `names` holding every
+    variable that occurs in p, and den > 0 the least common denominator, so
+    p = h/den."""
     p = p._on_vars(names)
     den = lcm(*(c.denominator for c in p.terms.values()))
-    rep = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-    return _zz_ring(names).from_dict(rep), den
+    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
 
 
 def from_zz(h, den, names):
-    """Inverse of to_zz: h/den as a MultiPoly in `names`, for h in the
-    integer ring on `names` and a non-zero integer den."""
-    terms = {e: ratio(int(c), den) for e, c in h.items()}
+    """Inverse of to_zz: h/den as a MultiPoly in `names`, for an int dict h
+    on `names` and a non-zero integer den."""
+    terms = {e: ratio(c, den) for e, c in h.items()}
     return MultiPoly(names, terms, QQ_TOWER)
 
 
@@ -614,11 +603,11 @@ def resultant(f, g, var):
     lc(f)^deg(g) * prod g(roots of f).
 
     Both polynomials must involve at most one variable besides var, the
-    parameter; the result is a polynomial in it (or a constant).  Over the
-    rationals with a parameter it is sympy's integer resultant.  Otherwise
-    the coefficients of var are dense lists in the parameter; Newton
-    interpolation runs through scalar Euclid resultants at bound + 1 of the
+    parameter; the result is a polynomial in it (or a constant).  The
+    coefficients of var are dense lists in the parameter; Newton
+    interpolation runs through scalar resultants at bound + 1 of the
     integers 0, 1, -1, 2, ... where neither leading coefficient vanishes.
+    Over the rationals the operands are first cleared to integers.
     """
     f, g = MultiPoly._pair(f, g)
     tw = f.tower
@@ -632,13 +621,11 @@ def resultant(f, g, var):
     if len(others) > 1:
         raise ValueError("resultant supports at most one parameter variable")
     (param,) = others or (None,)
-    if tw.depth == 0 and param is not None:
-        # in sympy's integer ring, Res(den_f*f, den_g*g) = den_f^n den_g^m
-        # Res(f, g); sympy 1.14 has the sign wrong when m < n are both odd,
-        # so it gets the operand of higher degree first
-        (F, den_f), (G, den_g) = (to_zz(p, (var, param)) for p in (f, g))
-        h = F.resultant(G) if m >= n else (-1) ** (m * n) * G.resultant(F)
-        return from_zz(h, den_f**n * den_g**m, (param,))
+    den = 1
+    if tw.depth == 0:
+        # Res(den_f f, den_g g) = den_f^n den_g^m Res(f, g)
+        (F, den_f), (G, den_g) = (to_zz(p, p.vars) for p in (f, g))
+        f, g, den = MultiPoly(f.vars, F), MultiPoly(g.vars, G), den_f**n * den_g**m
     fc, gc = _dense(f, var, param, m), _dense(g, var, param, n)
     # the degree in param of the Sylvester determinant is at most bound
     bound = (max(map(len, fc)) - 1) * n + (max(map(len, gc)) - 1) * m
@@ -649,9 +636,11 @@ def resultant(f, g, var):
             points.append(t)
             values.append(_scalar_resultant(tw, a, b))
         t = -t if t > 0 else 1 - t
-    if param is None:
-        return MultiPoly.constant(FieldElement(tw, values[0]))
     coeffs = _newton(tw, points, values)
+    if den != 1:
+        coeffs = [ratio(c, den) for c in coeffs]
+    if param is None:
+        return MultiPoly.constant(FieldElement(tw, coeffs[0]))
     terms = {(k,): c for k, c in enumerate(coeffs) if not tw.is_zero(c)}
     return MultiPoly((param,), terms, tw)
 
@@ -678,33 +667,62 @@ def _horner(tower, col, t):
 
 def _scalar_resultant(tower, a, b):
     """Res(a, b) of dense lists of raw values with nonzero leading entries,
-    by Euclid (Collins 1967; Brown-Traub 1971): Res(a, b) = (-1)^(deg a
-    deg b) lc(b)^(deg a - deg r) Res(b, r) for r = a mod b, and
-    Res(a, c) = c^deg(a) for a constant c."""
-    res = tower.one()
+    by the subresultant PRS (Collins 1967; Brown-Traub 1971; Cohen, A
+    Course in Computational Algebraic Number Theory, alg. 3.3.7).  Each
+    pseudo-remainder is divided by g h^delta, which divides it exactly, so
+    the coefficients grow slowly and integer operands stay integers."""
+    mul, one = tower.mul, tower.one()
+    # an exact quotient: of integers, without a Fraction
+    div = ratio if tower.depth == 0 else tower.div
+
+    def power(x, k):
+        out = one
+        for _ in range(k):
+            out = mul(out, x)
+        return out
+
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = (-1) ** ((len(a) - 1) * (len(b) - 1))
+    g = h = one
     while len(b) > 1:
-        r = tower.pdivmod(a, b, tower.depth)[1]
+        delta, n = len(a) - len(b), len(b) - 1
+        sign *= (-1) ** ((len(a) - 1) * n)
+        # the pseudo-remainder lc(b)^(delta + 1) (a mod b)
+        r = list(a)
+        for k in range(delta, -1, -1):
+            c = r.pop()
+            r = [mul(b[-1], x) for x in r]
+            for i in range(n):
+                r[k + i] = tower.sub(r[k + i], mul(c, b[i]))
+        while r and tower.is_zero(r[-1]):
+            r.pop()
         if not r:
             return tower.zero()
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            res = tower.neg(res)
-        for _ in range(len(a) - len(r)):
-            res = tower.mul(res, b[-1])
-        a, b = b, r
-    for _ in range(len(a) - 1):
-        res = tower.mul(res, b[0])
-    return res
+        scale = mul(g, power(h, delta))
+        a, b = b, [div(x, scale) for x in r]
+        g = a[-1]
+        h = div(power(g, delta), power(h, delta - 1)) if delta else h
+    # Res = sign h^(1 - deg a) lc(b)^deg(a)
+    res = div(power(b[0], len(a) - 1), power(h, len(a) - 2)) if len(a) > 1 else one
+    return res if sign > 0 else tower.neg(res)
 
 
 def _newton(tower, points, values):
     """Coefficients (low to high) of the polynomial of degree below
     len(points) through the raw values at the distinct integer points:
-    divided differences, then the Newton form expanded by Horner's rule."""
+    divided differences, then the Newton form expanded by Horner's rule.
+    Integer values at integer points have integer divided differences, as
+    the remainder of the interpolant by a monic integer polynomial."""
     d, n = list(values), len(points)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            step = Fraction(1, points[i] - points[i - j])
-            d[i] = tower.scalar_mul(step, tower.sub(d[i], d[i - 1]))
+            step, diff = points[i] - points[i - j], tower.sub(d[i], d[i - 1])
+            if tower.depth == 0:
+                d[i] = ratio(diff, step)
+            else:
+                d[i] = tower.scalar_mul(Fraction(1, step), diff)
     zero, coeffs = tower.zero(), [d[-1]]
     for k in range(n - 2, -1, -1):
         # coeffs * (t - points[k]) + d[k]

@@ -105,7 +105,10 @@ def projectivize(V):
     d, so A, B and C share at most the Z of gcd(A, B) = Z gcd(P, Q).
     """
     g = poly_gcd(V.p, V.q)
-    p, q = V.p.divide_exact(g), V.q.divide_exact(g)
+    p, q = V.p, V.q
+    if not g.is_constant():
+        # the gcd is monic: a constant one is 1
+        p, q = p.divide_exact(g), q.divide_exact(g)
     d = max(p.total_degree(), q.total_degree())
     Z = MultiPoly.variable("Z")
     X = MultiPoly.variable("X")

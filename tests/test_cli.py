@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -590,3 +593,38 @@ def test_a_power_past_the_size_caps_is_one_error_line(tmp_path, capsys, power, m
     assert (code, out) == (1, "")
     column = power.rindex("^") + 1
     assert err == f"error: line 1: {message} (line 1, column {column})\n"
+
+
+# -- the runtime needs no sympy ---------------------------------------------
+
+RUNTIME_CASES = {
+    # affine points over Q(sqrt) towers: resultants, factors and gcds
+    "integrate": "p = y + x^3\nq = x - y^3\n",
+    "poincare": "p = 5*y^4\nq = -2*x\n",
+    "dicritical": "p = 2*y\nq = 3*x^2\n",
+    "reduce": "p = -2*y\nq = 1 - 5*x^4\n",
+    "pencil-basepoints": "F1 = X^2 - 2*Y^2 + X*Z\nF2 = Z^2\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUNTIME_CASES))
+def test_runtime_never_imports_sympy(tmp_path, command):
+    # a fresh interpreter: sympy, the tests' oracle, must not be loaded by
+    # importing waifi or by running any subcommand
+    import waifi
+
+    spec = write(tmp_path, RUNTIME_CASES[command])
+    script = (
+        "import contextlib, io, sys\n"
+        "from waifi import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = cli.main([{command!r}, {spec!r}])\n"
+        "print(rc, 'sympy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(waifi.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    rc, loaded = done.stdout.split()
+    assert rc in ("0", "2") and loaded == "False"

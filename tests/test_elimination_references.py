@@ -42,12 +42,12 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import assume, event, example, given, settings, strategies as st
 from test_certificate_first import perturbation, planted_hamiltonians
 from test_poly import QI, QS, QST, as_univariate, field_elements
+from test_zz import sympy_qq_factor
 
 from waifi import factor, linalg
 from waifi.errors import InputError
 from waifi.factor import (
     _factor_squarefree,
-    _qq_factor,
     roots_in_extension,
     squarefree_part,
 )
@@ -724,7 +724,8 @@ def test_resultant_matches_sylvester_determinant(case):
 
 
 # sympy 1.14's integer resultant has the wrong sign when deg f < deg g are
-# both odd; resultant hands it the operand of higher degree first
+# both odd: the parity cases of the workaround resultant needed while it
+# called sympy
 @pytest.mark.parametrize("m, n", [(1, 3), (3, 5), (1, 5), (3, 1), (5, 3)])
 def test_resultant_sign_for_odd_degrees(m, n):
     f = parse_poly(f"x^{m} - y*x + 1/2")
@@ -743,7 +744,7 @@ def reference_factor_squarefree(f, var, tower):
     if f.degree_in(var) <= 1:
         return [f]
     if tower.depth == 0:
-        _, factors = _qq_factor(f, var)
+        _, factors = sympy_qq_factor(f, var)
         return [p.monic() for p, _ in factors]
     sub = Tower(tower.levels[:-1], tower.max_degree)
     mp = tower.levels[-1][1]
