@@ -672,14 +672,20 @@ def _scalar_resultant(tower, a, b):
     pseudo-remainder is divided by g h^delta, which divides it exactly, so
     the coefficients grow slowly and integer operands stay integers."""
     mul, one = tower.mul, tower.one()
-    # an exact quotient: of integers, without a Fraction
-    div = ratio if tower.depth == 0 else tower.div
 
     def power(x, k):
         out = one
         for _ in range(k):
             out = mul(out, x)
         return out
+
+    def divide(xs, s):
+        # the exact quotients x / s: of integers at depth 0, which costs
+        # less than a Fraction product; above it, by one inverse of s
+        if tower.depth == 0:
+            return [ratio(x, s) for x in xs]
+        s = tower.inv(s)
+        return [mul(x, s) for x in xs]
 
     sign = 1
     if len(a) < len(b):
@@ -700,12 +706,12 @@ def _scalar_resultant(tower, a, b):
             r.pop()
         if not r:
             return tower.zero()
-        scale = mul(g, power(h, delta))
-        a, b = b, [div(x, scale) for x in r]
+        a, b = b, divide(r, mul(g, power(h, delta)))
         g = a[-1]
-        h = div(power(g, delta), power(h, delta - 1)) if delta else h
+        if delta:
+            (h,) = divide([power(g, delta)], power(h, delta - 1))
     # Res = sign h^(1 - deg a) lc(b)^deg(a)
-    res = div(power(b[0], len(a) - 1), power(h, len(a) - 2)) if len(a) > 1 else one
+    (res,) = divide([power(b[0], len(a) - 1)], power(h, len(a) - 2))
     return res if sign > 0 else tower.neg(res)
 
 
@@ -719,6 +725,7 @@ def _newton(tower, points, values):
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             step, diff = points[i] - points[i - j], tower.sub(d[i], d[i - 1])
+            # as in _scalar_resultant, an exact integer quotient at depth 0
             if tower.depth == 0:
                 d[i] = ratio(diff, step)
             else:
