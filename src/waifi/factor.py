@@ -1,10 +1,9 @@
 """Univariate factorisation and root finding over the rationals and over
 extension towers.
 
-Over the rationals a polynomial is cleared to integers plus one
-denominator (poly.to_zz) and factored over the integers by Zassenhaus's
-algorithm (waifi.zz.factor); the unit is the signed integer content over
-that denominator.
+Over the rationals a polynomial is cleared to integers (poly.to_zz), and
+its distinct irreducible factors are found over the integers by
+Zassenhaus's algorithm (waifi.zz.factor).
 Over a proper tower, a squarefree polynomial is first brought down to the
 shortest prefix K_k of the tower that holds its coefficients and factored
 there.  Over K_k it is factored through its norm (_factor_norm): resultants
@@ -27,7 +26,6 @@ factored over the new level: a linear cofactor needs no norm.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from . import zz
@@ -43,17 +41,16 @@ class NoSquarefreeShift(WaifiError, RuntimeError):
 
 
 def _qq_factor(f, var):
-    """(unit, [(factor, multiplicity)]) of a univariate f of positive
-    degree over Q: primitive integer factors of positive leading
-    coefficient, in zz.factor's order, and a rational unit."""
-    h, den = to_zz(f, (var,))
+    """The distinct irreducible factors of a univariate f of positive
+    degree over Q, as primitive integer polynomials of positive leading
+    coefficient."""
+    h, _ = to_zz(f, (var,))
     dense = [0] * (max(h)[0] + 1)
     for (i,), c in h.items():
         dense[i] = c
-    content, factors = zz.factor(dense)
-    return Fraction(content, den), [
-        (MultiPoly((var,), {(i,): c for i, c in enumerate(p) if c}), m)
-        for p, m in factors
+    return [
+        MultiPoly((var,), {(i,): c for i, c in enumerate(p) if c})
+        for p in zz.factor(dense)
     ]
 
 
@@ -74,7 +71,7 @@ def univ_factor(f):
     var = eff[0]
     f = f.drop_unused_vars()
     if f.tower.depth == 0:
-        parts = [p for p, _ in _qq_factor(f, var)[1]]
+        parts = _qq_factor(f, var)
     else:
         parts = _factor_squarefree(squarefree_part(f.monic(), var), var, f.tower)
     out = []
@@ -124,8 +121,7 @@ def _factor_norm(f, var, tower):
     if f.degree_in(var) <= 1:
         return [f]
     if tower.depth == 0:
-        _, factors = _qq_factor(f, var)
-        return [p.monic() for p, _ in factors]
+        return [p.monic() for p in _qq_factor(f, var)]
     sub = tower.prefix(tower.depth - 1)
     mp = tower.levels[-1][1]
     # minimal polynomial of the top generator theta, in @z over the lower tower

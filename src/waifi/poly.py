@@ -15,6 +15,7 @@ Newton interpolation, on integer operands over the rationals.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from fractions import Fraction
 from math import comb, lcm, log2
 from operator import add
@@ -29,22 +30,13 @@ ALLOWED_VARS = ("x", "y", "z", "X", "Y", "Z")
 #: caller's stack depth (each level costs the parser four frames)
 MAX_NESTING = 100
 
-#: a power or product of total degree above this is a syntax error, raised
-#: before it is expanded
+#: every '*' and '^' is a syntax error, at its position and before it is
+#: expanded, when bounds computed from its operands pass one of these: the
+#: total degree, the bits of a coefficient (2^99999*2^99999 needs 199,999,
+#: 2^99999*x 100,000) and the work of the whole text (parse_poly)
 MAX_DEGREE = 1000
-
-#: a power whose coefficients may need more bits than this is a syntax
-#: error, raised before it is expanded: 2^99999999999 has degree 0
-MAX_POWER_BITS = 100_000
-
-#: a power or product that may have more terms than this is a syntax
-#: error, raised before it is expanded: (x+y+z+X+Y+Z)^1000 has degree 1000
-MAX_TERMS = 10_000
-
-#: a power whose term bound times coefficient bit bound exceeds this is a
-#: syntax error, raised before it is expanded: (2^7000*x+y+z+X+Y+Z)^13 is
-#: under both caps above, with 8568 terms of up to 91,034 bits
-MAX_POWER_SIZE = 10_000_000
+MAX_BITS = 100_000
+MAX_WORK = 750_000
 
 
 class PolySyntaxError(WaifiError, ValueError):
@@ -498,6 +490,21 @@ def _times(f, g, tower):
     return terms
 
 
+def _chain(k):
+    """The products (i, j) of the k-th power by squaring, in order: each
+    multiplies f^i by f^j, starting from f."""
+    r, s = 0, 1
+    while k:
+        if k & 1:
+            if r:
+                yield r, s
+            r += s
+        k >>= 1
+        if k:
+            yield s, s
+            s *= 2
+
+
 def _power(f, k, tower, nvars):
     """The k-th power of a term dict on nvars variables, by squaring; one
     term over Q in one step."""
@@ -506,14 +513,10 @@ def _power(f, k, tower, nvars):
     if len(f) == 1 and tower.depth == 0:
         ((e, c),) = f.items()
         return {tuple(a * k for a in e): c**k}
-    result = None
-    while k:
-        if k & 1:
-            result = f if result is None else _times(result, f, tower)
-        k >>= 1
-        if k:
-            f = _times(f, f, tower)
-    return result
+    powers = {1: f}
+    for i, j in _chain(k):
+        powers[i + j] = _times(powers[i], powers[j], tower)
+    return powers[k]
 
 
 # -- gcd ------------------------------------------------------------------
@@ -753,9 +756,15 @@ def parse_poly(text):
     primary:= coeff | var | '(' expr ')'
     coeff  := int ['/' int]
 
-    Parentheses nest at most MAX_NESTING deep, and no power or product may
-    have a total degree above MAX_DEGREE.  The result lives on the sorted
-    variables the text names, whether or not they survive cancellation.
+    Parentheses nest at most MAX_NESTING deep, and each '*' and '^' is
+    held to MAX_DEGREE, MAX_BITS and MAX_WORK.  A unit of work is one
+    product of two small coefficients, about 1 us on an Intel Xeon core
+    under CPython 3.11: a product of t and t' terms of up to a and b bits
+    costs t t' (1 + a b / 2^20), five times that with a denominator, a
+    power each product of its squaring chain, and each '*' and '^' also
+    the terms its result may have; (x + 1)^1000 costs 484,712.
+    The result lives on the sorted variables the text names, whether or not
+    they survive cancellation.
     """
     return _Parser(text).parse()
 
@@ -769,30 +778,40 @@ _ONE_EXP = (0,) * len(ALLOWED_VARS)
 _VAR_EXP = {v: tuple(int(v == w) for w in ALLOWED_VARS) for v in ALLOWED_VARS}
 
 
-def _degree(terms):
-    return max(map(sum, terms), default=0)
-
-
-def _power_bits(terms, k):
-    """A bound on the bit length of each numerator and denominator of the
-    k-th power of a term dict f.  With f = F/D for the least common
-    denominator D, each coefficient of F^k is at most (t max|F|)^k for the
-    t terms of F."""
+def _shape(terms):
+    """(t, v, deg, h, q) for a term dict f = F/D over the least common
+    denominator D of its coefficients: its t terms, the v variables they
+    use (0 for one term, whose powers have one term), its total degree,
+    h = log2 max(t max|F|, D), and whether D > 1.  Each numerator and
+    denominator of f^i g^j is at most 2^(i h_f + j h_g)."""
+    if len(terms) == 1:
+        ((e, c),) = terms.items()
+        h = max(log2(abs(c.numerator)), log2(c.denominator))
+        return 1, 0, sum(e), h, c.denominator > 1
     if not terms:
-        return 0
-    den = lcm(*(c.denominator for c in terms.values()))
-    top = len(terms) * max(int(abs(c) * den) for c in terms.values())
-    return int(k * log2(max(top, den))) + 1
+        return 0, 0, 0, 0.0, False
+    values = terms.values()
+    den = lcm(*[c.denominator for c in values])
+    h = log2(max(len(terms) * int(max(map(abs, values)) * den), den))
+    return len(terms), sum(map(any, zip(*terms))), max(map(sum, terms)), h, den > 1
 
 
-def _power_terms(terms, k):
-    """A bound on the number of terms of the k-th power of a term dict: a
-    product of k of its t terms, and a monomial of degree at most k deg f in
-    the variables it uses.  A zeroth power is one term."""
-    if k == 0:
-        return 1
-    nvars = sum(map(any, zip(*terms)))
-    return min(comb(len(terms) + k - 1, k), comb(nvars + k * _degree(terms), nvars))
+def _power_size(shape, k):
+    """Bounds on the terms and the coefficient bits of f^k: a product of k
+    of its t terms (0^0 = 1 has one), and a monomial of degree at most
+    k deg f in its variables.  For any k: a float k h overflows past
+    2^1023."""
+    t, v, deg, h, _ = shape
+    bits = int(k * h if k < 1e300 else k * Fraction(h)) + 1
+    return min(comb(max(t + k - 1, 0), k), comb(v + k * deg, v)), bits
+
+
+@lru_cache(maxsize=1024)
+def _work(f, i, g, j):
+    """The work of the product of f^i and g^j, for the shapes f and g."""
+    (s, a), (t, b) = _power_size(f, i), _power_size(g, j)
+    work = s * t + s * t * a * b // 2**20
+    return 5 * work if f[4] or g[4] else work
 
 
 class _Parser:
@@ -801,6 +820,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.names = set()
+        self.work = 0
 
     def _loc(self, pos=None):
         pos = self.pos if pos is None else pos
@@ -852,9 +872,9 @@ class _Parser:
             at = self.pos
             self.pos += 1
             factor = self._factor()
-            degree = _degree(result) + _degree(factor)
-            self._cap("total degree {}", degree, MAX_DEGREE, at)
-            self._cap("term bound {}", len(result) * len(factor), MAX_TERMS, at)
+            f, g = _shape(result), _shape(factor)
+            size = f[0] * g[0], int(f[3] + g[3]) + 1
+            self._expand(at, f[2] + g[2], size, [(f, 1, g, 1)])
             result = _times(result, factor, QQ_TOWER)
         return result
 
@@ -864,15 +884,21 @@ class _Parser:
             at = self.pos
             self.pos += 1
             k = self._int()
-            # the degree first: it keeps the term bound's binomials small
-            self._cap("total degree {}", _degree(base) * k, MAX_DEGREE, at)
-            terms = _power_terms(base, k)
-            self._cap("term bound {}", terms, MAX_TERMS, at)
-            bits = _power_bits(base, k)
-            self._cap("coefficient bound {} bits", bits, MAX_POWER_BITS, at)
-            self._cap("size bound {} bit-terms", terms * bits, MAX_POWER_SIZE, at)
+            f = _shape(base)
+            products = ((f, i, f, j) for i, j in _chain(k))
+            self._expand(at, f[2] * k, _power_size(f, k), products)
             base = _power(base, k, QQ_TOWER, len(ALLOWED_VARS))
         return base
+
+    def _expand(self, at, degree, size, products):
+        """The one rule for the '*' or '^' at `at`, before it is expanded:
+        its degree, its bits, and the text's work, plus its terms and each
+        f^i g^j of the products (f, i, g, j); size is (terms, bits)."""
+        terms, bits = size
+        self._cap("total degree {}", degree, MAX_DEGREE, at)
+        self._cap("coefficient bound {} bits", bits, MAX_BITS, at)
+        self.work += terms + sum(_work(*p) for p in products)
+        self._cap("work bound {}", self.work, MAX_WORK, at)
 
     def _cap(self, bound, value, cap, pos):
         """A syntax error at pos when value exceeds cap; bound names the

@@ -13,11 +13,12 @@ both operands.  When six values of xi fail, a primitive PRS in the first
 variable (Brown 1971), with contents taken recursively, decides.
 
 factor follows von zur Gathen and Gerhard, Modern Computer Algebra (2013),
-ch. 14-15: content and sign, Yun's squarefree decomposition, and Zassenhaus
-for each squarefree part.  That factors modulo a small prime p (distinct-
-degree, then Cantor-Zassenhaus equal-degree factorisation), lifts the
-factors quadratically (Hensel) to a modulus past twice the Mignotte bound,
-and recombines subsets of them by increasing size.
+ch. 14-15, and returns the distinct irreducible factors: the squarefree part
+f/gcd(f, f') made primitive, then Zassenhaus.  That factors modulo a small
+prime p (distinct-degree, then Cantor-Zassenhaus equal-degree
+factorisation), lifts the factors quadratically (Hensel) to a modulus past
+twice the Mignotte bound, and recombines subsets of them by increasing
+size.
 """
 
 from __future__ import annotations
@@ -166,44 +167,19 @@ def _divide(f, g):
 
 
 def factor(f):
-    """(unit, [(factor, multiplicity)]) for a dense int list f of degree at
-    least 1: unit * prod factor^multiplicity = f, each factor irreducible,
-    primitive and of positive leading coefficient.  The factors come sorted
-    by (degree, multiplicity, coefficients from the highest degree down)."""
-    unit = igcd(*f) if f[-1] > 0 else -igcd(*f)
-    f = [c // unit for c in f]
+    """The distinct irreducible factors over Z of a dense int list f of
+    degree at least 1, each primitive and of positive leading coefficient:
+    the power of x, then Zassenhaus on the squarefree part of the rest."""
     j = next(i for i, c in enumerate(f) if c)
-    out = [([0, 1], j)] if j else []
-    for m, part in _yun(f[j:]):
-        out.extend((p, m) for p in _zassenhaus(part))
-    out.sort(key=lambda pm: (len(pm[0]), pm[1], pm[0][::-1]))
-    return unit, out
-
-
-def _yun(f):
-    """Yun's squarefree decomposition of a primitive f with f(0) != 0:
-    (m, a_m) for the squarefree, pairwise coprime a_m of positive degree
-    and positive leading coefficient with f = prod a_m^m.  Each division is
-    exact over Z, since every divisor is a primitive gcd."""
-    g = _gcd1(f, _deriv(f))
-    c = _exquo(f, g)
-    d = _sub1(_exquo(_deriv(f), g), _deriv(c))
-    out, m = [], 1
-    while len(c) > 1:
-        a = _gcd1(c, d)
-        c = _exquo(c, a)
-        d = _sub1(_exquo(d, a), _deriv(c))
-        if len(a) > 1:
-            out.append((m, a if a[-1] > 0 else [-x for x in a]))
-        m += 1
+    f = f[j:]
+    out = [[0, 1]] if j else []
+    if len(f) > 1:
+        # the squarefree part f / gcd(f, f')
+        h = gcd(*({(i,): c for i, c in enumerate(p) if c} for p in (f, _deriv(f))), 1)
+        part = _exquo(f, [h.get((i,), 0) for i in range(max(h)[0] + 1)])
+        content = igcd(*part) if part[-1] > 0 else -igcd(*part)
+        out.extend(_zassenhaus([c // content for c in part]))
     return out
-
-
-def _gcd1(a, b):
-    if not b:
-        return a
-    h = gcd(*({(i,): c for i, c in enumerate(p) if c} for p in (a, b)), 1)
-    return [h.get((i,), 0) for i in range(max(h)[0] + 1)]
 
 
 def _deriv(f):

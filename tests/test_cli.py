@@ -580,11 +580,11 @@ def test_a_power_past_the_degree_cap_is_one_error_line(tmp_path, capsys):
     "power, message",
     [
         ("2^99999999999", "coefficient bound 100000000000 bits exceeds cap 100000"),
-        ("(x+y+z+X+Y+Z)^1000", "term bound 8459043543951 exceeds cap 10000"),
         (
-            "(2^7000*x+y+z+X+Y+Z)^13",
-            "size bound 779979312 bit-terms exceeds cap 10000000",
+            "(x+y+z+X+Y+Z)^1000",
+            "work bound 186399978757629439460516 exceeds cap 750000",
         ),
+        ("(2^7000*x+y+z+X+Y+Z)^13", "work bound 619134705 exceeds cap 750000"),
     ],
 )
 def test_a_power_past_the_size_caps_is_one_error_line(tmp_path, capsys, power, message):
@@ -593,6 +593,33 @@ def test_a_power_past_the_size_caps_is_one_error_line(tmp_path, capsys, power, m
     assert (code, out) == (1, "")
     column = power.rindex("^") + 1
     assert err == f"error: line 1: {message} (line 1, column {column})\n"
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        # sums of 100 admitted powers: the second one is past the budget
+        (
+            " + ".join(["(x+1)^1000"] * 100),
+            "work bound 969424 exceeds cap 750000 (line 1, column 19)",
+        ),
+        (
+            " + ".join(["(2^80*x+y+z+X+Y+Z)^13"] * 100),
+            "work bound 872270 exceeds cap 750000 (line 1, column 43)",
+        ),
+        # a product of admitted constants: past the bit cap at its first '*'
+        (
+            "*".join(["2^99999"] * 13) + "*x",
+            "coefficient bound 199999 bits exceeds cap 100000 (line 1, column 8)",
+        ),
+    ],
+    ids=["powers-of-x-plus-1", "powers-of-six-terms", "product-of-constants"],
+)
+def test_cheap_text_past_the_parse_bounds_is_one_error_line(
+    tmp_path, capsys, p, message
+):
+    spec = write(tmp_path, f"p = {p}\nq = y\n")
+    assert run(capsys, ["integrate", spec]) == (1, "", f"error: line 1: {message}\n")
 
 
 # -- the runtime needs no sympy ---------------------------------------------

@@ -744,8 +744,7 @@ def reference_factor_squarefree(f, var, tower):
     if f.degree_in(var) <= 1:
         return [f]
     if tower.depth == 0:
-        _, factors = sympy_qq_factor(f, var)
-        return [p.monic() for p, _ in factors]
+        return [p.monic() for p in sympy_qq_factor(f, var)]
     sub = Tower(tower.levels[:-1], tower.max_degree)
     mp = tower.levels[-1][1]
     m_poly = minimal_polynomial(tower)

@@ -12,10 +12,9 @@ from waifi.field import FieldElement, QQ_TOWER, Tower
 from waifi.poly import (
     ALLOWED_VARS,
     MAX_DEGREE,
+    MAX_BITS,
     MAX_NESTING,
-    MAX_POWER_BITS,
-    MAX_POWER_SIZE,
-    MAX_TERMS,
+    MAX_WORK,
     MultiPoly,
     PolySyntaxError,
     UnknownVariable,
@@ -125,60 +124,67 @@ def test_parse_degree_cap():
 
 
 def test_parse_power_bits_cap():
-    # the bound on a power's coefficients is checked at its '^', before the
-    # power is computed; 2^20000 and any power of 1 are read whole
+    # the bound on the coefficients of a power or a product is checked at
+    # its '^' or '*', before it is computed; 2^20000 and any power of 1 are
+    # read whole, also past the exponents a float can hold; the bounds of a
+    # product's operands add, and a factor like x adds none
     assert parse_poly("-(2^20000)") == MultiPoly.constant(-(2**20000))
     assert parse_poly("(-1)^99999999999*x") == -parse_poly("x")
+    assert parse_poly("(-1)^" + "9" * 400) == MultiPoly.constant(-1)
     assert parse_poly("(1/2)^100") == MultiPoly.constant(Fraction(1, 2**100))
-    assert parse_poly(f"2^{MAX_POWER_BITS - 1}") == MultiPoly.constant(
-        2 ** (MAX_POWER_BITS - 1)
-    )
+    assert parse_poly(f"2^{MAX_BITS - 1}") == MultiPoly.constant(2 ** (MAX_BITS - 1))
+    assert parse_poly("2^99999*x") == MultiPoly.constant(2**99999) * parse_poly("x")
+    assert parse_poly("2^50000*2^49999") == MultiPoly.constant(2**99999)
+    assert len(parse_poly("2^99998*(x + y)").terms) == 2
     for text, column in (
         ("2^99999999999", 2),
-        (f"x + 2^{MAX_POWER_BITS}", 6),
+        (f"x + 2^{MAX_BITS}", 6),
         ("3^1000000", 2),
-        (f"(1/2)^{MAX_POWER_BITS}", 6),
+        (f"(1/2)^{MAX_BITS}", 6),
         ("(2^60000*x + 1)^2", 16),
         ("((2^50000)^1)^2", 14),
+        ("2^" + "9" * 400, 2),
+        ("2^99999*2^99999*x", 8),
+        # t max|F| for the two terms of x + y bounds them by 2, one bit
+        ("2^99999*(x + y)", 8),
+        ("x*(2^60000*y + 1)*(2^50000*z + 1)", 18),
+        ("(1/2)^60000*(1/2)^50000", 12),
+        ("(2^60000*x + 1)*(2^40000*y + 1)", 16),
     ):
         with pytest.raises(PolySyntaxError, match="bits exceeds cap") as exc:
             parse_poly(text)
         assert (exc.value.line, exc.value.column) == (1, column)
 
 
-def test_parse_term_cap():
-    # a power is bounded by the products of its terms and by the monomials
-    # of its degree in its variables, a product by t_f * t_g
+def test_parse_work_budget():
+    # each '*' and '^' charges its products before it expands them, against
+    # one budget per parse_poly call: (x + 1)^1000 and (2^80*x+...)^13 fit
+    # alone, and a product of many terms is read when its work fits
+    for _ in range(2):
+        assert len(parse_poly("(x + 1)^1000").terms) == 1001
+    assert len(parse_poly("(2^80*x+y+z+X+Y+Z)^13").terms) == 8568
     assert len(parse_poly("(x+y+z+X+Y+Z)^12").terms) == 6188
     assert len(parse_poly("(x*y*z*X*Y*Z)^166").terms) == 1
-    assert len(parse_poly("(x + 1)^1000").terms) == 1001
+    assert len(parse_poly("(x+y)^100 * (z+X)^100").terms) == 10201
     assert parse_poly("(x - x)^5000").is_zero()
     for text, column in (
         ("(x+y+z+X+Y+Z)^1000", 14),
         ("(x+y+z+X+Y+Z)^20", 14),
-        ("(x+y)^100 * (z+X)^100", 11),
-    ):
-        with pytest.raises(PolySyntaxError, match="exceeds cap") as exc:
-            parse_poly(text)
-        assert (exc.value.line, exc.value.column) == (1, column)
-        assert f"cap {MAX_TERMS}" in str(exc.value)
-
-
-def test_parse_power_size_cap():
-    # a power under both the term and the bit cap is still refused at its
-    # '^' when terms times bits exceed the size cap; (x + 1)^1000 and
-    # (x+y+z+X+Y+Z)^12 are about 1.0 M and 0.2 M bit-terms
-    assert len(parse_poly("(x + 1)^1000").terms) == 1001
-    assert len(parse_poly("(2^80*x+y+z+X+Y+Z)^13").terms) == 8568
-    for text, column in (
         ("(2^7000*x+y+z+X+Y+Z)^13", 21),
-        ("x + (2^7000*x+y+z+X+Y+Z)^13 + (2^7000*x+y+z+X+Y+Z)^13", 25),
         ("(2^1000*x+y+1)^50", 15),
+        ("(x+y+1)^100", 8),
+        ("(1/3*x + 1)^1000", 12),
+        # the budget holds for the whole text: sums and products of
+        # admitted powers
+        ("x + (2^7000*x+y+z+X+Y+Z)^13 + (2^7000*x+y+z+X+Y+Z)^13", 25),
+        ("(x + 1)^1000 + (x + 1)^1000", 23),
+        ("(x+1)^400*(x+1)^400 + (x+1)^400*(x+1)^400", 32),
+        ("(x+y)^100*(z+X)^100*(Y+Z)^100", 20),
     ):
-        with pytest.raises(PolySyntaxError, match="bit-terms exceeds cap") as exc:
+        with pytest.raises(PolySyntaxError, match="work bound") as exc:
             parse_poly(text)
         assert (exc.value.line, exc.value.column) == (1, column)
-        assert f"cap {MAX_POWER_SIZE}" in str(exc.value)
+        assert f"cap {MAX_WORK}" in str(exc.value)
 
 
 def test_integers_past_the_str_digit_limit_print_whole():
