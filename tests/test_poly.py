@@ -156,35 +156,58 @@ def test_parse_power_bits_cap():
         assert (exc.value.line, exc.value.column) == (1, column)
 
 
-def test_parse_work_budget():
-    # each '*' and '^' charges its products before it expands them, against
-    # one budget per parse_poly call: (x + 1)^1000 and (2^80*x+...)^13 fit
-    # alone, and a product of many terms is read when its work fits
-    for _ in range(2):
-        assert len(parse_poly("(x + 1)^1000").terms) == 1001
-    assert len(parse_poly("(2^80*x+y+z+X+Y+Z)^13").terms) == 8568
+def _assert_past_the_work_bound(text, column):
+    with pytest.raises(PolySyntaxError, match="work bound") as exc:
+        parse_poly(text)
+    assert (exc.value.line, exc.value.column) == (1, column)
+    assert f"cap {MAX_WORK}" in str(exc.value)
+
+
+def test_parse_term_cap():
+    # a power or product of many terms is refused at its '^' or '*' by the
+    # work bound, before it is expanded; one of many terms is read when its
+    # work fits
     assert len(parse_poly("(x+y+z+X+Y+Z)^12").terms) == 6188
     assert len(parse_poly("(x*y*z*X*Y*Z)^166").terms) == 1
+    assert len(parse_poly("(x + 1)^1000").terms) == 1001
     assert len(parse_poly("(x+y)^100 * (z+X)^100").terms) == 10201
     assert parse_poly("(x - x)^5000").is_zero()
     for text, column in (
         ("(x+y+z+X+Y+Z)^1000", 14),
         ("(x+y+z+X+Y+Z)^20", 14),
+        ("(x+y+1)^100", 8),
+    ):
+        _assert_past_the_work_bound(text, column)
+
+
+def test_parse_power_size_cap():
+    # the work of a power is weighted by the bits of its coefficients and by
+    # denominators, so a power under the term and bit bounds is still
+    # refused at its '^' when its coefficients are large
+    assert len(parse_poly("(x + 1)^1000").terms) == 1001
+    assert len(parse_poly("(2^80*x+y+z+X+Y+Z)^13").terms) == 8568
+    for text, column in (
         ("(2^7000*x+y+z+X+Y+Z)^13", 21),
         ("(2^1000*x+y+1)^50", 15),
-        ("(x+y+1)^100", 8),
         ("(1/3*x + 1)^1000", 12),
-        # the budget holds for the whole text: sums and products of
-        # admitted powers
+    ):
+        _assert_past_the_work_bound(text, column)
+
+
+def test_parse_work_budget():
+    # each '*' and '^' charges its products before it expands them, against
+    # one budget per parse_poly call: an admitted power is read again by a
+    # new call, while sums and products of admitted powers in one text are
+    # refused
+    for _ in range(2):
+        assert len(parse_poly("(x + 1)^1000").terms) == 1001
+    for text, column in (
         ("x + (2^7000*x+y+z+X+Y+Z)^13 + (2^7000*x+y+z+X+Y+Z)^13", 25),
         ("(x + 1)^1000 + (x + 1)^1000", 23),
         ("(x+1)^400*(x+1)^400 + (x+1)^400*(x+1)^400", 32),
         ("(x+y)^100*(z+X)^100*(Y+Z)^100", 20),
     ):
-        with pytest.raises(PolySyntaxError, match="work bound") as exc:
-            parse_poly(text)
-        assert (exc.value.line, exc.value.column) == (1, column)
-        assert f"cap {MAX_WORK}" in str(exc.value)
+        _assert_past_the_work_bound(text, column)
 
 
 def test_integers_past_the_str_digit_limit_print_whole():
