@@ -15,7 +15,6 @@ Newton interpolation, on integer operands over the rationals.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from fractions import Fraction
 from math import comb, lcm, log2
 from operator import add
@@ -759,10 +758,10 @@ def parse_poly(text):
     Parentheses nest at most MAX_NESTING deep, and each '*' and '^' is
     held to MAX_DEGREE, MAX_BITS and MAX_WORK.  A unit of work is one
     product of two small coefficients, about 1 us on an Intel Xeon core
-    under CPython 3.11: a product of t and t' terms of up to a and b bits
-    costs t t' (1 + a b / 2^20), five times that with a denominator, a
-    power each product of its squaring chain, and each '*' and '^' also
-    the terms its result may have; (x + 1)^1000 costs 484,712.
+    under CPython 3.11: a product of t and t' terms of A and B bits in all
+    costs t t' + A B / 2^20, five times that with a denominator, a power
+    each product of its squaring chain, and each '*' and '^' also the
+    terms its result may have; (x + 1)^1000 costs 484,712.
     The result lives on the sorted variables the text names, whether or not
     they survive cancellation.
     """
@@ -779,39 +778,47 @@ _VAR_EXP = {v: tuple(int(v == w) for w in ALLOWED_VARS) for v in ALLOWED_VARS}
 
 
 def _shape(terms):
-    """(t, v, deg, h, q) for a term dict f = F/D over the least common
+    """(t, v, deg, h, m, q) for a term dict f = F/D over the least common
     denominator D of its coefficients: its t terms, the v variables they
     use (0 for one term, whose powers have one term), its total degree,
-    h = log2 max(t max|F|, D), and whether D > 1.  Each numerator and
+    h = log2 max(t max|F|, D), the mean m over its terms of
+    log2 max(t |F_i|, D), and whether D > 1.  Each numerator and
     denominator of f^i g^j is at most 2^(i h_f + j h_g)."""
     if len(terms) == 1:
         ((e, c),) = terms.items()
         h = max(log2(abs(c.numerator)), log2(c.denominator))
-        return 1, 0, sum(e), h, c.denominator > 1
+        return 1, 0, sum(e), h, h, c.denominator > 1
     if not terms:
-        return 0, 0, 0, 0.0, False
-    values = terms.values()
+        return 0, 0, 0, 0.0, 0.0, False
+    t, values = len(terms), terms.values()
     den = lcm(*[c.denominator for c in values])
-    h = log2(max(len(terms) * int(max(map(abs, values)) * den), den))
-    return len(terms), sum(map(any, zip(*terms))), max(map(sum, terms)), h, den > 1
+    hs = [log2(max(t * abs(c.numerator) * den // c.denominator, den)) for c in values]
+    v = sum(map(any, zip(*terms)))
+    return t, v, max(map(sum, terms)), max(hs), sum(hs) / t, den > 1
 
 
 def _power_size(shape, k):
-    """Bounds on the terms and the coefficient bits of f^k: a product of k
-    of its t terms (0^0 = 1 has one), and a monomial of degree at most
-    k deg f in its variables.  For any k: a float k h overflows past
-    2^1023."""
-    t, v, deg, h, _ = shape
+    """Bounds on the terms of f^k, the bits of a coefficient and their sum:
+    a term per product of k of the t terms of f (0^0 = 1 has one) and per
+    monomial of degree at most k deg f, below 2^(k m) on average over the
+    products.  Call it once k deg f is capped, which bounds C(t + k - 1, k)
+    for t > 1; a float k h overflows past 2^1023."""
+    t, v, deg, h, m, _ = shape
     bits = int(k * h if k < 1e300 else k * Fraction(h)) + 1
-    return min(comb(max(t + k - 1, 0), k), comb(v + k * deg, v)), bits
+    if t < 2:
+        return int(t or not k), bits, t * bits
+    products = comb(t + k - 1, k)
+    terms = min(products, comb(v + k * deg, v))
+    return terms, bits, min(terms * bits, products * (int(k * m) + 1))
 
 
-@lru_cache(maxsize=1024)
 def _work(f, i, g, j):
-    """The work of the product of f^i and g^j, for the shapes f and g."""
-    (s, a), (t, b) = _power_size(f, i), _power_size(g, j)
-    work = s * t + s * t * a * b // 2**20
-    return 5 * work if f[4] or g[4] else work
+    """The work of the product of f^i and g^j, for the shapes f and g: a
+    unit per pair of terms, and a b / 2^20 per pair of coefficients of a
+    and b bits, which sum to the product of the summed bits."""
+    (s, _, a), (t, _, b) = _power_size(f, i), _power_size(g, j)
+    work = s * t + a * b // 2**20
+    return 5 * work if f[5] or g[5] else work
 
 
 class _Parser:
@@ -822,15 +829,10 @@ class _Parser:
         self.names = set()
         self.work = 0
 
-    def _loc(self, pos=None):
+    def _error(self, message, cls=PolySyntaxError, pos=None):
         pos = self.pos if pos is None else pos
         line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
-
-    def _error(self, message, cls=PolySyntaxError, pos=None):
-        line, col = self._loc(pos)
-        raise cls(message, line, col)
+        raise cls(message, line, pos - self.text.rfind("\n", 0, pos))
 
     def _peek(self):
         """The next character after whitespace, which is skipped; "" at the
@@ -848,22 +850,16 @@ class _Parser:
         return MultiPoly(vars, terms, QQ_TOWER)
 
     def _expr(self):
-        ch = self._peek()
-        if ch and ch in "+-":
-            self.pos += 1
-        result = self._term()
-        if ch == "-":
-            result = {e: -c for e, c in result.items()}
+        result, sign = {}, self._peek()
         while True:
-            ch = self._peek()
-            if ch == "+":
+            if sign in ("+", "-"):
                 self.pos += 1
-                _add_into(result, self._term(), QQ_TOWER)
-            elif ch == "-":
-                self.pos += 1
-                term = {e: -c for e, c in self._term().items()}
-                _add_into(result, term, QQ_TOWER)
-            else:
+            term = self._term()
+            if sign == "-":
+                term = {e: -c for e, c in term.items()}
+            _add_into(result, term, QQ_TOWER)
+            sign = self._peek()
+            if sign not in ("+", "-"):
                 return result
 
     def _term(self):
@@ -874,7 +870,7 @@ class _Parser:
             factor = self._factor()
             f, g = _shape(result), _shape(factor)
             size = f[0] * g[0], int(f[3] + g[3]) + 1
-            self._expand(at, f[2] + g[2], size, [(f, 1, g, 1)])
+            self._expand(at, f[2] + g[2], lambda: size, [(f, 1, g, 1)])
             result = _times(result, factor, QQ_TOWER)
         return result
 
@@ -886,16 +882,17 @@ class _Parser:
             k = self._int()
             f = _shape(base)
             products = ((f, i, f, j) for i, j in _chain(k))
-            self._expand(at, f[2] * k, _power_size(f, k), products)
+            self._expand(at, f[2] * k, lambda: _power_size(f, k)[:2], products)
             base = _power(base, k, QQ_TOWER, len(ALLOWED_VARS))
         return base
 
     def _expand(self, at, degree, size, products):
         """The one rule for the '*' or '^' at `at`, before it is expanded:
         its degree, its bits, and the text's work, plus its terms and each
-        f^i g^j of the products (f, i, g, j); size is (terms, bits)."""
-        terms, bits = size
+        f^i g^j of the products (f, i, g, j).  size() gives (terms, bits)
+        once the degree has passed, which bounds its binomials."""
         self._cap("total degree {}", degree, MAX_DEGREE, at)
+        terms, bits = size()
         self._cap("coefficient bound {} bits", bits, MAX_BITS, at)
         self.work += terms + sum(_work(*p) for p in products)
         self._cap("work bound {}", self.work, MAX_WORK, at)

@@ -28,9 +28,10 @@ MODELS = {
 }
 BUDGETS = ["--max-depth", "2", "--max-tower-degree", "2"]
 
-# admitted alone, charged far more work than they take, so that 60 copies
-# are past the budget within milliseconds
-CHEAP_POWERS = ("(2^20000*x + 1)^4", "(2^5000*y + 1)^19", "(2^3000*x + 1)^30")
+# admitted alone, charged more work than they take (CPython multiplies
+# powers of 2 fast), so that 60 copies are past the budget within
+# milliseconds
+CHEAP_POWERS = ("(2^9000*x + 1)^11", "(2^5000*y + 1)^19", "(2^3000*x + 1)^30")
 
 # each past one parse bound, and refused before it is expanded
 PAST_A_BOUND = (
@@ -41,8 +42,9 @@ PAST_A_BOUND = (
     "3^63093",
     "(x+y+z+X+Y+Z)^15",
     "(x+y+1)^100",
-    # an exponent past what a float holds
+    # an exponent past what a float holds, also on a base of many terms
     "2^" + "9" * 400,
+    "((x+y+z+X+Y+Z)^12)^" + "9" * 400,
 )
 
 

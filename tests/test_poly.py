@@ -2,12 +2,13 @@ import random
 import re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
+from waifi import poly
 from waifi.field import FieldElement, QQ_TOWER, Tower
 from waifi.poly import (
     ALLOWED_VARS,
@@ -123,6 +124,21 @@ def test_parse_degree_cap():
         assert (exc.value.line, exc.value.column) == (1, column)
 
 
+def test_parse_degree_before_the_term_bound(monkeypatch):
+    # the degree comes first: it keeps each binomial C(n, k) of the term
+    # bound, about min(k, n - k) log2 n bits, small; past it, a 400-digit
+    # power of a base of 6188 terms would take one of millions of bits
+    def small_comb(n, k):
+        assert min(k, n - k) <= MAX_DEGREE
+        return comb(n, k)
+
+    monkeypatch.setattr(poly, "comb", small_comb)
+    with pytest.raises(PolySyntaxError, match="total degree") as exc:
+        parse_poly("((x+y+z+X+Y+Z)^12)^" + "9" * 400)
+    assert (exc.value.line, exc.value.column) == (1, 19)
+    assert parse_poly("(-1)^" + "9" * 400 + "*x") == -parse_poly("x")
+
+
 def test_parse_power_bits_cap():
     # the bound on the coefficients of a power or a product is checked at
     # its '^' or '*', before it is computed; 2^20000 and any power of 1 are
@@ -181,11 +197,13 @@ def test_parse_term_cap():
 
 
 def test_parse_power_size_cap():
-    # the work of a power is weighted by the bits of its coefficients and by
-    # denominators, so a power under the term and bit bounds is still
-    # refused at its '^' when its coefficients are large
+    # the work of a power is weighted by the summed bits of its coefficients
+    # and by denominators, so a power under the term and bit bounds is still
+    # refused at its '^' when its coefficients are large; one large
+    # coefficient among small ones is weighted as such
     assert len(parse_poly("(x + 1)^1000").terms) == 1001
     assert len(parse_poly("(2^80*x+y+z+X+Y+Z)^13").terms) == 8568
+    assert len(parse_poly("(2^7000*x+y+1)^13").terms) == 105
     for text, column in (
         ("(2^7000*x+y+z+X+Y+Z)^13", 21),
         ("(2^1000*x+y+1)^50", 15),
