@@ -21,7 +21,11 @@ a norm, over K_j alone.  Roots that do not exist yet can be adjoined, growing
 the tower up to its degree cap; after an adjoin only the factors that are
 still nonlinear can split, and only at the new level.  The factor whose root
 theta was adjoined is divided by var - theta, and only its cofactor is
-factored over the new level: a linear cofactor needs no norm.
+factored over the new level: a linear cofactor needs no norm, and the shift
+search for any other starts at s = 2.  The conjugates of the cofactor
+pick/(var - theta) are pick/(var - theta_j), so its norm at shift s has the
+roots theta_k + s theta_j for k != j: pick^(e-1) at s = 0, and every
+theta_j + theta_k twice at s = 1, neither squarefree once e = deg pick >= 3.
 """
 
 from __future__ import annotations
@@ -115,9 +119,9 @@ def _lift_factors(factors, var, tower, k):
     return factors
 
 
-def _factor_norm(f, var, tower):
+def _factor_norm(f, var, tower, s=None):
     """Irreducible monic factors of a squarefree monic univariate f over
-    tower, through Trager's norm over the level below."""
+    tower, through Trager's norm over the level below from the shift s on."""
     if f.degree_in(var) <= 1:
         return [f]
     if tower.depth == 0:
@@ -129,8 +133,10 @@ def _factor_norm(f, var, tower):
     m_poly = MultiPoly((_ZVAR,), coeffs, sub)
     theta = FieldElement.generator(tower)
     f = f.drop_unused_vars()
-    # with every coefficient in the level below, the s = 0 norm is f^e
-    s = 0 if any(tower.shortest(c)[1] == tower.depth for c in f.terms.values()) else 1
+    if s is None:
+        # with every coefficient in the level below, the s = 0 norm is f^e
+        top = any(tower.shortest(c)[1] == tower.depth for c in f.terms.values())
+        s = 0 if top else 1
     while True:
         # f(var - s*theta) lowered agrees with f(var - s*@z) modulo the monic
         # m_poly, and Res_z(m, g) = prod g(roots of m) depends on g mod m only
@@ -216,8 +222,8 @@ def roots_in_extension(f, tower):
         cofactor = pick.lift_to(tower).divide_exact(linear)
         if cofactor is None:
             raise WaifiError("the adjoined generator is not a root of its factor")
-        # the cofactor is squarefree and monic, and a linear one takes no norm
-        factors = [linear, *_factor_norm(cofactor, var, tower)]
+        # the cofactor is squarefree and monic, with no squarefree norm at s < 2
+        factors = [linear, *_factor_norm(cofactor, var, tower, 2)]
         factors.extend(_lift_factors(nonlinear[1:], var, tower, k))
 
 

@@ -283,20 +283,20 @@ class Tower:
         s1 = [self.lift_rational(_ONE, sub)]
         while True:
             r1 = self._trim(r1, sub)
-            if len(r1) == 0:
+            if len(r1) <= 1:
                 break
             q, r = self.pdivmod(r0, r1, sub)
             r0, r1 = r1, r
             s0, s1 = s1, self._psub(s0, self._pmul(q, s1, sub), sub)
-        # invariant: s0*a = r0 and s1*a = r1 modulo the minimal polynomial,
-        # so with r0 the gcd, s0/r0 is the inverse of a when r0 is a unit
-        r0 = self._trim(r0, sub)
-        if len(r0) > 1:
+        # invariant: s1*a = r1 modulo the minimal polynomial, so a nonzero
+        # constant r1 = c gives the inverse s1/c; a zero r1 leaves r0, of
+        # positive degree, the gcd
+        if not r1:
             g = self.monic(r0, sub)
             q, _ = self.pdivmod(mp, g, sub)
             raise SplitRequired(depth, (tuple(g), tuple(self.monic(q, sub))))
-        c = self.inv(r0[0], sub)
-        out = [self.mul(c, x, sub) for x in s0]
+        c = self.inv(r1[0], sub)
+        out = [self.mul(c, x, sub) for x in s1]
         out = out[: len(a)]
         out += [self._zeros[sub]] * (len(a) - len(out))
         return tuple(out)

@@ -899,8 +899,17 @@ class _Parser:
 
     def _cap(self, bound, value, cap, pos):
         """A syntax error at pos when value exceeds cap; bound names the
-        value, with {} where it goes."""
+        value, with {} where it goes.  A value of 100 digits or more goes as
+        its digit count, since str() of an int is quadratic: the count
+        starts at most at that of 2^(b - 1), for the bit length b, and
+        takes a step or two."""
         if value > cap:
+            if value >= 10**99:
+                d = (value.bit_length() - 1) * 301029995 // 10**9 + 1
+                p = 10**d
+                while value >= p:
+                    d, p = d + 1, p * 10
+                value = f"<{d} digits>"
             self._error(f"{bound.format(value)} exceeds cap {cap}", pos=pos)
 
     def _primary(self):

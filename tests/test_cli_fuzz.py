@@ -45,6 +45,8 @@ PAST_A_BOUND = (
     # an exponent past what a float holds, also on a base of many terms
     "2^" + "9" * 400,
     "((x+y+z+X+Y+Z)^12)^" + "9" * 400,
+    # an exponent of 200,000 digits, shown in its error line by that count
+    "x^" + "9" * 200_000,
 )
 
 
@@ -135,3 +137,15 @@ def test_fuzzed_key_files_keep_the_exit_contract(tmp_path_factory, case):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_each_input_past_a_bound_is_one_short_error_line(tmp_path):
+    path = tmp_path / "past.txt"
+    for value in PAST_A_BOUND:
+        path.write_text(f"p = {value}\nq = y\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["integrate", str(path)])
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert len(err.getvalue()) < 120

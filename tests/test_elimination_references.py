@@ -961,10 +961,10 @@ def test_a_quadratic_root_splits_off_its_conjugate_with_no_norm(monkeypatch):
     norms = []
     real = factor._factor_norm
 
-    def spy(f, var, K):
+    def spy(f, var, K, s=None):
         if f.degree_in(var) > 1:
             norms.append(K.depth)
-        return real(f, var, K)
+        return real(f, var, K, s)
 
     monkeypatch.setattr(factor, "_factor_norm", spy)
     roots, tower = roots_in_extension(parse_poly("x^2 + x + 1"), Tower())
@@ -1000,6 +1000,29 @@ def test_norm_shift_starts_at_one_for_a_factor_from_the_level_below(monkeypatch)
         FieldElement.generator(tower)
     )
     assert _factor_squarefree(f, "x", tower) == [f] and norms == ["-@z + x^2"]
+
+
+def test_the_cofactor_of_an_adjoined_root_takes_its_first_norm_at_two(monkeypatch):
+    tower = Tower().adjoin("a", (1, 0, 1))
+    norms = []
+    real = factor.resultant
+
+    def spy(f, g, var):
+        # norms over Q(a, b): the minimal polynomial b^4 - a is over Q(a)
+        if var == "@z" and f.tower.depth == 1:
+            norms.append(g.to_string())
+        return real(f, g, var)
+
+    monkeypatch.setattr(factor, "resultant", spy)
+    f = parse_poly("y^4").lift_to(tower) - MultiPoly.constant(
+        FieldElement.generator(tower)
+    )
+    roots, tower = roots_in_extension(f, tower)
+    assert tower.names() == ("a", "b")
+    assert [str(r) for r in roots] == ["-b", "(-a)*b", "(a)*b", "b"]
+    # y^4 - a = (y - b) c with c = y^3 + b*y^2 + b^2*y + b^3, whose norms at
+    # s = 0 and 1 are not squarefree: the one norm taken is of c(y - 2b)
+    assert norms == ["-5*@z^3 + 9*@z^2*y - 5*@z*y^2 + y^3"]
 
 
 def test_a_rational_quadratic_lifted_to_sqrt2_splits():

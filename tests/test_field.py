@@ -295,24 +295,26 @@ LEVELS = (
 )
 
 
-def tower_pair(depth):
-    """(Tower, FractionTower) of the first depth levels of LEVELS."""
+def tower_pair(depth, levels=LEVELS):
+    """(Tower, FractionTower) of the first depth levels of levels."""
     tower = Tower(
         (name, tuple(as_leaves(c, j, QQ_TOWER.lift_rational) for c in mp))
-        for j, (name, mp) in enumerate(LEVELS[:depth])
+        for j, (name, mp) in enumerate(levels[:depth])
     )
-    return tower, FractionTower(LEVELS[:depth])
+    return tower, FractionTower(levels[:depth])
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 
 @st.composite
-def raw_values(draw, depth, leaf=rationals):
+def raw_values(draw, depth, leaf=rationals, levels=LEVELS):
     if depth == 0:
         return draw(leaf)
-    (_, mp) = LEVELS[depth - 1]
-    return tuple(draw(raw_values(depth - 1, leaf)) for _ in range(len(mp) - 1))
+    (_, mp) = levels[depth - 1]
+    return tuple(
+        draw(raw_values(depth - 1, leaf, levels)) for _ in range(len(mp) - 1)
+    )
 
 
 # each operation as f(tower, x, y, q) on raw values x, y and a rational q
@@ -408,3 +410,51 @@ def with_leaf(v, depth, i, leaf):
         return next(it) if d == 0 else tuple(build(c, d - 1) for c in w)
 
     return build(v, depth)
+
+
+# -- inverses --------------------------------------------------------------
+
+# the negative controls' Q(a, b) with a^2 = -1 and b^4 = a, and Q(a, b, c)
+# with c^2 = b over it: b and c are primitive 16th and 32nd roots of unity,
+# of degrees 8 and 16 over Q, so every level is irreducible
+_00 = (_0,) * 4
+ROOTS_OF_UNITY = (
+    ("a", (Fraction(1), Fraction(0), Fraction(1))),
+    ("b", ((Fraction(0), Fraction(-1)), _0, _0, _0, _1)),
+    ("c", ((_0, (Fraction(-1), Fraction(0)), _0, _0), _00, (_1, _0, _0, _0))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            raw_values(
+                d, st.sampled_from([0, 0, 1, -2, Fraction(1, 3)]), ROOTS_OF_UNITY
+            ),
+        )
+    )
+)
+def test_inverse_matches_the_reference_over_a_quartic_level(case):
+    # mostly-zero leaves reach the early stops: a value of a lower level, a
+    # remainder that turns constant after one or two divisions
+    depth, x = case
+    tower, ref = tower_pair(depth, ROOTS_OF_UNITY)
+    theirs = as_leaves(x, depth, Fraction)
+    if ref.is_zero(theirs):
+        return
+    v = as_leaves(x, depth, QQ_TOWER.lift_rational)
+    inv = tower.inv(v)
+    assert tower.mul(v, inv) == tower.one()
+    assert inv == ref.inv(theirs)
+
+
+def test_split_required_at_level_two():
+    # w^2 + 1 over Q(i) is (w - i)(w + i): inverting w - i finds the split
+    t = tower_qi().adjoin("w", ((1, 0), (0, 0), (1, 0)))
+    i = FieldElement.generator(t.prefix(1)).lift_to(t)
+    with pytest.raises(SplitRequired) as err:
+        (FieldElement.generator(t) - i).inverse()
+    assert err.value.level == 2
+    assert err.value.factors == (((0, -1), (1, 0)), ((0, 1), (1, 0)))
